@@ -6,7 +6,7 @@ import functools
 import json
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import (
     BadHeader,
@@ -35,18 +35,21 @@ class GeneratorBudgets:
 
     max_n: int = 14
     flip_burn_in: int = 0  # 0 means the default of 10*n*n flips
-    timeout_ms: int = 60_000
 
 
 def load_budgets(path=None) -> GeneratorBudgets:
-    """Budgets from a JSON config file (documented keys: max_n, flip_burn_in,
-    timeout_ms).  Falls back to HAMFORGE_GENERATOR_CONFIG, then defaults."""
+    """Budgets from a JSON config file (keys: max_n, flip_burn_in).  Falls
+    back to HAMFORGE_GENERATOR_CONFIG, then defaults.  An unknown key raises
+    ValueError naming it."""
     path = path or os.environ.get("HAMFORGE_GENERATOR_CONFIG")
     if path and os.path.exists(path):
         with open(path) as fh:
             raw = json.load(fh)
-        return GeneratorBudgets(**{k: raw[k] for k in raw
-                                   if k in ("max_n", "flip_burn_in", "timeout_ms")})
+        unknown = sorted(set(raw) - {f.name for f in fields(GeneratorBudgets)})
+        if unknown:
+            raise ValueError(f"unknown generator budget key(s) in {path}: "
+                             + ", ".join(unknown))
+        return GeneratorBudgets(**raw)
     return GeneratorBudgets()
 
 
@@ -70,7 +73,12 @@ class CorpusFilter:
             return False
         if g.min_degree() < self.min_degree:
             return False
-        if not is_k_connected(g, self.min_connectivity):
+        if self.min_connectivity == 4 and g.is_triangulation and g.n >= 5:
+            # a triangulation with n >= 5 is 4-connected iff it has no
+            # separating triangle, i.e. every 3-cycle bounds a face
+            if len(g.triangles()) != len(g.faces):
+                return False
+        elif not is_k_connected(g, self.min_connectivity):
             return False
         if self.max_separating_4cycles is not None:
             from .structures import separating_cycles
@@ -239,6 +247,44 @@ def split_vertex(g: PlaneGraph, v: int, i: int, j: int) -> PlaneGraph:
     return plane_graph_from_faces(new_faces)
 
 
+class _RotationView:
+    """The fields of a PlaneGraph that ``canonical_code`` reads, and no more."""
+
+    __slots__ = ("n", "rotation", "degrees", "_pos")
+
+    def __init__(self, rotation, pos):
+        self.n = len(rotation)
+        self.rotation = rotation
+        self.degrees = tuple(map(len, rotation))
+        self._pos = pos
+
+
+def _split_rotation(g: PlaneGraph, v: int, i: int, j: int) -> _RotationView:
+    """The rotation system of ``split_vertex(g, v, i, j)``, up to where each
+    cyclic order starts, edited from g's instead of traced from faces.
+
+    Only v, the new vertex, the two pivots and the neighbors that move to the
+    new vertex get new rotations; every other vertex shares g's entries.
+    """
+    rot = g.rotation[v]
+    new = g.n
+    at = g._pos
+    rotation = list(g.rotation)
+    rotation[v] = rot[i:j + 1] + (new,)
+    rotation.append(rot[j:] + rot[:i + 1] + (v,))
+    for w in rot[j + 1:] + rot[:i]:
+        k = at[w][v]
+        rotation[w] = rotation[w][:k] + (new,) + rotation[w][k + 1:]
+    # clockwise around pivot rot[i] the new vertex follows v; around rot[j]
+    # it precedes v
+    for w, k in ((rot[i], at[rot[i]][v] + 1), (rot[j], at[rot[j]][v])):
+        rotation[w] = rotation[w][:k] + (new,) + rotation[w][k:]
+    pos = list(at) + [None]
+    for w in (v, new, *rot):
+        pos[w] = {x: k for k, x in enumerate(rotation[w])}
+    return _RotationView(rotation, pos)
+
+
 def _all_splits(g: PlaneGraph):
     for v in range(g.n):
         d = g.degrees[v]
@@ -257,10 +303,9 @@ def _triangulation_level(n: int) -> tuple[PlaneGraph, ...]:
     out = {}
     for parent in _triangulation_level(n - 1):
         for v, i, j in _all_splits(parent):
-            child = split_vertex(parent, v, i, j)
-            key = canonical_code(child)
+            key = canonical_code(_split_rotation(parent, v, i, j))
             if key not in out:
-                out[key] = child
+                out[key] = split_vertex(parent, v, i, j)
     return tuple(out[k] for k in sorted(out))
 
 
@@ -268,8 +313,10 @@ def enumerate_triangulations(n: int, flt: CorpusFilter | None = None,
                              budgets: GeneratorBudgets | None = None):
     """All planar triangulations on n vertices up to isomorphism, filtered.
 
-    Exhaustive by repeated vertex splitting from K4 with canonical-form
-    rejection; deterministic order (sorted by canonical code).
+    Exhaustive by repeated vertex splitting from K4.  Each split child is
+    keyed by the canonical code of its rotation system, edited from the
+    parent's, and only the first child with a new key is built (by
+    ``split_vertex``).  Deterministic order: sorted by canonical code.
     """
     budgets = budgets or load_budgets()
     if n > budgets.max_n:

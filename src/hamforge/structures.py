@@ -126,10 +126,6 @@ def separating_cycles(g: PlaneGraph, length: int) -> list[Cycle]:
     return out
 
 
-def has_separating_triangle(g: PlaneGraph) -> bool:
-    return bool(separating_cycles(g, 3))
-
-
 # ---------------------------------------------------------------------------
 # diamonds
 # ---------------------------------------------------------------------------

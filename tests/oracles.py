@@ -3,7 +3,10 @@
 Everything here deliberately avoids the package's own algorithms: counting
 by raw permutations or unpruned DFS, isomorphism and connectivity through
 networkx, subgraph matching by generic backtracking, and a triangulation
-generator driven by diagonal flips instead of vertex splitting.
+generator driven by diagonal flips instead of vertex splitting.  The one
+exception is ``split_dedupe_levels``, the generate-then-dedupe route that
+builds every split child: the exhaustive generator must reproduce it
+exactly.
 """
 
 from __future__ import annotations
@@ -184,3 +187,23 @@ def flip_bfs_triangulations(n: int) -> list[PlaneGraph]:
                 out.append(h)
                 queue.append(h)
     return out
+
+
+def split_dedupe_levels(n_max: int) -> dict[int, list[PlaneGraph]]:
+    """All triangulations on 4..n_max vertices by generate-then-dedupe: every
+    vertex split of every parent is built by ``split_vertex`` and keyed by
+    ``canonical_code``; the first child with a new key is kept and each level
+    is sorted by key.  The slow route the exhaustive generator's rotation
+    edit replaces."""
+    from hamforge.corpus import _all_splits, k4, split_vertex
+    from hamforge.plane_graph import canonical_code
+
+    levels = {4: [k4()]}
+    for n in range(5, n_max + 1):
+        out = {}
+        for parent in levels[n - 1]:
+            for v, i, j in _all_splits(parent):
+                child = split_vertex(parent, v, i, j)
+                out.setdefault(canonical_code(child), child)
+        levels[n] = [out[k] for k in sorted(out)]
+    return levels

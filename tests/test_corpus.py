@@ -1,9 +1,15 @@
 import io
+import json
 
 import pytest
 
+from hamforge import corpus
 from hamforge.corpus import (
     CorpusFilter,
+    GeneratorBudgets,
+    _all_splits,
+    _split_rotation,
+    _triangulation_level,
     double_wheel,
     enumerate_triangulations,
     flip_edge,
@@ -11,9 +17,12 @@ from hamforge.corpus import (
     graph_to_planar_code,
     icosahedron,
     k4,
+    load_budgets,
     octahedron,
     random_triangulation,
     read_planar_code,
+    split_vertex,
+    wheel,
     write_planar_code,
 )
 from hamforge.errors import (
@@ -24,13 +33,15 @@ from hamforge.errors import (
     TruncatedRecord,
     ValidationFailed,
 )
-from hamforge.plane_graph import canonical_code, is_isomorphic, is_k_connected
+from hamforge.plane_graph import build, canonical_code, is_isomorphic, is_k_connected
 
-from .oracles import flip_bfs_triangulations, nx_isomorphic
+from .oracles import flip_bfs_triangulations, nx_isomorphic, split_dedupe_levels
 
-# published enumeration of planar triangulations up to isomorphism,
-# cross-checked below against the independent flip-BFS generator
-KNOWN_COUNTS = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14}
+# published enumeration of planar triangulations up to isomorphism (OEIS
+# A000109), cross-checked below against the independent flip-BFS generator
+KNOWN_COUNTS = {4: 1, 5: 1, 6: 2, 7: 5, 8: 14, 9: 50, 10: 233, 11: 1249}
+# 4-connected triangulations on n = 6..11 vertices
+FOUR_CONNECTED_COUNTS = {6: 1, 7: 1, 8: 2, 9: 4, 10: 10, 11: 25}
 
 
 def test_double_wheel_is_octahedron_at_6():
@@ -128,9 +139,98 @@ def test_enumerate_four_connected_n6_is_octahedron():
     assert len(got) == 1 and is_isomorphic(got[0], octahedron())
 
 
+def test_enumerate_four_connected_counts(triangulations_by_n):
+    flt = CorpusFilter(min_connectivity=4)
+    for n, want in FOUR_CONNECTED_COUNTS.items():
+        assert sum(flt.matches(g) for g in triangulations_by_n(n)) == want
+
+
+@pytest.mark.slow
+def test_enumerate_count_n12_matches_published():
+    assert len(_triangulation_level(12)) == 7595
+
+
+def _cyclic_start_at_min(seq):
+    k = seq.index(min(seq))
+    return seq[k:] + seq[:k]
+
+
+def test_split_rotation_matches_split_vertex(triangulations_by_n):
+    """The rotation edit gives split_vertex's embedding, up to where each
+    cyclic order starts, and so the same canonical code."""
+    for n in range(4, 10):
+        for parent in triangulations_by_n(n):
+            for v, i, j in _all_splits(parent):
+                edited = _split_rotation(parent, v, i, j)
+                child = split_vertex(parent, v, i, j)
+                g = build(edited.rotation)
+                assert g.is_triangulation
+                assert ([_cyclic_start_at_min(r) for r in g.rotation]
+                        == [_cyclic_start_at_min(r) for r in child.rotation])
+                assert canonical_code(edited) == canonical_code(child)
+
+
+def _assert_same_as_split_dedupe(n_max):
+    levels = split_dedupe_levels(n_max)
+    for n in range(4, n_max + 1):
+        mine = _triangulation_level(n)
+        want = levels[n]
+        assert [g.rotation for g in mine] == [g.rotation for g in want]
+        assert [g.faces for g in mine] == [g.faces for g in want]
+        assert ([g.outer_face_index for g in mine]
+                == [g.outer_face_index for g in want])
+
+
+def test_generator_matches_split_dedupe_oracle():
+    _assert_same_as_split_dedupe(10)
+
+
+@pytest.mark.slow
+def test_generator_matches_split_dedupe_oracle_n11():
+    _assert_same_as_split_dedupe(11)
+
+
+def test_four_connected_filter_matches_exhaustive_cut_search(triangulations_by_n):
+    """The separating-triangle test agrees with the vertex-cut search."""
+    flt = CorpusFilter(min_connectivity=4)
+    for n in range(4, 12):
+        for g in triangulations_by_n(n):
+            assert flt.matches(g) == (g.min_degree() >= 3 and is_k_connected(g, 4))
+
+
+def test_four_connected_filter_cut_search_off_triangulations(monkeypatch):
+    calls = []
+
+    def spy(g, k):
+        calls.append(g)
+        return is_k_connected(g, k)
+
+    monkeypatch.setattr(corpus, "is_k_connected", spy)
+    flt = CorpusFilter(min_connectivity=4)
+    w = wheel(6)
+    assert not w.is_triangulation
+    assert not flt.matches(w)
+    assert calls == [w]
+    assert flt.matches(octahedron())
+    assert calls == [w]
+
+
 def test_enumerate_budget():
     with pytest.raises(BudgetExceeded):
         list(enumerate_triangulations(15))
+
+
+def test_load_budgets_reads_known_keys(tmp_path):
+    path = tmp_path / "budgets.json"
+    path.write_text(json.dumps({"max_n": 9, "flip_burn_in": 5}))
+    assert load_budgets(str(path)) == GeneratorBudgets(max_n=9, flip_burn_in=5)
+
+
+def test_load_budgets_rejects_unknown_key(tmp_path):
+    path = tmp_path / "budgets.json"
+    path.write_text(json.dumps({"max_n": 9, "timeout_ms": 1000}))
+    with pytest.raises(ValueError, match="timeout_ms"):
+        load_budgets(str(path))
 
 
 def test_flip_preserves_triangulation():
