@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import inspect
 import json
 import sys
 import time
@@ -29,6 +29,11 @@ from .verification import SUITE_RUNNERS, SUITES, graph_id
 
 EX_USAGE = 64
 EX_DATA = 65
+
+# verify flag (argparse dest) -> the suite keyword argument it sets
+VERIFY_KEYWORDS = {"n_max": "n_max", "min_degree": "min_degree",
+                   "min_connectivity": "min_connectivity",
+                   "budget_nodes": "budget", "seed": "seed"}
 
 
 def _open_out(path):
@@ -76,17 +81,17 @@ def cmd_verify(args) -> int:
               file=sys.stderr)
         return EX_USAGE
     runner = SUITE_RUNNERS[args.suite]
-    kwargs = {}
-    if args.n_max is not None:
-        kwargs["n_max"] = args.n_max
-    if args.min_degree is not None:
-        kwargs["min_degree"] = args.min_degree
-    if args.min_connectivity is not None:
-        kwargs["min_connectivity"] = args.min_connectivity
-    if args.budget_nodes is not None:
-        kwargs["budget"] = args.budget_nodes
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
+    named = {p.name for p in inspect.signature(runner).parameters.values()
+             if p.kind is not p.VAR_KEYWORD}
+    given = {dest: kw for dest, kw in VERIFY_KEYWORDS.items()
+             if getattr(args, dest) is not None}
+    refused = ["--" + dest.replace("_", "-") for dest, kw in given.items()
+               if kw not in named]
+    if refused:
+        print(f"error: suite {args.suite!r} does not take {', '.join(refused)}",
+              file=sys.stderr)
+        return EX_USAGE
+    kwargs = {kw: getattr(args, dest) for dest, kw in given.items()}
     out = _open_out(args.out)
     try:
         failed = _emit(runner(**kwargs), out, args.format)
@@ -109,6 +114,12 @@ def cmd_count(args) -> int:
             print(f"error: bad edge {spec!r}, expected u,v", file=sys.stderr)
             return EX_USAGE
         required.append(edge_key(u, v))
+    for g in graphs:
+        missing = [e for e in required if e not in g.edge_set]
+        if missing:
+            print(f"error: required edge {missing[0]} is not an edge of graph "
+                  f"{graph_id(g)}", file=sys.stderr)
+            return EX_USAGE
     out = _open_out(args.out)
     writer = csv.writer(out)
     writer.writerow(["graph_id", "n", "count", "seconds"])

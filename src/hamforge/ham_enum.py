@@ -258,12 +258,6 @@ def enumerate_ham_paths(g: PlaneGraph, a: int, b: int, required_edges=(),
     return found
 
 
-def first_ham_path(g: PlaneGraph, a: int, b: int, required_edges=(),
-                   forbidden_edges=(), budget=None):
-    out = enumerate_ham_paths(g, a, b, required_edges, forbidden_edges, budget, cap=1)
-    return out[0] if out else None
-
-
 # ---------------------------------------------------------------------------
 # verification helpers and cycle families
 # ---------------------------------------------------------------------------
@@ -288,12 +282,6 @@ def is_ham_cycle(g: PlaneGraph, edges) -> bool:
         seen.add(v)
         v, prev = (nbr[v][0] if nbr[v][0] != prev else nbr[v][1]), v
     return len(seen) == g.n
-
-
-def is_ham_path(g: PlaneGraph, vertices, a, b) -> bool:
-    vs = list(vertices)
-    return (len(vs) == g.n and len(set(vs)) == g.n and vs[0] == a and vs[-1] == b
-            and all(g.has_edge(u, v) for u, v in zip(vs, vs[1:])))
 
 
 def canonical_cycle_key(edges) -> tuple:

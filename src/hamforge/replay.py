@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from .errors import (
     ChainBroken,
     EmptyStar,
+    FourConnectivityLost,
     HypothesisViolated,
     InteriorsOverlap,
     NotAChain,
@@ -32,6 +33,8 @@ from .ham_enum import (
 )
 from .indset import (
     IndSetCert,
+    edge_families,
+    guaranteed_family_floor,
     ham_family_from_edge_families,
     special_set,
 )
@@ -41,6 +44,7 @@ from .plane_graph import (
     PlaneGraph,
     add_edge_in_face,
     block_chain,
+    canonical_cycle,
     closure,
     closure_containing,
     contract_edge,
@@ -248,12 +252,6 @@ def _exchange_cycle(g, cprime_edges, run: _Run, lift_back):
     return None
 
 
-def _contract_run(g: PlaneGraph, run: _Run):
-    u3, u4 = run.mid
-    gstar, star, origin = contract_edge(g, u3, u4)
-    return gstar, star, origin
-
-
 def _run_square_graph(g, gstar, star, origin, run: _Run):
     """(G/u3u4 - star) + pq, a triangulation again, plus its label map."""
     back = {i: lab for i, lab in enumerate(origin) if lab is not None}
@@ -309,14 +307,12 @@ def lemma_2edge_family(g: PlaneGraph, e, f, budget=None, t=None,
                            max_degree=max((g.degrees[v] for v in s1), default=0),
                            provenance=branch.provenance + ("drop_triangle",))
         count = 0
-        from .indset import edge_families
         for family in edge_families(g, cert1):
             if count >= cap:
                 break
             count += 1
             reduced = g.delete_edges(family.edges)
             if not is_k_connected(reduced, 4):
-                from .errors import FourConnectivityLost
                 raise FourConnectivityLost(family.edges)
             found = enumerate_ham_paths(reduced, b, c, required_edges=[e],
                                         forbidden_edges=[f], cap=1)
@@ -325,7 +321,7 @@ def lemma_2edge_family(g: PlaneGraph, e, f, budget=None, t=None,
                     f"no Hamiltonian {b}-{c} path through {e} in G-F")
             _edges, pathseq = found[0]
             fam.add(path_edges(pathseq) | {f}, "edge_family")
-        floor = -((-3 ** len(s1)) // 2 ** len(s1))
+        floor = guaranteed_family_floor(len(s1))
         fam.log.append({"branch": "edge_families", "set_size": len(s1),
                         "families": count, "distinct": len(fam), "floor": floor})
         if count and len(fam) < floor:
@@ -395,7 +391,7 @@ def _case1_splice(g, cyc: Cycle, fam: HamFamily, cap, required=(), tag="case1"):
 
 def _case2_contract(g, run: _Run, fam: HamFamily, cap, e, f, t, depth):
     u3, u4 = run.mid
-    gstar, star, origin = _contract_run(g, run)
+    gstar, star, origin = contract_edge(g, u3, u4)
     fwd = {lab: i for i, lab in enumerate(origin) if lab is not None}
     sub_fam = lemma_2edge_family(gstar, edge_key(fwd[e[0]], fwd[e[1]]),
                                  edge_key(fwd[f[0]], fwd[f[1]]),
@@ -531,7 +527,7 @@ def _theorem1_case2(g, run: _Run, fam: HamFamily, cap, t, depth):
     u3, u4 = run.mid
     p, q = run.inner
     v, x = run.v, run.x
-    gstar, star, origin = _contract_run(g, run)
+    gstar, star, origin = contract_edge(g, u3, u4)
     sub_fam = theorem1_family(gstar, budget=cap, t=t, _depth=depth + 1)
     for cyc in _lift_contracted_cycles(g, sub_fam.cycles, origin, star, run):
         if edge_key(u3, u4) not in cyc:
@@ -758,7 +754,7 @@ def _grow_diamond(g: PlaneGraph, v: int, seps) -> DiamondCert:
         vs = c.vertices
         k = next(i for i in range(4) if vs[i] not in g.adj[v])
         outer = (vs[(k + 2) % 4], vs[(k + 1) % 4], vs[k], vs[(k + 3) % 4])
-        key = (-size, canonical_cycle_key(outer))
+        key = (-size, canonical_cycle(outer))
         if best is None or key < best[0]:
             cert = DiamondCert(
                 kind="diamond4",
@@ -771,11 +767,6 @@ def _grow_diamond(g: PlaneGraph, v: int, seps) -> DiamondCert:
     if best is None:
         raise EmptyStar(f"vertex {v} is adjacent to 3 vertices of no separating 4-cycle")
     return best[1]
-
-
-def canonical_cycle_key(vs):
-    from .plane_graph import canonical_cycle
-    return canonical_cycle(tuple(vs))
 
 
 def _classify_pair(g, c1: DiamondCert, c2: DiamondCert) -> str:

@@ -42,7 +42,7 @@ DIAMOND6_EDGES = tuple(
 )
 
 
-def pattern_edges(roles, edges, assignment) -> frozenset:
+def pattern_edges(edges, assignment) -> frozenset:
     return frozenset(edge_key(assignment[a], assignment[b]) for a, b in edges)
 
 
@@ -68,7 +68,7 @@ class DiamondCert:
     def edges(self) -> frozenset:
         mapping = dict(self.roles)
         pat = DIAMOND4_EDGES if self.kind == "diamond4" else DIAMOND6_EDGES
-        return pattern_edges(None, pat, mapping)
+        return pattern_edges(pat, mapping)
 
     def separating_cycle(self) -> Cycle:
         """For diamond4: the 4-cycle through the center (center, v, w, x)."""

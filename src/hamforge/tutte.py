@@ -20,14 +20,7 @@ from .errors import (
     SearchExhausted,
     TutteViolation,
 )
-from .ham_enum import (
-    count_ham_paths,
-    enumerate_ham_cycles_raw,
-    enumerate_ham_paths,
-    first_ham_path,
-    is_ham_path,
-    search_budget,
-)
+from .ham_enum import enumerate_ham_cycles_raw, enumerate_ham_paths, search_budget
 from .plane_graph import (
     BridgeDecomposition,
     Cycle,

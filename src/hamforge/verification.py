@@ -9,6 +9,7 @@ parameters) so a genuine counterexample is never lost.
 from __future__ import annotations
 
 import base64
+import itertools
 import random
 import time
 from dataclasses import dataclass, field
@@ -22,7 +23,7 @@ from .corpus import (
     telescope_tower,
     two_pocket_worm,
 )
-from .errors import HamforgeError
+from .errors import HamforgeError, SearchTimeout
 from .ham_enum import (
     count_ham_cycles,
     count_ham_paths,
@@ -31,13 +32,12 @@ from .ham_enum import (
 )
 from .indset import (
     IndSetCert,
-    edge_families,
+    check_family_hypotheses,
     family_count,
     guaranteed_family_floor,
     ham_family_from_edge_families,
     special_set,
     special_set_mindeg5,
-    verify_cert,
 )
 from .plane_graph import (
     Cycle,
@@ -195,7 +195,7 @@ def suite_tutte(n_max=10, **_kw):
                     try:
                         cert = tutte_path(g, c, x, y, e)
                         verify_tutte(g, cert.path, c)
-                        if x not in cert.path or y not in cert.path or \
+                        if cert.path[0] != x or cert.path[-1] != y or \
                                 e not in cert.edges():
                             failures.append((x, y, e, "constraints"))
                     except HamforgeError as exc:
@@ -219,20 +219,65 @@ def suite_lemma_edgesetF(n_max=12, min_degree=5, **_kw):
         if cert is None:
             yield _report("lemma-edgesetF", g, "no_certificate", True,
                           {"n": g.n, "note": "pair branch"}, t0)
-            continue
-        fam = ham_family_from_edge_families(g, cert)
-        floor = guaranteed_family_floor(len(cert))
-        ok = len(fam) >= floor
-        yield _report("lemma-edgesetF", g, "families", ok,
-                      {"n": g.n, "set_size": len(cert),
-                       "families": family_count(g, cert),
-                       "distinct": len(fam), "floor": floor}, t0,
-                      None if ok else bundle_for(g, cert=cert.vertices))
+        else:
+            fam = ham_family_from_edge_families(g, cert)
+            floor = guaranteed_family_floor(len(cert))
+            ok = len(fam) >= floor
+            yield _report("lemma-edgesetF", g, "families", ok,
+                          {"n": g.n, "set_size": len(cert),
+                           "families": family_count(g, cert),
+                           "distinct": len(fam), "floor": floor}, t0,
+                          None if ok else bundle_for(g, cert=cert.vertices))
+        yield _max_certificates_report(g)
     if not found:
         g = double_wheel(6)
         yield _report("lemma-edgesetF", g, "corpus", True,
                       {"note": f"no graphs with n<={n_max}, min degree {min_degree}"},
                       time.perf_counter())
+
+
+def _max_certificates(g: PlaneGraph) -> list[IndSetCert]:
+    """The ``special_set`` certificate plus every valid maximum-size
+    certificate of size <= 4 among the vertices of degree <= 6."""
+    certs = []
+    pipeline = special_set(g)
+    if isinstance(pipeline, IndSetCert) and len(pipeline):
+        certs.append(pipeline)
+    low = [v for v in range(g.n) if g.degrees[v] <= 6]
+    for size in range(min(4, len(low)), 0, -1):
+        valid = []
+        for combo in itertools.combinations(low, size):
+            cert = IndSetCert(vertices=combo,
+                              max_degree=max(g.degrees[v] for v in combo))
+            try:
+                check_family_hypotheses(g, cert)
+            except HamforgeError:
+                continue
+            valid.append(cert)
+        if valid:
+            return certs + valid
+    return certs
+
+
+def _max_certificates_report(g: PlaneGraph) -> RunReport:
+    """Every family of every certificate of ``_max_certificates``: G - F
+    stays 4-connected and the distinct cycles reach ceil((3/2)^|S|)."""
+    t0 = time.perf_counter()
+    certs = _max_certificates(g)
+    failures = []
+    for cert in certs:
+        try:
+            ham_family_from_edge_families(g, cert)
+        except SearchTimeout:
+            raise
+        except (HamforgeError, AssertionError) as exc:
+            failures.append((cert.vertices, str(exc)))
+    ok = not failures
+    return _report("lemma-edgesetF", g, "max_certificates", ok,
+                   {"n": g.n, "certificates": len(certs),
+                    "families": sum(family_count(g, c) for c in certs),
+                    "failures": failures[:5]}, t0,
+                   None if ok else bundle_for(g, failures=failures[:5]))
 
 
 def _dichotomy_reports(suite, kind, n_max, budget):
@@ -322,36 +367,43 @@ def suite_lemma_diamond4(n_max=12, budget=None, **_kw):
                       t0, None if ok else bundle_for(g))
 
 
+def triangle_edge_cycles(g: PlaneGraph, rng: random.Random, samples: int,
+                         budget) -> RunReport:
+    """The ``lemma-4edges`` row of one graph: on up to ``samples`` distinct
+    face triples (t, t1, t2) drawn from ``rng``, a Hamiltonian cycle through
+    two edges of t and one edge each of t1 and t2, re-verified."""
+    t0 = time.perf_counter()
+    faces = list(g.faces)
+    triples = set()
+    limit = min(samples, len(faces) * (len(faces) - 1) * (len(faces) - 2))
+    guard = 0
+    while len(triples) < limit and guard < 20 * samples:
+        guard += 1
+        t, t1, t2 = rng.sample(range(len(faces)), 3)
+        triples.add((t, t1, t2))
+    failures = []
+    for t, t1, t2 in sorted(triples):
+        try:
+            cyc, e1, e2 = ham_cycle_through_triangle_edges(
+                g, Cycle(faces[t]), Cycle(faces[t1]), Cycle(faces[t2]),
+                budget=budget)
+            u, v, w = faces[t]
+            need = {edge_key(u, v), edge_key(u, w), e1, e2}
+            if len(need) != 4 or not need <= cyc or not is_ham_cycle(g, cyc):
+                failures.append((t, t1, t2, "re-verify"))
+        except HamforgeError as exc:
+            failures.append((t, t1, t2, str(exc)))
+    ok = not failures
+    return _report("lemma-4edges", g, "sampled_triples", ok,
+                   {"n": g.n, "samples": len(triples),
+                    "failures": failures[:5]}, t0,
+                   None if ok else bundle_for(g, failures=failures[:5]))
+
+
 def suite_lemma_4edges(n_max=10, samples=100, seed=0, budget=None, **_kw):
     flt = CorpusFilter(min_connectivity=4)
     for g in corpus_triangulations(n_max, n_min=6, flt=flt):
-        t0 = time.perf_counter()
-        rng = random.Random(seed)
-        faces = [f for f in g.faces]
-        triples = set()
-        limit = min(samples, len(faces) * (len(faces) - 1) * (len(faces) - 2))
-        guard = 0
-        while len(triples) < limit and guard < 20 * samples:
-            guard += 1
-            t, t1, t2 = rng.sample(range(len(faces)), 3)
-            triples.add((t, t1, t2))
-        failures = []
-        for t, t1, t2 in sorted(triples):
-            try:
-                cyc, e1, e2 = ham_cycle_through_triangle_edges(
-                    g, Cycle(faces[t]), Cycle(faces[t1]), Cycle(faces[t2]),
-                    budget=budget)
-                u, v, w = faces[t]
-                need = {edge_key(u, v), edge_key(u, w), e1, e2}
-                if len(need) != 4 or not need <= cyc or not is_ham_cycle(g, cyc):
-                    failures.append((t, t1, t2, "re-verify"))
-            except HamforgeError as exc:
-                failures.append((t, t1, t2, str(exc)))
-        ok = not failures
-        yield _report("lemma-4edges", g, "sampled_triples", ok,
-                      {"n": g.n, "samples": len(triples),
-                       "failures": failures[:5]}, t0,
-                      None if ok else bundle_for(g, failures=failures[:5]))
+        yield triangle_edge_cycles(g, random.Random(seed), samples, budget)
 
 
 def suite_lemma_2edge(n_max=10, budget=None, **_kw):

@@ -1,44 +1,25 @@
 """The acceptance suite: one test per criterion, exact tolerances, one
 pass/fail line printed per criterion.
 
-Budgets are generous desk-scale bounds; every check is an exact integer
+Criteria 2-7 are assertions over the verification suites, the same code
+``hamforge verify`` runs; each pins its row counts, so a suite that
+silently yields fewer rows fails.  Every check is an exact integer
 comparison or an exhaustive structural verification.
 """
 
-import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 
-from hamforge.corpus import CorpusFilter, double_wheel, enumerate_triangulations
-from hamforge.errors import HamforgeError
-from hamforge.ham_enum import count_ham_cycles, count_ham_paths, is_ham_cycle
-from hamforge.indset import (
-    IndSetCert,
-    check_family_hypotheses,
-    edge_families,
-    guaranteed_family_floor,
-    special_set,
+from hamforge.corpus import CorpusFilter, double_wheel
+from hamforge.ham_enum import count_ham_cycles
+from hamforge.verification import (
+    SUITE_RUNNERS,
+    corpus_triangulations,
+    triangle_edge_cycles,
 )
-from hamforge.plane_graph import (
-    Cycle,
-    NearTriangulation,
-    edge_key,
-    is_isomorphic,
-    is_k_connected,
-)
-from hamforge.replay import lemma_2edge_family, theorem1_family
-from hamforge.structures import separating_cycles
-from hamforge.tutte import (
-    PathPair,
-    ham_cycle_through_triangle_edges,
-    tutte_path,
-    two_ham_paths_uv,
-    two_ham_paths_uw,
-    verify_tutte,
-)
-from hamforge.verification import _tutte_corpus, square_boundary_regions
 
 pytestmark = pytest.mark.acceptance
 
@@ -46,6 +27,22 @@ pytestmark = pytest.mark.acceptance
 def _line(idx, name, ok, detail):
     status = "PASS" if ok else "FAIL"
     print(f"[criterion {idx}] {status} {name}: {detail}")
+
+
+def _suite_rows(suite, n_max):
+    return list(SUITE_RUNNERS[suite](n_max=n_max))
+
+
+def _check(idx, name, rows, want_rows, t0):
+    """Print the criterion's line, then assert the row counts per suite and
+    that every row passed."""
+    counts = dict(Counter(r.suite for r in rows))
+    failures = [r.to_json() for r in rows if not r.ok]
+    ok = counts == want_rows and not failures
+    _line(idx, name, ok, f"rows {counts}, failures {failures[:3]} "
+          f"in {time.time() - t0:.1f}s")
+    assert counts == want_rows
+    assert not failures
 
 
 def test_criterion_1_double_wheel_equality():
@@ -60,215 +57,66 @@ def test_criterion_1_double_wheel_equality():
     assert ok
 
 
-def test_criterion_2_conjecture_scan(triangulations_by_n):
+def test_criterion_2_conjecture_scan():
     """Every 4-connected triangulation with n <= 11 has at least
     2(n-2)(n-4) Hamiltonian cycles, with equality only on double wheels."""
     t0 = time.time()
-    checked = 0
-    failures = []
-    for n in range(6, 12):
-        for g in triangulations_by_n(n):
-            if not is_k_connected(g, 4):
-                continue
-            checked += 1
-            count = count_ham_cycles(g)
-            bound = 2 * (n - 2) * (n - 4)
-            is_dw = is_isomorphic(g, double_wheel(n))
-            if count < bound or (count == bound) != is_dw:
-                failures.append((n, count, bound, is_dw))
-    ok = not failures
-    _line(2, "conjecture scan", ok,
-          f"{checked} graphs, failures {failures} in {time.time() - t0:.1f}s")
-    assert ok
+    rows = _suite_rows("conjecture", 11)
+    _check(2, "conjecture scan", rows, {"conjecture": 43}, t0)
 
 
-def test_criterion_3_edge_families(triangulations_by_n):
+def test_criterion_3_edge_families():
     """For every corpus graph with n <= 12, min degree 5, and every valid
-    certificate: G - F is 4-connected for every family, and the deduped
-    family size reaches ceil((3/2)^|S|)."""
+    certificate (the pipeline's and every maximum-size one among the
+    vertices of degree <= 6): G - F is 4-connected for every family, and
+    the deduped family size reaches ceil((3/2)^|S|)."""
     t0 = time.time()
-    graphs = []
-    for n in range(6, 13):
-        for g in triangulations_by_n(n):
-            if g.min_degree() >= 5 and is_k_connected(g, 4):
-                graphs.append(g)
-    checked = families = 0
-    failures = []
-    for g in graphs:
-        certs = []
-        pipeline = special_set(g)
-        if isinstance(pipeline, IndSetCert) and len(pipeline):
-            certs.append(pipeline)
-        # all maximum-size valid certificates among independent sets of
-        # low-degree vertices (exhaustive at this scale)
-        low = [v for v in range(g.n) if g.degrees[v] <= 6]
-        combo_certs = []
-        for size in range(min(4, len(low)), 0, -1):
-            for combo in itertools.combinations(low, size):
-                cert = IndSetCert(vertices=combo,
-                                  max_degree=max(g.degrees[v] for v in combo))
-                try:
-                    check_family_hypotheses(g, cert)
-                except HamforgeError:
-                    continue
-                combo_certs.append(cert)
-            if combo_certs:
-                break
-        certs.extend(combo_certs)
-        for cert in certs:
-            checked += 1
-            distinct = set()
-            for family in edge_families(g, cert):
-                families += 1
-                reduced = g.delete_edges(family.edges)
-                if not is_k_connected(reduced, 4):
-                    failures.append((g.n, sorted(family.edges)))
-                    continue
-                from hamforge.ham_enum import first_ham_cycle
-                cyc = first_ham_cycle(reduced)
-                distinct.add(tuple(sorted(cyc)))
-            if len(distinct) < guaranteed_family_floor(len(cert)):
-                failures.append((g.n, "floor", len(cert), len(distinct)))
-    ok = not failures
-    _line(3, "edge-deletion families", ok,
-          f"{len(graphs)} graphs, {checked} certificates, {families} families, "
-          f"failures {failures[:3]} in {time.time() - t0:.1f}s")
-    assert ok
+    rows = _suite_rows("lemma-edgesetF", 12)
+    _check(3, "edge-deletion families", rows, {"lemma-edgesetF": 2}, t0)
+    families, certs = rows
+    assert (families.operation, certs.operation) == ("families",
+                                                     "max_certificates")
+    assert certs.graph_id == families.graph_id
+    assert (certs.payload["certificates"], certs.payload["families"]) == (7, 155)
 
 
 def test_criterion_4_tutte_totality():
     """tutte_path succeeds and certifies on every valid (x, y, e) triple
-    over the 2-connected corpus with n <= 10: zero SearchExhausted."""
+    over the 2-connected corpus with n <= 10: zero SearchExhausted, and
+    every path runs from x to y through e."""
     t0 = time.time()
-    trials = 0
-    failures = []
-    for g, c in _tutte_corpus(10):
-        if g.n > 10 or not is_k_connected(g, 2):
-            continue
-        for x in c.vertices:
-            for y in range(g.n):
-                if y == x:
-                    continue
-                for e in sorted(c.edges()):
-                    trials += 1
-                    try:
-                        cert = tutte_path(g, c, x, y, e)
-                        verify_tutte(g, cert.path, c)
-                        assert cert.path[0] == x and cert.path[-1] == y
-                        assert e in cert.edges()
-                    except (HamforgeError, AssertionError) as exc:
-                        failures.append((g.n, x, y, e, str(exc)))
-    ok = not failures
-    _line(4, "tutte-path totality", ok,
-          f"{trials} triples, failures {failures[:3]} in {time.time() - t0:.1f}s")
-    assert ok
+    rows = _suite_rows("tutte", 10)
+    _check(4, "tutte-path totality", rows, {"tutte": 921}, t0)
+    assert sum(r.payload["triples"] for r in rows) == 103_089
 
 
 def test_criterion_5_dichotomy_lemmas():
     """The branch returned by the two-path lemmas matches the exhaustive
     Hamiltonian-path count on every labeled region with n <= 10."""
     t0 = time.time()
-    checked = 0
-    failures = []
-    for nt in square_boundary_regions(10):
-        g = nt.graph
-        if separating_cycles(g, 3):
-            continue
-        base = nt.outer_cycle.vertices
-        for rot in range(4):
-            for refl in (False, True):
-                vs = base[rot:] + base[:rot]
-                if refl:
-                    vs = (vs[0],) + tuple(reversed(vs[1:]))
-                u, v, w, x = vs
-                nt2 = NearTriangulation(g, Cycle(vs))
-                if not g.has_edge(v, x):
-                    sub, origin = g.delete_vertices({v, x})
-                    fwd = {old: new for new, old in enumerate(origin)}
-                    cnt = (count_ham_paths(sub, fwd[u], fwd[w])
-                           if sub.connected else 0)
-                    res = two_ham_paths_uw(nt2)
-                    checked += 1
-                    ok1 = cnt >= 2 if isinstance(res, PathPair) else cnt == 1
-                    if not ok1:
-                        failures.append(("uw", g.n, vs, cnt))
-                sub, origin = g.delete_vertices({w, x})
-                fwd = {old: new for new, old in enumerate(origin)}
-                cnt = (count_ham_paths(sub, fwd[u], fwd[v])
-                       if sub.connected else 0)
-                res = two_ham_paths_uv(nt2)
-                checked += 1
-                ok1 = cnt >= 2 if isinstance(res, PathPair) else cnt <= 1
-                if not ok1:
-                    failures.append(("uv", g.n, vs, cnt))
-    ok = not failures
-    _line(5, "two-path dichotomy", ok,
-          f"{checked} labeled regions, failures {failures[:3]} "
-          f"in {time.time() - t0:.1f}s")
-    assert ok
+    rows = _suite_rows("lemma-uwpath", 10) + _suite_rows("lemma-uvpath", 10)
+    _check(5, "two-path dichotomy", rows,
+           {"lemma-uwpath": 772, "lemma-uvpath": 776}, t0)
 
 
-def test_criterion_6_triangle_edge_cycles(triangulations_by_n):
+def test_criterion_6_triangle_edge_cycles():
     """Constrained Hamiltonian cycles through two edges of one triangle plus
-    one edge each of two more, on >= 100 sampled triples per graph."""
+    one edge each of two more, on 100 sampled triples per 4-connected
+    corpus graph with n <= 10 (seed 1234 + n)."""
     t0 = time.time()
-    failures = []
-    graphs = 0
-    for n in range(6, 11):
-        for g in triangulations_by_n(n):
-            if not is_k_connected(g, 4):
-                continue
-            graphs += 1
-            rng = random.Random(1234 + n)
-            faces = list(g.faces)
-            total = len(faces) * (len(faces) - 1) * (len(faces) - 2)
-            triples = set()
-            while len(triples) < min(100, total):
-                triples.add(tuple(rng.sample(range(len(faces)), 3)))
-            for t, t1, t2 in sorted(triples):
-                try:
-                    cyc, e1, e2 = ham_cycle_through_triangle_edges(
-                        g, Cycle(faces[t]), Cycle(faces[t1]), Cycle(faces[t2]))
-                    u, v, w = faces[t]
-                    need = {edge_key(u, v), edge_key(u, w), e1, e2}
-                    assert len(need) == 4 and need <= cyc
-                    assert is_ham_cycle(g, cyc)
-                except (HamforgeError, AssertionError) as exc:
-                    failures.append((n, t, t1, t2, str(exc)))
-    ok = not failures
-    _line(6, "triangle-edge cycles", ok,
-          f"{graphs} graphs x 100 samples, failures {failures[:3]} "
-          f"in {time.time() - t0:.1f}s")
-    assert ok
+    flt = CorpusFilter(min_connectivity=4)
+    rows = [triangle_edge_cycles(g, random.Random(1234 + g.n), 100, None)
+            for g in corpus_triangulations(10, n_min=6, flt=flt)]
+    _check(6, "triangle-edge cycles", rows, {"lemma-4edges": 18}, t0)
+    assert all(r.payload["samples"] == 100 for r in rows)
 
 
 def test_criterion_7_replay_soundness():
-    """Replayed families on double wheels contain only verified distinct
-    cycles and never exceed the exact constrained count."""
+    """Replayed families on double wheels 8..12 contain only verified
+    distinct cycles and never exceed the exact constrained count."""
     t0 = time.time()
-    failures = []
-    for n in range(8, 13):
-        g = double_wheel(n)
-        a = n - 2
-        e, f = edge_key(a, 0), edge_key(a, 1)
-        exact_ef = count_ham_cycles(g, required_edges=[e, f])
-        exact = count_ham_cycles(g)
-        for t in (None, 4):
-            fam = lemma_2edge_family(g, e, f, t=t)
-            if not (1 <= len(fam) <= exact_ef):
-                failures.append((n, "2edge", t, len(fam), exact_ef))
-            if not all(is_ham_cycle(g, c) and e in c and f in c
-                       for c in fam.cycles):
-                failures.append((n, "2edge-verify", t))
-            fam1 = theorem1_family(g, t=t)
-            if not (1 <= len(fam1) <= exact):
-                failures.append((n, "theorem1", t, len(fam1), exact))
-            if not all(is_ham_cycle(g, c) for c in fam1.cycles):
-                failures.append((n, "theorem1-verify", t))
-    ok = not failures
-    _line(7, "replay soundness", ok,
-          f"double wheels 8..12, failures {failures[:3]} in {time.time() - t0:.1f}s")
-    assert ok
+    rows = _suite_rows("lemma-2edge", 12) + _suite_rows("theorem1", 12)
+    _check(7, "replay soundness", rows, {"lemma-2edge": 10, "theorem1": 10}, t0)
 
 
 def test_criterion_8_asymptotics_out_of_scope():

@@ -34,6 +34,12 @@ def test_count_with_required_edge(capsys):
     assert (n, total) == ("8", "16")          # frozen from the naive oracle
 
 
+def test_count_required_edge_not_in_graph_usage_error(capsys):
+    code, out, err = run(capsys, "count", "--double-wheel", "8",
+                         "--required-edge", "0,3")
+    assert code == 64 and "not an edge" in err and out == ""
+
+
 def test_count_malformed_file(capsys, tmp_path):
     path = tmp_path / "bad.pc"
     path.write_bytes(b">>planar_code<<" + bytes([3, 2, 0, 1, 0]))
@@ -45,6 +51,14 @@ def test_count_malformed_file(capsys, tmp_path):
 def test_unknown_suite_usage_error(capsys):
     code, _out, err = run(capsys, "verify", "nosuch")
     assert code == 64 and "unknown suite" in err
+
+
+def test_verify_refuses_flags_the_suite_does_not_take(capsys):
+    code, out, err = run(capsys, "verify", "euler", "--seed", "3",
+                         "--min-connectivity", "9", "--budget-nodes", "1")
+    assert code == 64 and out == ""
+    assert "--seed" in err and "--min-connectivity" in err
+    assert "--budget-nodes" in err
 
 
 def test_verify_euler_exit_zero(capsys):

@@ -48,3 +48,20 @@ def test_cli_operational_error_exit_two(capsys):
     code = main(["verify", "conjecture", "--n-max", "8", "--budget-nodes", "10"])
     assert code == 2
     assert "operational error" in capsys.readouterr().err
+
+
+def test_tutte_row_fails_on_reversed_path(monkeypatch):
+    """A certified path from y to x is not a path from x to y."""
+    from dataclasses import replace
+
+    from hamforge import verification
+
+    real = verification.tutte_path
+
+    def reversed_path(g, c, x, y, e):
+        cert = real(g, c, x, y, e)
+        return replace(cert, path=cert.path[::-1])
+
+    monkeypatch.setattr(verification, "tutte_path", reversed_path)
+    rows = list(verification.suite_tutte(n_max=5))
+    assert rows and not any(r.ok for r in rows)
