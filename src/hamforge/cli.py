@@ -3,7 +3,8 @@ analysis reports.
 
 Exit codes: 0 all checks passed, 1 assertion failure (a potential
 counterexample; a reproduction bundle is part of the report), 2 operational
-error (timeouts), 64 usage error, 65 malformed input data.
+error (an ``OperationalError``: a search or generator gave up on its
+budget), 64 usage error, 65 malformed input data.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 import time
 
 from .corpus import double_wheel, read_planar_code
-from .errors import HamforgeError, SearchTimeout, TooSmall
+from .errors import HamforgeError, OperationalError, TooSmall
 from .ham_enum import count_ham_cycles, search_budget
 from .indset import IndSetCert, special_set
 from .plane_graph import edge_key, is_k_connected
@@ -32,7 +33,6 @@ EX_DATA = 65
 
 # verify flag (argparse dest) -> the suite keyword argument it sets
 VERIFY_KEYWORDS = {"n_max": "n_max", "min_degree": "min_degree",
-                   "min_connectivity": "min_connectivity",
                    "budget_nodes": "budget", "seed": "seed"}
 
 
@@ -95,7 +95,7 @@ def cmd_verify(args) -> int:
     out = _open_out(args.out)
     try:
         failed = _emit(runner(**kwargs), out, args.format)
-    except SearchTimeout as exc:
+    except OperationalError as exc:
         print(f"operational error: {exc}", file=sys.stderr)
         return 2
     finally:
@@ -130,7 +130,7 @@ def cmd_count(args) -> int:
             try:
                 count = count_ham_cycles(g, required_edges=required,
                                          budget=args.budget_nodes)
-            except SearchTimeout as exc:
+            except OperationalError as exc:
                 print(f"operational error: {exc}", file=sys.stderr)
                 code = 2
                 continue
@@ -177,8 +177,16 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Command-line errors exit 64 (usage): 2 means an operational error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hamforge",
         description="Hamiltonian-cycle structure toolkit for planar triangulations")
     sub = parser.add_subparsers(dest="command")
@@ -192,7 +200,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("suite")
     p_verify.add_argument("--n-max", type=int)
     p_verify.add_argument("--min-degree", type=int)
-    p_verify.add_argument("--min-connectivity", type=int)
     p_verify.add_argument("--seed", type=int)
     p_verify.add_argument("--format", choices=("csv", "jsonl"), default="jsonl")
     common(p_verify)

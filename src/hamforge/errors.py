@@ -5,6 +5,11 @@ class HamforgeError(Exception):
     """Base class for every error raised by this package."""
 
 
+class OperationalError(HamforgeError):
+    """A search or generator gave up on its budget: not a counterexample.
+    The CLI exits 2 on it; any other HamforgeError from a check fails its row."""
+
+
 # --- rotation tables / plane graphs ---------------------------------------
 
 class InconsistentRotation(HamforgeError):
@@ -70,11 +75,11 @@ class ValidationFailed(HamforgeError):
         self.cause = cause
 
 
-class BudgetExceeded(HamforgeError):
+class BudgetExceeded(OperationalError):
     """Enumeration requested beyond the configured budget."""
 
 
-class FilterUnsatisfiableTimeout(HamforgeError):
+class FilterUnsatisfiableTimeout(OperationalError):
     """Rejection sampling gave up before satisfying the filter."""
 
 
@@ -84,7 +89,7 @@ class SNotIndependent(HamforgeError):
     """A vertex set that must be independent is not."""
 
 
-class ColoringTimeout(HamforgeError):
+class ColoringTimeout(OperationalError):
     """Backtracking four-coloring exceeded its node budget."""
 
 
@@ -105,15 +110,10 @@ class MinDegreeViolated(HamforgeError):
 
 
 class FourConnectivityLost(HamforgeError):
-    """G - F stopped being 4-connected for a supposedly valid edge family.
-
-    This is a counterexample event: the offending family is carried so the
-    caller can serialize a reproduction bundle.
-    """
+    """G - F stopped being 4-connected for a supposedly valid edge family."""
 
     def __init__(self, family):
         super().__init__(f"G-F not 4-connected for F={sorted(family)}")
-        self.family = frozenset(family)
 
 
 # --- Tutte paths -------------------------------------------------------------
@@ -134,12 +134,8 @@ class TutteViolation(HamforgeError):
 
 
 class SearchExhausted(HamforgeError):
-    """A search for a theorem-guaranteed object found nothing.
-
-    Never swallow this: it flags either an implementation bug or a
-    counterexample to a published theorem, and the instance should be
-    serialized for inspection.
-    """
+    """A search for a theorem-guaranteed object found nothing: an
+    implementation bug or a counterexample to a published theorem."""
 
 
 class BadOrder(HamforgeError):
@@ -148,7 +144,7 @@ class BadOrder(HamforgeError):
 
 # --- enumeration --------------------------------------------------------------
 
-class SearchTimeout(HamforgeError):
+class SearchTimeout(OperationalError):
     """A backtracking search exceeded its node budget.
 
     Attributes:

@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass, field
 
 from .errors import SearchTimeout
-from .plane_graph import Edge, PlaneGraph, canonical_code, edge_key
+from .plane_graph import Edge, PlaneGraph, edge_key
 
 DEFAULT_BUDGET = 10 ** 9
 
@@ -297,16 +297,10 @@ class HamFamily:
     """
 
     source: PlaneGraph
-    source_id: str = ""
     cycles: list[frozenset[Edge]] = field(default_factory=list)
     provenance: list[str] = field(default_factory=list)
     log: list[dict] = field(default_factory=list)
     _keys: set = field(default_factory=set, repr=False)
-
-    def __post_init__(self):
-        if not self.source_id:
-            self.source_id = f"n{self.source.n}-" + \
-                format(abs(hash(canonical_code(self.source))) % 16 ** 8, "08x")
 
     def add(self, edges, provenance: str) -> bool:
         """Verify and insert; returns False on duplicates."""

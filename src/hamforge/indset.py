@@ -21,6 +21,7 @@ from .errors import (
     MinDegreeViolated,
     SearchExhausted,
     SNotIndependent,
+    StructureViolation,
 )
 from .ham_enum import HamFamily, first_ham_cycle, search_budget
 from .plane_graph import PlaneGraph, edge_key, is_k_connected
@@ -202,7 +203,7 @@ def four_color(g: PlaneGraph, vertices, budget: int = 2_000_000) -> dict[int, in
         return False
 
     if not solve():
-        raise AssertionError("planar subgraph refused a 4-coloring")
+        raise StructureViolation("planar subgraph refused a 4-coloring")
     return color
 
 
@@ -223,7 +224,7 @@ def low_degree_independent_set(g: PlaneGraph, budget: int = 2_000_000) -> IndSet
                default=[])
     best = tuple(sorted(best))
     if 12 * len(best) < g.n:
-        raise AssertionError("four-color class below the n/12 floor")
+        raise StructureViolation("four-color class below the n/12 floor")
     return IndSetCert(vertices=best,
                       max_degree=max((g.degrees[v] for v in best), default=0),
                       provenance=("low_degree_four_coloring",))
@@ -413,7 +414,7 @@ def ham_family_from_edge_families(g: PlaneGraph, cert: IndSetCert,
                 f"4-connected planar graph without a Hamiltonian cycle: F={sorted(family.edges)}")
         fam.add(cycle, f"edge_family:{sorted(family.edges)}")
     if cap is None and len(fam) < guaranteed_family_floor(len(cert.vertices)):
-        raise AssertionError(
+        raise StructureViolation(
             f"family size {len(fam)} below the (3/2)^{len(cert.vertices)} floor")
     fam.log.append({"branch": "edge_families", "families": processed,
                     "distinct": len(fam), "floor": guaranteed_family_floor(len(cert.vertices))})

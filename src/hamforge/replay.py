@@ -16,10 +16,14 @@ from dataclasses import dataclass, field
 
 from .errors import (
     ChainBroken,
+    DisconnectedInterior,
+    EmptyInterior,
     EmptyStar,
     FourConnectivityLost,
     HypothesisViolated,
     InteriorsOverlap,
+    MultiEdge,
+    NotACycle,
     NotAChain,
     SearchExhausted,
     StructureViolation,
@@ -79,7 +83,7 @@ def _enclosing_square(g: PlaneGraph, v: int, x: int):
         c = Cycle((u, v, w, x))
         try:
             cl = closure(g, c)
-        except Exception:
+        except NotACycle:
             continue
         inside = {cl.to_origin(i) for i in range(cl.graph.n)}
         if set(common) <= inside:
@@ -351,7 +355,7 @@ def _case1_splice(g, cyc: Cycle, fam: HamFamily, cap, required=(), tag="case1"):
     contraction, and splice every region path for the pair the cycle uses."""
     try:
         gstar, star, origin = contract_interior(g, cyc)
-    except Exception as exc:
+    except (EmptyInterior, DisconnectedInterior) as exc:
         fam.log.append({"branch": tag, "skipped": str(exc)})
         return
     back = {i: lab for i, lab in enumerate(origin) if lab is not None}
@@ -414,7 +418,7 @@ def _case2_exchange(g, run: _Run, gstar, star, origin, e, f):
     """One cycle through e, f avoiding u3u4, via the square graph."""
     try:
         gprime, lift_back, fwd = _run_square_graph(g, gstar, star, origin, run)
-    except Exception:
+    except (MultiEdge, NotACycle):
         return None
     if not is_k_connected(gprime, 4):
         return None
@@ -498,7 +502,7 @@ def _theorem1_trunk_splice(g, cyc: Cycle, cl, fam: HamFamily, cap) -> int:
                                origin=origin)
         cert = tutte_path(nt, None, fwd[u], fwd[w],
                           edge_key(fwd[u], fwd[v]), hamiltonian=True)
-    except (SearchExhausted, Exception) as exc:
+    except (NotACycle, HypothesisViolated, SearchExhausted) as exc:
         fam.log.append({"branch": "trunk_splice", "skipped": str(exc)})
         return 0
     trunk = [edge_key(origin[a], origin[b])
@@ -536,7 +540,7 @@ def _theorem1_case2(g, run: _Run, fam: HamFamily, cap, t, depth):
     extras = 0
     try:
         gprime, lift_back, fwd = _run_square_graph(g, gstar, star, origin, run)
-    except Exception:
+    except (MultiEdge, NotACycle):
         gprime = None
     if gprime is not None and is_k_connected(gprime, 4):
         for apex, detour in ((v, (p, u3, v, u4, q)), (x, (p, u3, x, u4, q))):

@@ -23,7 +23,7 @@ from .corpus import (
     telescope_tower,
     two_pocket_worm,
 )
-from .errors import HamforgeError, SearchTimeout
+from .errors import HamforgeError, OperationalError
 from .ham_enum import (
     count_ham_cycles,
     count_ham_paths,
@@ -107,10 +107,23 @@ def bundle_for(g: PlaneGraph, **params) -> dict:
     }
 
 
-def _report(suite, g, op, ok, payload, t0, bundle=None):
+def _row(suite, g, op, check, **params) -> RunReport:
+    """The row of ``check() -> (ok, payload)``, operation ``op`` on ``g``.
+
+    A HamforgeError from ``check`` is a counterexample: the row fails and its
+    payload names the error.  An OperationalError propagates.  A failed row
+    carries the bundle of ``g`` and ``params``.
+    """
+    t0 = time.perf_counter()
+    try:
+        ok, payload = check()
+    except OperationalError:
+        raise
+    except HamforgeError as exc:
+        ok, payload = False, {"error": type(exc).__name__, "detail": str(exc)}
     return RunReport(suite=suite, graph_id=graph_id(g), operation=op, ok=ok,
                      payload=payload, seconds=time.perf_counter() - t0,
-                     bundle=bundle)
+                     bundle=None if ok else bundle_for(g, **params))
 
 
 def corpus_triangulations(n_max: int, n_min: int = 4, flt: CorpusFilter | None = None):
@@ -147,23 +160,20 @@ def square_boundary_regions(n_max: int):
 
 def suite_euler(n_max=9, **_kw):
     for g in corpus_triangulations(n_max):
-        t0 = time.perf_counter()
-        m = len(g.edge_set)
-        ok = (g.n - m + len(g.faces) == 2) and m == 3 * g.n - 6 and g.is_triangulation
-        yield _report("euler", g, "face_census", ok,
-                      {"n": g.n, "m": m, "faces": len(g.faces)}, t0,
-                      None if ok else bundle_for(g))
+        def face_census():
+            m = len(g.edge_set)
+            ok = (g.n - m + len(g.faces) == 2) and m == 3 * g.n - 6 and g.is_triangulation
+            return ok, {"n": g.n, "m": m, "faces": len(g.faces)}
+        yield _row("euler", g, "face_census", face_census)
 
 
 def suite_connectivity(n_max=9, **_kw):
     for g in corpus_triangulations(n_max):
-        t0 = time.perf_counter()
-        flow = vertex_connectivity_flow(g)
-        exhaustive = max(k for k in range(1, 6) if is_k_connected(g, k))
-        ok = flow == exhaustive
-        yield _report("connectivity", g, "dual_route", ok,
-                      {"n": g.n, "flow": flow, "exhaustive": exhaustive}, t0,
-                      None if ok else bundle_for(g))
+        def dual_route():
+            flow = vertex_connectivity_flow(g)
+            exhaustive = max(k for k in range(1, 6) if is_k_connected(g, k))
+            return flow == exhaustive, {"n": g.n, "flow": flow, "exhaustive": exhaustive}
+        yield _row("connectivity", g, "dual_route", dual_route)
 
 
 def _tutte_corpus(n_max):
@@ -183,27 +193,28 @@ def suite_tutte(n_max=10, **_kw):
     for g, c in _tutte_corpus(n_max):
         if g.n > n_max or not is_k_connected(g, 2):
             continue
-        t0 = time.perf_counter()
-        failures = []
-        trials = 0
-        for x in c.vertices:
-            for y in range(g.n):
-                if y == x:
-                    continue
-                for e in sorted(c.edges()):
-                    trials += 1
-                    try:
-                        cert = tutte_path(g, c, x, y, e)
-                        verify_tutte(g, cert.path, c)
-                        if cert.path[0] != x or cert.path[-1] != y or \
-                                e not in cert.edges():
-                            failures.append((x, y, e, "constraints"))
-                    except HamforgeError as exc:
-                        failures.append((x, y, e, str(exc)))
-        ok = not failures
-        yield _report("tutte", g, "totality", ok,
-                      {"n": g.n, "triples": trials, "failures": failures[:5]},
-                      t0, None if ok else bundle_for(g, failures=failures[:5]))
+
+        def totality():
+            failures = []
+            trials = 0
+            for x in c.vertices:
+                for y in range(g.n):
+                    if y == x:
+                        continue
+                    for e in sorted(c.edges()):
+                        trials += 1
+                        try:
+                            cert = tutte_path(g, c, x, y, e)
+                            verify_tutte(g, cert.path, c)
+                            if cert.path[0] != x or cert.path[-1] != y or \
+                                    e not in cert.edges():
+                                failures.append((x, y, e, "constraints"))
+                        except OperationalError:
+                            raise
+                        except HamforgeError as exc:
+                            failures.append((x, y, e, str(exc)))
+            return not failures, {"n": g.n, "triples": trials, "failures": failures[:5]}
+        yield _row("tutte", g, "totality", totality)
 
 
 def suite_lemma_edgesetF(n_max=12, min_degree=5, **_kw):
@@ -211,29 +222,24 @@ def suite_lemma_edgesetF(n_max=12, min_degree=5, **_kw):
     found = 0
     for g in corpus_triangulations(n_max, n_min=6, flt=flt):
         found += 1
-        t0 = time.perf_counter()
-        branch = special_set_mindeg5(g, t=max(2, g.n))
-        if not isinstance(branch, IndSetCert):
-            branch = special_set(g)
-        cert = branch if isinstance(branch, IndSetCert) else None
-        if cert is None:
-            yield _report("lemma-edgesetF", g, "no_certificate", True,
-                          {"n": g.n, "note": "pair branch"}, t0)
-        else:
+
+        def families():
+            cert = special_set_mindeg5(g, t=max(2, g.n))
+            if not isinstance(cert, IndSetCert):
+                cert = special_set(g)
+            if not isinstance(cert, IndSetCert):
+                return True, {"n": g.n, "note": "pair branch"}
             fam = ham_family_from_edge_families(g, cert)
             floor = guaranteed_family_floor(len(cert))
-            ok = len(fam) >= floor
-            yield _report("lemma-edgesetF", g, "families", ok,
-                          {"n": g.n, "set_size": len(cert),
-                           "families": family_count(g, cert),
-                           "distinct": len(fam), "floor": floor}, t0,
-                          None if ok else bundle_for(g, cert=cert.vertices))
-        yield _max_certificates_report(g)
+            return len(fam) >= floor, {"n": g.n, "set_size": len(cert),
+                                       "families": family_count(g, cert),
+                                       "distinct": len(fam), "floor": floor}
+        yield _row("lemma-edgesetF", g, "families", families)
+        yield _row("lemma-edgesetF", g, "max_certificates",
+                   lambda: _max_certificates_check(g))
     if not found:
-        g = double_wheel(6)
-        yield _report("lemma-edgesetF", g, "corpus", True,
-                      {"note": f"no graphs with n<={n_max}, min degree {min_degree}"},
-                      time.perf_counter())
+        yield _row("lemma-edgesetF", double_wheel(6), "corpus", lambda: (
+            True, {"note": f"no graphs with n<={n_max}, min degree {min_degree}"}))
 
 
 def _max_certificates(g: PlaneGraph) -> list[IndSetCert]:
@@ -259,25 +265,21 @@ def _max_certificates(g: PlaneGraph) -> list[IndSetCert]:
     return certs
 
 
-def _max_certificates_report(g: PlaneGraph) -> RunReport:
+def _max_certificates_check(g: PlaneGraph):
     """Every family of every certificate of ``_max_certificates``: G - F
     stays 4-connected and the distinct cycles reach ceil((3/2)^|S|)."""
-    t0 = time.perf_counter()
     certs = _max_certificates(g)
     failures = []
     for cert in certs:
         try:
             ham_family_from_edge_families(g, cert)
-        except SearchTimeout:
+        except OperationalError:
             raise
-        except (HamforgeError, AssertionError) as exc:
+        except HamforgeError as exc:
             failures.append((cert.vertices, str(exc)))
-    ok = not failures
-    return _report("lemma-edgesetF", g, "max_certificates", ok,
-                   {"n": g.n, "certificates": len(certs),
-                    "families": sum(family_count(g, c) for c in certs),
-                    "failures": failures[:5]}, t0,
-                   None if ok else bundle_for(g, failures=failures[:5]))
+    return not failures, {"n": g.n, "certificates": len(certs),
+                          "families": sum(family_count(g, c) for c in certs),
+                          "failures": failures[:5]}
 
 
 def _dichotomy_reports(suite, kind, n_max, budget):
@@ -292,28 +294,28 @@ def _dichotomy_reports(suite, kind, n_max, budget):
                 if refl:
                     vs = (vs[0],) + tuple(reversed(vs[1:]))
                 u, v, w, x = vs
-                t0 = time.perf_counter()
-                nt2 = NearTriangulation(g, Cycle(vs))
-                if kind == "uw":
-                    if g.has_edge(v, x):
-                        continue
-                    drop, a, b = {v, x}, u, w
-                    res = two_ham_paths_uw(nt2, budget=budget)
-                else:
-                    drop, a, b = {w, x}, u, v
-                    res = two_ham_paths_uv(nt2, budget=budget)
-                sub, origin = g.delete_vertices(drop)
-                fwd = {old: new for new, old in enumerate(origin)}
-                cnt = (count_ham_paths(sub, fwd[a], fwd[b], budget=budget)
-                       if sub.connected else 0)
-                if isinstance(res, PathPair):
-                    ok = cnt >= 2
-                else:
-                    ok = cnt == 1 if kind == "uw" else cnt <= 1
-                yield _report(suite, g, f"dichotomy_{kind}", ok,
-                              {"n": g.n, "outer": vs, "count": cnt,
-                               "branch": type(res).__name__}, t0,
-                              None if ok else bundle_for(g, outer=vs))
+                if kind == "uw" and g.has_edge(v, x):
+                    continue
+
+                def dichotomy():
+                    nt2 = NearTriangulation(g, Cycle(vs))
+                    if kind == "uw":
+                        drop, a, b = {v, x}, u, w
+                        res = two_ham_paths_uw(nt2, budget=budget)
+                    else:
+                        drop, a, b = {w, x}, u, v
+                        res = two_ham_paths_uv(nt2, budget=budget)
+                    sub, origin = g.delete_vertices(drop)
+                    fwd = {old: new for new, old in enumerate(origin)}
+                    cnt = (count_ham_paths(sub, fwd[a], fwd[b], budget=budget)
+                           if sub.connected else 0)
+                    if isinstance(res, PathPair):
+                        ok = cnt >= 2
+                    else:
+                        ok = cnt == 1 if kind == "uw" else cnt <= 1
+                    return ok, {"n": g.n, "outer": vs, "count": cnt,
+                                "branch": type(res).__name__}
+                yield _row(suite, g, f"dichotomy_{kind}", dichotomy, outer=vs)
 
 
 def suite_lemma_uwpath(n_max=10, budget=None, **_kw):
@@ -326,7 +328,7 @@ def suite_lemma_uvpath(n_max=10, budget=None, **_kw):
                                   search_budget(budget))
 
 
-def suite_lemma_diamond4(n_max=12, budget=None, **_kw):
+def suite_lemma_diamond4(budget=None, **_kw):
     """Diamond-region dichotomy on the engineered fixtures."""
     from .structures import DiamondCert
     from .plane_graph import plane_graph_from_faces
@@ -358,13 +360,12 @@ def suite_lemma_diamond4(n_max=12, budget=None, **_kw):
     fixtures.append(("case1", g1, (0, 1, 2, 3), 8, cert1, "all_pairs_two"))
 
     for name, g, outer, z, cert, want in fixtures:
-        t0 = time.perf_counter()
-        nt = NearTriangulation(g, Cycle(outer))
-        table = diamond_region_paths(nt, z, cert, budget=budget)
-        ok = table.branch == want
-        yield _report("lemma-diamond4", g, name, ok,
-                      {"branch": table.branch, "counts": list(table.counts)},
-                      t0, None if ok else bundle_for(g))
+        def region_paths():
+            nt = NearTriangulation(g, Cycle(outer))
+            table = diamond_region_paths(nt, z, cert, budget=budget)
+            return table.branch == want, {"branch": table.branch,
+                                          "counts": list(table.counts)}
+        yield _row("lemma-diamond4", g, name, region_paths)
 
 
 def triangle_edge_cycles(g: PlaneGraph, rng: random.Random, samples: int,
@@ -372,32 +373,31 @@ def triangle_edge_cycles(g: PlaneGraph, rng: random.Random, samples: int,
     """The ``lemma-4edges`` row of one graph: on up to ``samples`` distinct
     face triples (t, t1, t2) drawn from ``rng``, a Hamiltonian cycle through
     two edges of t and one edge each of t1 and t2, re-verified."""
-    t0 = time.perf_counter()
-    faces = list(g.faces)
-    triples = set()
-    limit = min(samples, len(faces) * (len(faces) - 1) * (len(faces) - 2))
-    guard = 0
-    while len(triples) < limit and guard < 20 * samples:
-        guard += 1
-        t, t1, t2 = rng.sample(range(len(faces)), 3)
-        triples.add((t, t1, t2))
-    failures = []
-    for t, t1, t2 in sorted(triples):
-        try:
-            cyc, e1, e2 = ham_cycle_through_triangle_edges(
-                g, Cycle(faces[t]), Cycle(faces[t1]), Cycle(faces[t2]),
-                budget=budget)
-            u, v, w = faces[t]
-            need = {edge_key(u, v), edge_key(u, w), e1, e2}
-            if len(need) != 4 or not need <= cyc or not is_ham_cycle(g, cyc):
-                failures.append((t, t1, t2, "re-verify"))
-        except HamforgeError as exc:
-            failures.append((t, t1, t2, str(exc)))
-    ok = not failures
-    return _report("lemma-4edges", g, "sampled_triples", ok,
-                   {"n": g.n, "samples": len(triples),
-                    "failures": failures[:5]}, t0,
-                   None if ok else bundle_for(g, failures=failures[:5]))
+    def sampled_triples():
+        faces = list(g.faces)
+        triples = set()
+        limit = min(samples, len(faces) * (len(faces) - 1) * (len(faces) - 2))
+        guard = 0
+        while len(triples) < limit and guard < 20 * samples:
+            guard += 1
+            t, t1, t2 = rng.sample(range(len(faces)), 3)
+            triples.add((t, t1, t2))
+        failures = []
+        for t, t1, t2 in sorted(triples):
+            try:
+                cyc, e1, e2 = ham_cycle_through_triangle_edges(
+                    g, Cycle(faces[t]), Cycle(faces[t1]), Cycle(faces[t2]),
+                    budget=budget)
+                u, v, w = faces[t]
+                need = {edge_key(u, v), edge_key(u, w), e1, e2}
+                if len(need) != 4 or not need <= cyc or not is_ham_cycle(g, cyc):
+                    failures.append((t, t1, t2, "re-verify"))
+            except OperationalError:
+                raise
+            except HamforgeError as exc:
+                failures.append((t, t1, t2, str(exc)))
+        return not failures, {"n": g.n, "samples": len(triples), "failures": failures[:5]}
+    return _row("lemma-4edges", g, "sampled_triples", sampled_triples)
 
 
 def suite_lemma_4edges(n_max=10, samples=100, seed=0, budget=None, **_kw):
@@ -413,16 +413,15 @@ def suite_lemma_2edge(n_max=10, budget=None, **_kw):
         a = n - 2
         e, f = edge_key(a, 0), edge_key(a, 1)
         for t in (None, 4):
-            t0 = time.perf_counter()
-            fam = lemma_2edge_family(g, e, f, budget=min(budget, 10 ** 5), t=t)
-            exact = count_ham_cycles(g, required_edges=[e, f], budget=budget)
-            ok = (1 <= len(fam) <= exact
-                  and all(e in c and f in c for c in fam.cycles)
-                  and all(is_ham_cycle(g, c) for c in fam.cycles))
-            yield _report("lemma-2edge", g, f"double_wheel_t_{t}", ok,
-                          {"n": n, "family": len(fam), "exact": exact,
-                           "log": fam.log}, t0,
-                          None if ok else bundle_for(g, e=e, f=f, t=t))
+            def replay():
+                fam = lemma_2edge_family(g, e, f, budget=min(budget, 10 ** 5), t=t)
+                exact = count_ham_cycles(g, required_edges=[e, f], budget=budget)
+                ok = (1 <= len(fam) <= exact
+                      and all(e in c and f in c for c in fam.cycles)
+                      and all(is_ham_cycle(g, c) for c in fam.cycles))
+                return ok, {"n": n, "family": len(fam), "exact": exact,
+                            "log": fam.log}
+            yield _row("lemma-2edge", g, f"double_wheel_t_{t}", replay, e=e, f=f, t=t)
 
 
 def suite_conjecture(n_max=11, budget=None, **_kw):
@@ -431,15 +430,14 @@ def suite_conjecture(n_max=11, budget=None, **_kw):
     budget = search_budget(budget)
     flt = CorpusFilter(min_connectivity=4)
     for g in corpus_triangulations(n_max, n_min=6, flt=flt):
-        t0 = time.perf_counter()
-        count = count_ham_cycles(g, budget=budget)
-        bound = 2 * (g.n - 2) * (g.n - 4)
-        is_dw = is_isomorphic(g, double_wheel(g.n))
-        ok = count >= bound and ((count == bound) == is_dw)
-        yield _report("conjecture", g, "lower_bound", ok,
-                      {"n": g.n, "count": count, "bound": bound,
-                       "double_wheel": is_dw}, t0,
-                      None if ok else bundle_for(g, count=count, bound=bound))
+        def lower_bound():
+            count = count_ham_cycles(g, budget=budget)
+            bound = 2 * (g.n - 2) * (g.n - 4)
+            is_dw = is_isomorphic(g, double_wheel(g.n))
+            ok = count >= bound and ((count == bound) == is_dw)
+            return ok, {"n": g.n, "count": count, "bound": bound,
+                        "double_wheel": is_dw}
+        yield _row("conjecture", g, "lower_bound", lower_bound)
 
 
 def suite_theorem1(n_max=12, budget=None, **_kw):
@@ -447,40 +445,39 @@ def suite_theorem1(n_max=12, budget=None, **_kw):
     for n in range(8, n_max + 1):
         g = double_wheel(n)
         for t in (None, 4):
-            t0 = time.perf_counter()
-            fam = theorem1_family(g, budget=min(budget, 10 ** 5), t=t)
-            exact = count_ham_cycles(g, budget=budget)
-            ok = (1 <= len(fam) <= exact
-                  and all(is_ham_cycle(g, c) for c in fam.cycles))
-            yield _report("theorem1", g, f"double_wheel_t_{t}", ok,
-                          {"n": n, "family": len(fam), "exact": exact}, t0,
-                          None if ok else bundle_for(g, t=t))
+            def replay():
+                fam = theorem1_family(g, budget=min(budget, 10 ** 5), t=t)
+                exact = count_ham_cycles(g, budget=budget)
+                ok = (1 <= len(fam) <= exact
+                      and all(is_ham_cycle(g, c) for c in fam.cycles))
+                return ok, {"n": n, "family": len(fam), "exact": exact}
+            yield _row("theorem1", g, f"double_wheel_t_{t}", replay, t=t)
 
 
 def suite_theorem2(budget=2000, **_kw):
     g, star, _squares = telescope_tower(3)
-    t0 = time.perf_counter()
-    chain = nested_chain(g, star)
-    tree = theorem2_tree(g, chain, budget=budget)
-    min_branch = min(min(level) for level in tree.branching if level)
-    ok = (chain.t == 3 and min_branch >= 2
-          and tree.leaf_count() >= min(2 ** chain.t, budget)
-          and all(is_ham_cycle(g, leaf) for leaf in tree.leaves))
-    yield _report("theorem2", g, "tower_tree", ok,
-                  {"t": chain.t, "leaves": tree.leaf_count(),
-                   "min_branching": min_branch, "partial": tree.partial}, t0,
-                  None if ok else bundle_for(g, star=star))
+
+    def tower_tree():
+        chain = nested_chain(g, star)
+        tree = theorem2_tree(g, chain, budget=budget)
+        min_branch = min(min(level) for level in tree.branching if level)
+        ok = (chain.t == 3 and min_branch >= 2
+              and tree.leaf_count() >= min(2 ** chain.t, budget)
+              and all(is_ham_cycle(g, leaf) for leaf in tree.leaves))
+        return ok, {"t": chain.t, "leaves": tree.leaf_count(),
+                    "min_branching": min_branch, "partial": tree.partial}
+    yield _row("theorem2", g, "tower_tree", tower_tree, star=star)
 
     gw, starw, _sq = two_pocket_worm()
-    t0 = time.perf_counter()
-    chainw = nested_chain(gw, starw)
-    from .replay import disjoint_diamond_family
-    fam = disjoint_diamond_family(gw, chainw.all_diamonds, budget=budget)
-    ok = chainw.t == 1 and len(chainw.disjoint_roots) == 2 and len(fam) >= 4
-    yield _report("theorem2", gw, "worm_pockets", ok,
-                  {"t": chainw.t, "roots": len(chainw.disjoint_roots),
-                   "family": len(fam)}, t0,
-                  None if ok else bundle_for(gw, star=starw))
+
+    def worm_pockets():
+        chainw = nested_chain(gw, starw)
+        from .replay import disjoint_diamond_family
+        fam = disjoint_diamond_family(gw, chainw.all_diamonds, budget=budget)
+        ok = chainw.t == 1 and len(chainw.disjoint_roots) == 2 and len(fam) >= 4
+        return ok, {"t": chainw.t, "roots": len(chainw.disjoint_roots),
+                    "family": len(fam)}
+    yield _row("theorem2", gw, "worm_pockets", worm_pockets, star=starw)
 
 
 SUITE_RUNNERS = {

@@ -55,10 +55,27 @@ def test_unknown_suite_usage_error(capsys):
 
 def test_verify_refuses_flags_the_suite_does_not_take(capsys):
     code, out, err = run(capsys, "verify", "euler", "--seed", "3",
-                         "--min-connectivity", "9", "--budget-nodes", "1")
+                         "--min-degree", "9", "--budget-nodes", "1")
     assert code == 64 and out == ""
-    assert "--seed" in err and "--min-connectivity" in err
+    assert "--seed" in err and "--min-degree" in err
     assert "--budget-nodes" in err
+
+
+def test_verify_diamond4_refuses_n_max(capsys):
+    code, out, err = run(capsys, "verify", "lemma-diamond4", "--n-max", "3")
+    assert code == 64 and out == "" and "--n-max" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "euler", "--bogus"),
+    ("verify", "euler", "--n-max", "x"),
+    ("verify", "conjecture", "--min-connectivity", "4"),
+])
+def test_parser_errors_exit_usage_not_operational(capsys, argv):
+    """Exit 2 is reserved for operational errors."""
+    with pytest.raises(SystemExit) as err:
+        main(list(argv))
+    assert err.value.code == 64
 
 
 def test_verify_euler_exit_zero(capsys):

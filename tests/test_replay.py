@@ -181,3 +181,16 @@ def test_theorem2_tree_budget_truncation():
     tree = theorem2_tree(g, chain, budget=3)
     assert tree.partial
     assert tree.leaf_count() <= 3
+
+
+def test_bug_in_guarded_call_propagates(monkeypatch):
+    """The enclosing-square search skips a square only on NotACycle; any
+    other exception is a bug and must surface."""
+    from hamforge import replay
+
+    def broken(g, c):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(replay, "closure", broken)
+    with pytest.raises(KeyError):
+        theorem1_family(double_wheel(10), t=4)

@@ -2,6 +2,7 @@
 
 import base64
 import io
+import json
 
 import pytest
 
@@ -47,6 +48,56 @@ def test_cli_operational_error_exit_two(capsys):
     from hamforge.cli import main
     code = main(["verify", "conjecture", "--n-max", "8", "--budget-nodes", "10"])
     assert code == 2
+    assert "operational error" in capsys.readouterr().err
+
+
+def test_per_item_budget_give_up_exits_two(capsys):
+    """A budget give-up inside a per-triple loop is operational, not a
+    counterexample row."""
+    from hamforge.cli import main
+    code = main(["verify", "lemma-4edges", "--n-max", "6", "--budget-nodes", "1"])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.fixture
+def icosahedron_corpus(monkeypatch):
+    from hamforge import verification
+    from hamforge.corpus import icosahedron
+    monkeypatch.setattr(verification, "corpus_triangulations",
+                        lambda *a, **kw: iter([icosahedron()]))
+
+
+def test_counterexample_error_is_a_failed_row_with_bundle(
+        icosahedron_corpus, monkeypatch, capsys):
+    from hamforge import verification
+    from hamforge.cli import main
+    from hamforge.errors import FourConnectivityLost
+
+    def lost(g, cert):
+        raise FourConnectivityLost([(0, 1)])
+
+    monkeypatch.setattr(verification, "ham_family_from_edge_families", lost)
+    code = main(["verify", "lemma-edgesetF"])
+    families = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert code == 1
+    assert families["operation"] == "families" and not families["ok"]
+    assert families["payload"]["error"] == "FourConnectivityLost"
+    payload = base64.b64decode(families["bundle"]["planar_code_base64"])
+    (g,) = read_planar_code(io.BytesIO(payload))
+    assert g.n == 12
+
+
+def test_coloring_timeout_exits_two(icosahedron_corpus, monkeypatch, capsys):
+    from hamforge import indset
+    from hamforge.cli import main
+    from hamforge.errors import ColoringTimeout
+
+    def timeout(g, verts, budget):
+        raise ColoringTimeout(f"4-coloring exceeded {budget} nodes")
+
+    monkeypatch.setattr(indset, "four_color", timeout)
+    assert main(["verify", "lemma-edgesetF"]) == 2
     assert "operational error" in capsys.readouterr().err
 
 
