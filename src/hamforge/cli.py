@@ -142,39 +142,50 @@ def cmd_count(args) -> int:
     return code
 
 
+def _analysis_row(g) -> dict:
+    t0 = time.perf_counter()
+    connectivity = max((k for k in range(1, 6) if is_k_connected(g, k)),
+                       default=0)
+    pair = max_common_neighborhood_pair(g)
+    row = {
+        "graph_id": graph_id(g),
+        "n": g.n,
+        "min_degree": g.min_degree(),
+        "connectivity": connectivity,
+        "separating_3cycles": len(separating_cycles(g, 3)),
+        "separating_4cycles": len(separating_cycles(g, 4)),
+        "diamond4": len(find_diamonds(g, "diamond4")),
+        "diamond6": len(find_diamonds(g, "diamond6")),
+        "max_common_neighborhood": pair.size() if pair else 0,
+    }
+    if g.is_triangulation and connectivity >= 4:
+        branch = special_set(g)
+        row["special_set_branch"] = (
+            "independent_set" if isinstance(branch, IndSetCert)
+            else "common_pair")
+        if isinstance(branch, IndSetCert):
+            row["special_set"] = branch.to_json()
+    row["seconds"] = round(time.perf_counter() - t0, 4)
+    return row
+
+
 def cmd_analyze(args) -> int:
     graphs = _load_graphs(args)
     out = _open_out(args.out)
+    code = 0
     try:
         for g in graphs:
-            t0 = time.perf_counter()
-            connectivity = max((k for k in range(1, 6) if is_k_connected(g, k)),
-                               default=0)
-            pair = max_common_neighborhood_pair(g)
-            row = {
-                "graph_id": graph_id(g),
-                "n": g.n,
-                "min_degree": g.min_degree(),
-                "connectivity": connectivity,
-                "separating_3cycles": len(separating_cycles(g, 3)),
-                "separating_4cycles": len(separating_cycles(g, 4)),
-                "diamond4": len(find_diamonds(g, "diamond4")),
-                "diamond6": len(find_diamonds(g, "diamond6")),
-                "max_common_neighborhood": pair.size() if pair else 0,
-            }
-            if g.is_triangulation and connectivity >= 4:
-                branch = special_set(g)
-                row["special_set_branch"] = (
-                    "independent_set" if isinstance(branch, IndSetCert)
-                    else "common_pair")
-                if isinstance(branch, IndSetCert):
-                    row["special_set"] = branch.to_json()
-            row["seconds"] = round(time.perf_counter() - t0, 4)
+            try:
+                row = _analysis_row(g)
+            except OperationalError as exc:
+                print(f"operational error: {exc}", file=sys.stderr)
+                code = 2
+                continue
             out.write(json.dumps(row, sort_keys=True) + "\n")
     finally:
         if out is not sys.stdout:
             out.close()
-    return 0
+    return code
 
 
 class _Parser(argparse.ArgumentParser):

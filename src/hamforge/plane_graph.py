@@ -215,6 +215,21 @@ class PlaneGraph:
         """Index of the face traced through directed edge (u, v)."""
         return self._face_at[(u, v)]
 
+    def face_index(self, vertices) -> int | None:
+        """Lowest index of a face bounded by the cyclic sequence ``vertices``
+        (up to rotation and reflection), or None when no face is.
+
+        Such a face traces the first edge of ``vertices`` in one of its two
+        directions, so only the faces on that edge are compared.
+        """
+        vs = tuple(vertices)
+        if len(vs) < 2 or (vs[0], vs[1]) not in self._face_at:
+            return None
+        want = canonical_cycle(vs)
+        hits = [i for i in (self._face_at[(vs[0], vs[1])], self._face_at[(vs[1], vs[0])])
+                if canonical_cycle(self.faces[i]) == want]
+        return min(hits, default=None)
+
     def common_neighbors(self, u: int, v: int) -> frozenset[int]:
         return self.adj[u] & self.adj[v]
 
@@ -250,15 +265,22 @@ class PlaneGraph:
 
     def rooted_at_face(self, face_vertices) -> PlaneGraph:
         """Same embedding with the face on these vertices as the outer face."""
-        want = canonical_cycle(face_vertices)
-        for i, f in enumerate(self.faces):
-            if canonical_cycle(f) == want:
-                return self.with_outer_face(i)
-        raise ValueError(f"{tuple(face_vertices)} is not a face")
+        i = self.face_index(face_vertices)
+        if i is None:
+            raise ValueError(f"{tuple(face_vertices)} is not a face")
+        return self.with_outer_face(i)
 
     def with_outer_face(self, index: int) -> PlaneGraph:
-        g = PlaneGraph(self.rotation, outer_face_index=index,
-                       require_connected=False)
+        """Same embedding with face ``index`` as the outer face.
+
+        The copy shares the parent's embedding and every table derived from it.
+        """
+        if not 0 <= index < max(1, len(self.faces)):
+            raise ValueError("outer face index out of range")
+        g = object.__new__(PlaneGraph)
+        for name in PlaneGraph.__slots__:
+            setattr(g, name, getattr(self, name))
+        g.outer_face_index = index
         return g
 
     def delete_vertices(self, drop) -> tuple[PlaneGraph, list[int]]:
@@ -470,12 +492,7 @@ class NearTriangulation:
 
     def __init__(self, graph: PlaneGraph, outer_cycle: Cycle, origin=None):
         outer_cycle.validate(graph)
-        want = canonical_cycle(outer_cycle.vertices)
-        face_index = None
-        for i, f in enumerate(graph.faces):
-            if len(f) == len(want) and canonical_cycle(f) == want:
-                face_index = i
-                break
+        face_index = graph.face_index(outer_cycle.vertices)
         if face_index is None:
             raise NotACycle(f"{outer_cycle.vertices} does not bound a face")
         self.graph = graph.with_outer_face(face_index)

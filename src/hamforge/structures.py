@@ -126,6 +126,13 @@ def separating_cycles(g: PlaneGraph, length: int) -> list[Cycle]:
     return out
 
 
+def has_separating_triangle(g: PlaneGraph) -> bool:
+    """Whether ``separating_cycles(g, 3)`` is non-empty, stopping at the
+    first separating triangle."""
+    return g.n > 3 and any(not _connected_after_removal(g, set(t))
+                           for t in g.triangles())
+
+
 # ---------------------------------------------------------------------------
 # diamonds
 # ---------------------------------------------------------------------------

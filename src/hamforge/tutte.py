@@ -32,7 +32,7 @@ from .plane_graph import (
     edge_key,
     path_edges,
 )
-from .structures import DiamondCert, separating_cycles
+from .structures import DiamondCert, has_separating_triangle
 
 
 @dataclass(frozen=True)
@@ -261,7 +261,7 @@ def _require_square_region(r: NearTriangulation):
         raise HypothesisViolated("outer_4cycle")
     if not r.is_near_triangulation:
         raise HypothesisViolated("near_triangulation")
-    if separating_cycles(r.graph, 3):
+    if has_separating_triangle(r.graph):
         raise HypothesisViolated("no_separating_triangles")
     return r.outer_cycle.vertices
 
@@ -568,7 +568,7 @@ def ham_cycle_through_triangle_edges(g: PlaneGraph, t: Cycle, t1: Cycle,
     keys = {canonical_cycle(tri.vertices) for tri in (t, t1, t2)}
     if len(keys) != 3:
         raise HypothesisViolated("distinct_triangles")
-    if separating_cycles(g, 3):
+    if has_separating_triangle(g):
         raise HypothesisViolated("no_separating_triangles")
     u, v, w = t.vertices
     base = [edge_key(u, v), edge_key(u, w)]

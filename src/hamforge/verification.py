@@ -51,7 +51,7 @@ from .plane_graph import (
     vertex_connectivity_flow,
 )
 from .replay import lemma_2edge_family, nested_chain, theorem1_family, theorem2_tree
-from .structures import separating_cycles
+from .structures import has_separating_triangle
 from .tutte import (
     PathPair,
     diamond_region_paths,
@@ -224,7 +224,8 @@ def suite_lemma_edgesetF(n_max=12, min_degree=5, **_kw):
         found += 1
 
         def families():
-            cert = special_set_mindeg5(g, t=max(2, g.n))
+            cert = (special_set_mindeg5(g, t=max(2, g.n))
+                    if g.min_degree() >= 5 else None)
             if not isinstance(cert, IndSetCert):
                 cert = special_set(g)
             if not isinstance(cert, IndSetCert):
@@ -285,7 +286,7 @@ def _max_certificates_check(g: PlaneGraph):
 def _dichotomy_reports(suite, kind, n_max, budget):
     for nt in square_boundary_regions(n_max):
         g = nt.graph
-        if separating_cycles(g, 3):
+        if has_separating_triangle(g):
             continue
         base = nt.outer_cycle.vertices
         for rot in range(4):

@@ -3,10 +3,10 @@
 Everything here deliberately avoids the package's own algorithms: counting
 by raw permutations or unpruned DFS, isomorphism and connectivity through
 networkx, subgraph matching by generic backtracking, and a triangulation
-generator driven by diagonal flips instead of vertex splitting.  The one
-exception is ``split_dedupe_levels``, the generate-then-dedupe route that
-builds every split child: the exhaustive generator must reproduce it
-exactly.
+generator driven by diagonal flips instead of vertex splitting.  The
+exceptions are slow routes a fast path must reproduce exactly:
+``split_dedupe_levels``, the generate-then-dedupe route that builds every
+split child, and ``scan_face_index``, the scan over every face.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import itertools
 
 import networkx as nx
 
-from hamforge.plane_graph import PlaneGraph, edge_key
+from hamforge.plane_graph import PlaneGraph, canonical_cycle, edge_key
 
 
 def to_nx(g: PlaneGraph) -> nx.Graph:
@@ -207,3 +207,14 @@ def split_dedupe_levels(n_max: int) -> dict[int, list[PlaneGraph]]:
                 out.setdefault(canonical_code(child), child)
         levels[n] = [out[k] for k in sorted(out)]
     return levels
+
+
+def scan_face_index(g: PlaneGraph, vertices):
+    """Lowest index of a face equal to the cyclic sequence ``vertices`` up to
+    rotation and reflection, or None: the scan over every face that
+    ``PlaneGraph.face_index`` replaces."""
+    want = canonical_cycle(vertices)
+    for i, f in enumerate(g.faces):
+        if canonical_cycle(f) == want:
+            return i
+    return None

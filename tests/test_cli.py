@@ -3,7 +3,13 @@ import json
 import pytest
 
 from hamforge.cli import main
-from hamforge.corpus import graph_to_planar_code, octahedron
+from hamforge.corpus import (
+    double_wheel,
+    graph_to_planar_code,
+    k4,
+    octahedron,
+    write_planar_code,
+)
 
 
 def run(capsys, *argv):
@@ -113,6 +119,33 @@ def test_analyze_double_wheel(capsys):
     code, out, _err = run(capsys, "analyze", "--double-wheel", "8")
     row = json.loads(out.splitlines()[0])
     assert row["separating_4cycles"] == 9 and row["min_degree"] == 4
+
+
+def test_analyze_operational_error_exits_two(capsys, tmp_path, monkeypatch):
+    """A coloring give-up on one graph is reported and the next graph runs."""
+    from hamforge import indset
+    from hamforge.errors import ColoringTimeout
+
+    def timeout(g, verts, budget=0):
+        raise ColoringTimeout(f"4-coloring exceeded {budget} nodes")
+
+    monkeypatch.setattr(indset, "four_color", timeout)
+    path = tmp_path / "two.pc"
+    with open(path, "wb") as fh:
+        write_planar_code([double_wheel(8), k4()], fh)
+    code, out, err = run(capsys, "analyze", "--file", str(path))
+    assert code == 2 and "operational error" in err
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert [r["n"] for r in rows] == [4]
+
+
+def test_verify_edgesetF_below_min_degree_five(capsys):
+    code, out, _err = run(capsys, "verify", "lemma-edgesetF",
+                          "--min-degree", "4", "--n-max", "8")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert code == 0 and rows
+    assert not any(r["payload"].get("error") == "MinDegreeViolated"
+                   for r in rows)
 
 
 def test_csv_format(capsys):

@@ -10,6 +10,7 @@ from hamforge.corpus import (
     k4,
     octahedron,
     random_triangulation,
+    wheel,
 )
 from hamforge.errors import (
     DisconnectedGraph,
@@ -23,6 +24,8 @@ from hamforge.errors import (
 )
 from hamforge.plane_graph import (
     Cycle,
+    NearTriangulation,
+    PlaneGraph,
     block_chain,
     bridges,
     build,
@@ -37,7 +40,9 @@ from hamforge.plane_graph import (
     vertex_connectivity_flow,
 )
 
-from .oracles import nx_connectivity, nx_isomorphic
+from hamforge.structures import enumerate_cycles
+
+from .oracles import nx_connectivity, nx_isomorphic, scan_face_index
 
 
 def test_build_octahedron_census():
@@ -330,3 +335,52 @@ def test_from_faces_roundtrip():
     g = icosahedron()
     rebuilt = plane_graph_from_faces(g.faces)
     assert is_isomorphic(g, rebuilt)
+
+
+# -- outer faces ---------------------------------------------------------------
+
+def _small_plane_graphs(triangulations_by_n):
+    """Every triangulation with n <= 9 and each with vertex 0 deleted, plus
+    cycles, wheels, a path and two disjoint edges."""
+    for n in range(4, 10):
+        for g in triangulations_by_n(n):
+            yield g
+            yield g.delete_vertices({0})[0]
+    for k in range(3, 8):
+        yield cycle_graph(k)
+        yield wheel(k)
+    yield build([(1,), (0, 2), (1,)])
+    yield PlaneGraph([(1,), (0,), (3,), (2,)], require_connected=False)
+
+
+def test_with_outer_face_matches_full_build(triangulations_by_n):
+    for g in _small_plane_graphs(triangulations_by_n):
+        outer = g.outer_face_index
+        for i in range(len(g.faces)):
+            fast = g.with_outer_face(i)
+            full = PlaneGraph(g.rotation, i, require_connected=False)
+            for name in PlaneGraph.__slots__:
+                assert getattr(fast, name) == getattr(full, name), name
+        assert g.outer_face_index == outer
+        for bad in (-1, len(g.faces)):
+            with pytest.raises(ValueError):
+                g.with_outer_face(bad)
+
+
+def test_face_index_matches_face_scan(triangulations_by_n):
+    for g in _small_plane_graphs(triangulations_by_n):
+        queries = [f[r:] + f[:r] for f in g.faces for r in range(len(f))]
+        queries += [tuple(reversed(q)) for q in queries]
+        queries += [c.vertices for k in (3, 4) for c in enumerate_cycles(g, k)]
+        queries += [(0,), (0, g.n)]
+        for q in queries:
+            assert g.face_index(q) == scan_face_index(g, q), q
+
+
+def test_face_lookup_errors():
+    o = octahedron()                          # rim 0..3, apexes 4, 5
+    for bad in ((0, 1, 2, 3), (0, 2, 4), (0,)):
+        with pytest.raises(ValueError):
+            o.rooted_at_face(bad)
+    with pytest.raises(NotACycle):
+        NearTriangulation(o, Cycle((0, 1, 2, 3)))

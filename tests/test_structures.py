@@ -2,7 +2,14 @@ import itertools
 
 import pytest
 
-from hamforge.corpus import double_wheel, icosahedron, k4, octahedron
+from hamforge.corpus import (
+    cycle_graph,
+    double_wheel,
+    icosahedron,
+    k4,
+    octahedron,
+    wheel,
+)
 from hamforge.errors import SNotIndependent
 from hamforge.plane_graph import Cycle, _connected_after_removal, is_k_connected
 from hamforge.structures import (
@@ -11,10 +18,13 @@ from hamforge.structures import (
     DiamondCert,
     enumerate_cycles,
     find_diamonds,
+    has_separating_triangle,
     max_common_neighborhood_pair,
     saturates,
     separating_cycles,
 )
+
+from hamforge.verification import square_boundary_regions
 
 from .oracles import match_pattern
 
@@ -34,6 +44,18 @@ def test_separating_deletion_reverified():
     for g in (octahedron(), double_wheel(8), double_wheel(10)):
         for c in separating_cycles(g, 4):
             assert not _connected_after_removal(g, set(c.vertices))
+
+
+def test_has_separating_triangle_matches_separating_cycles(triangulations_by_n):
+    graphs = [g for n in range(4, 12) for g in triangulations_by_n(n)]
+    graphs += [nt.graph for nt in square_boundary_regions(10)]
+    graphs += [f(k) for k in range(3, 9) for f in (cycle_graph, wheel)]
+    answers = set()
+    for g in graphs:
+        got = has_separating_triangle(g)
+        assert got == bool(separating_cycles(g, 3))
+        answers.add(got)
+    assert answers == {True, False}
 
 
 def test_four_connected_have_no_separating_triangles(triangulations_by_n):
