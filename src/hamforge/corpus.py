@@ -25,6 +25,7 @@ from .plane_graph import (
     is_k_connected,
     plane_graph_from_faces,
 )
+from .structures import has_separating_triangle
 
 PLANAR_CODE_HEADER = b">>planar_code<<"
 
@@ -75,8 +76,8 @@ class CorpusFilter:
             return False
         if self.min_connectivity == 4 and g.is_triangulation and g.n >= 5:
             # a triangulation with n >= 5 is 4-connected iff it has no
-            # separating triangle, i.e. every 3-cycle bounds a face
-            if len(g.triangles()) != len(g.faces):
+            # separating triangle
+            if has_separating_triangle(g):
                 return False
         elif not is_k_connected(g, self.min_connectivity):
             return False
@@ -250,13 +251,12 @@ def split_vertex(g: PlaneGraph, v: int, i: int, j: int) -> PlaneGraph:
 class _RotationView:
     """The fields of a PlaneGraph that ``canonical_code`` reads, and no more."""
 
-    __slots__ = ("n", "rotation", "degrees", "_pos")
+    __slots__ = ("n", "rotation", "degrees")
 
-    def __init__(self, rotation, pos):
+    def __init__(self, rotation):
         self.n = len(rotation)
         self.rotation = rotation
         self.degrees = tuple(map(len, rotation))
-        self._pos = pos
 
 
 def _split_rotation(g: PlaneGraph, v: int, i: int, j: int) -> _RotationView:
@@ -279,10 +279,7 @@ def _split_rotation(g: PlaneGraph, v: int, i: int, j: int) -> _RotationView:
     # it precedes v
     for w, k in ((rot[i], at[rot[i]][v] + 1), (rot[j], at[rot[j]][v])):
         rotation[w] = rotation[w][:k] + (new,) + rotation[w][k:]
-    pos = list(at) + [None]
-    for w in (v, new, *rot):
-        pos[w] = {x: k for k, x in enumerate(rotation[w])}
-    return _RotationView(rotation, pos)
+    return _RotationView(rotation)
 
 
 def _all_splits(g: PlaneGraph):
@@ -309,6 +306,70 @@ def _triangulation_level(n: int) -> tuple[PlaneGraph, ...]:
     return tuple(out[k] for k in sorted(out))
 
 
+def _link_rooted_code(g: PlaneGraph, v: int) -> tuple[int, ...]:
+    """``outer_rooted_code`` of g minus v, bounded by the link of v, from
+    g's rotation with v cut out of its neighbors' instead of a built region.
+
+    The id v stays, with no neighbors and never reached; the code names
+    vertices by visiting order, so the ids of the others need no shift.
+    """
+    link = g.rotation[v]
+    rotation = list(g.rotation)
+    rotation[v] = ()
+    for w in link:
+        rotation[w] = tuple(x for x in rotation[w] if x != v)
+    edges = [(a, link[(k + 1) % len(link)]) for k, a in enumerate(link)]
+    return canonical_code(_RotationView(rotation),
+                          roots=edges + [(b, a) for a, b in edges])
+
+
+@functools.lru_cache(maxsize=None)
+def _square_region_level(n: int) -> tuple[tuple[PlaneGraph, int], ...]:
+    """The square regions on n - 1 vertices, as the pairs (g, v) they are
+    cut from: g on n vertices, v of degree 4, g minus v bounded by the link
+    of v the first of its class in corpus and vertex order.  Regions from
+    different levels differ in size, so deduplicating per level is exact.
+    Only the pairs are kept: held, the 3,674 regions with n <= 10 would
+    take more memory than the n <= 11 corpus they are cut from."""
+    out = {}
+    for g in enumerate_triangulations(n):
+        for v in range(g.n):
+            if g.degrees[v] == 4:
+                out.setdefault(_link_rooted_code(g, v), (g, v))
+    return tuple(out.values())
+
+
+@functools.lru_cache(maxsize=None)
+def _four_connected_level(n: int) -> tuple[PlaneGraph, ...]:
+    """All 4-connected planar triangulations on n vertices up to isomorphism.
+
+    Every one other than the double wheel is a vertex split of one on n - 1
+    vertices (Martinov, JGT 1982), so level n is ``double_wheel(n)`` plus
+    the split children of level n - 1 without a separating triangle.  Splits
+    that leave v or the new vertex with degree < 4 are skipped; the others
+    make no separating triangle, so the test on each child is a guard (it
+    rejects none through n = 13).  Children are keyed as in
+    ``_triangulation_level``; a rejected key is remembered, so no child is
+    built twice.  Sorted by canonical code.
+    """
+    if n < 6:
+        raise TooSmall("4-connected triangulations start at n = 6")
+    if n == 6:
+        return (octahedron(),)
+    dw = double_wheel(n)
+    out = {canonical_code(dw): dw}        # None marks a rejected key
+    for parent in _four_connected_level(n - 1):
+        for v, i, j in _all_splits(parent):
+            # v keeps j - i + 2 neighbors, the new vertex deg(v) - (j - i) + 2
+            if not 2 <= j - i <= parent.degrees[v] - 2:
+                continue
+            key = canonical_code(_split_rotation(parent, v, i, j))
+            if key not in out:
+                child = split_vertex(parent, v, i, j)
+                out[key] = None if has_separating_triangle(child) else child
+    return tuple(out[k] for k in sorted(out) if out[k] is not None)
+
+
 def enumerate_triangulations(n: int, flt: CorpusFilter | None = None,
                              budgets: GeneratorBudgets | None = None):
     """All planar triangulations on n vertices up to isomorphism, filtered.
@@ -317,11 +378,22 @@ def enumerate_triangulations(n: int, flt: CorpusFilter | None = None,
     keyed by the canonical code of its rotation system, edited from the
     parent's, and only the first child with a new key is built (by
     ``split_vertex``).  Deterministic order: sorted by canonical code.
+
+    A filter asking for 4- or 5-connectivity reads the 4-connected level
+    instead (``_four_connected_level``, grown from the octahedron by the
+    same splits), which is empty below n = 6; the filter is still applied
+    to each of its graphs.  That level holds the codes of the full level's
+    4-connected graphs, in the same order, so both routes yield the same
+    classes.
     """
     budgets = budgets or load_budgets()
     if n > budgets.max_n:
         raise BudgetExceeded(f"n={n} exceeds max_n={budgets.max_n}")
-    for g in _triangulation_level(n):
+    if flt is not None and flt.min_connectivity >= 4:
+        level = _four_connected_level(n) if n >= 6 else ()
+    else:
+        level = _triangulation_level(n)
+    for g in level:
         if flt is None or flt.matches(g):
             yield g
 

@@ -883,30 +883,42 @@ def block_chain(g: PlaneGraph, a: int, b: int) -> BlockChain:
 # canonical form
 # ---------------------------------------------------------------------------
 
-def _code_from(g: PlaneGraph, u: int, v: int, direction: int):
+def _code_from(g: PlaneGraph, u: int, v: int, direction: int, bound=None):
+    """The BFS code of g from directed edge (u, v), turning one way round
+    each vertex; None as soon as a finished vertex shows it above ``bound``."""
     label = [0] * g.n
     label[u] = 1
     label[v] = 2
     nxt = 3
     order = [u]
-    entry = {u: v}
+    entry = [0] * g.n
+    entry[u] = v
     code = []
-    qi = 0
-    while qi < len(order):
-        w = order[qi]
-        qi += 1
+    append = code.append
+    tied = bound is not None
+    for w in order:
         rot = g.rotation[w]
-        d = len(rot)
-        start = g._pos[w][entry[w]]
-        for i in range(d):
-            nb = rot[(start + direction * i) % d]
-            if label[nb] == 0:
-                label[nb] = nxt
+        start = rot.index(entry[w])
+        if direction == 1:
+            turn = rot[start:] + rot[:start]
+        else:
+            turn = rot[start::-1] + rot[:start:-1]
+        first = len(code)
+        for nb in turn:
+            c = label[nb]
+            if not c:
+                c = label[nb] = nxt
                 nxt += 1
                 order.append(nb)
                 entry[nb] = w
-            code.append(label[nb])
-        code.append(0)
+            append(c)
+        append(0)
+        if tied:
+            head, ref = tuple(code[first:]), bound[first:len(code)]
+            if head != ref:
+                if head > ref:
+                    return None
+                tied = False
     return tuple(code)
 
 
@@ -916,12 +928,16 @@ def canonical_code(g: PlaneGraph, roots=None) -> tuple[int, ...]:
     Minimum BFS code over rooted traversals; for 3-connected planar graphs
     (all triangulations here) equality of codes is graph isomorphism.
     ``roots`` restricts the starting directed edges (e.g. to the outer face).
+    Only roots of minimum (deg u, deg v) are tried, and a traversal stops
+    once it is above the best code so far.
     """
     if g.n == 1:
         return (0,)
     degs = g.degrees
     if roots is None:
-        candidates = [(u, v) for u in range(g.n) for v in g.rotation[u]]
+        low = min(d for d in degs if d)
+        candidates = [(u, v) for u in range(g.n) if degs[u] == low
+                      for v in g.rotation[u]]
     else:
         candidates = list(roots)
     best_key = min((degs[u], degs[v]) for u, v in candidates)
@@ -930,8 +946,8 @@ def canonical_code(g: PlaneGraph, roots=None) -> tuple[int, ...]:
         if (degs[u], degs[v]) != best_key:
             continue
         for direction in (1, -1):
-            code = _code_from(g, u, v, direction)
-            if best is None or code < best:
+            code = _code_from(g, u, v, direction, best)
+            if code is not None and (best is None or code < best):
                 best = code
     return best
 

@@ -127,10 +127,17 @@ def separating_cycles(g: PlaneGraph, length: int) -> list[Cycle]:
 
 
 def has_separating_triangle(g: PlaneGraph) -> bool:
-    """Whether ``separating_cycles(g, 3)`` is non-empty, stopping at the
-    first separating triangle."""
-    return g.n > 3 and any(not _connected_after_removal(g, set(t))
-                           for t in g.triangles())
+    """Whether ``separating_cycles(g, 3)`` is non-empty.
+
+    In a triangulation with n >= 4 a 3-cycle separates exactly when it
+    bounds no face, so the answer is a count.  Any other graph is searched,
+    stopping at the first separating triangle.
+    """
+    if g.n <= 3:
+        return False
+    if g.is_triangulation:
+        return len(g.triangles()) != len(g.faces)
+    return any(not _connected_after_removal(g, set(t)) for t in g.triangles())
 
 
 # ---------------------------------------------------------------------------

@@ -606,10 +606,6 @@ class DiamondRegionTable:
     marked_edges: frozenset | None
     alternates: tuple[tuple[tuple[int, int], tuple[tuple[int, ...], ...]], ...]
 
-    def count_for(self, a, b):
-        key = (a, b) if a < b else (b, a)
-        return dict(self.counts)[key]
-
 
 def _classify_diamond_config(r: NearTriangulation, dprime: DiamondCert) -> str:
     c_set = set(r.outer_cycle.vertices)

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from . import __version__
 from .corpus import (
     CorpusFilter,
+    _square_region_level,
     double_wheel,
     enumerate_triangulations,
     graph_to_planar_code,
@@ -47,7 +48,6 @@ from .plane_graph import (
     edge_key,
     is_isomorphic,
     is_k_connected,
-    outer_rooted_code,
     vertex_connectivity_flow,
 )
 from .replay import lemma_2edge_family, nested_chain, theorem1_family, theorem2_tree
@@ -133,25 +133,16 @@ def corpus_triangulations(n_max: int, n_min: int = 4, flt: CorpusFilter | None =
 
 def square_boundary_regions(n_max: int):
     """Near triangulations with an outer 4-cycle up to ``n_max`` vertices,
-    one per isomorphism class: vertex links of degree-4 vertices."""
-    seen = set()
+    one per isomorphism class: vertex links of degree-4 vertices.
+
+    The link of a degree-4 vertex of a triangulation with n >= 5 is a
+    4-cycle bounding a face of the rest, so every region is valid.
+    """
     for n in range(5, n_max + 2):
-        for g in enumerate_triangulations(n):
-            for v in range(g.n):
-                if g.degrees[v] != 4:
-                    continue
-                sub, origin = g.delete_vertices({v})
-                fwd = {old: new for new, old in enumerate(origin)}
-                oc = Cycle(tuple(fwd[w] for w in g.rotation[v]))
-                try:
-                    nt = NearTriangulation(sub, oc)
-                except HamforgeError:
-                    continue
-                key = outer_rooted_code(nt.graph)
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield nt
+        for g, v in _square_region_level(n):
+            sub, origin = g.delete_vertices({v})
+            fwd = {old: new for new, old in enumerate(origin)}
+            yield NearTriangulation(sub, Cycle(tuple(fwd[w] for w in g.rotation[v])))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ networkx, subgraph matching by generic backtracking, and a triangulation
 generator driven by diagonal flips instead of vertex splitting.  The
 exceptions are slow routes a fast path must reproduce exactly:
 ``split_dedupe_levels``, the generate-then-dedupe route that builds every
-split child, and ``scan_face_index``, the scan over every face.
+split child, ``filtered_level_codes``, the full level filtered,
+``square_regions_loop``, the region loop that builds every candidate,
+``full_traversal_canonical_code``, every traversal run to the end, and
+``scan_face_index``, the scan over every face.
 """
 
 from __future__ import annotations
@@ -218,3 +221,87 @@ def scan_face_index(g: PlaneGraph, vertices):
         if canonical_cycle(f) == want:
             return i
     return None
+
+
+def filtered_level_codes(n: int, flt) -> list[tuple[int, ...]]:
+    """The sorted canonical codes of the triangulations on n >= 5 vertices
+    that ``flt`` keeps, by building every distinct split child of the full
+    level n - 1 and filtering it: the route the 4-connected level replaces,
+    without holding level n."""
+    from hamforge.corpus import _all_splits, _split_rotation, _triangulation_level, split_vertex
+    from hamforge.plane_graph import canonical_code
+
+    seen, keep = set(), []
+    for parent in _triangulation_level(n - 1):
+        for v, i, j in _all_splits(parent):
+            key = canonical_code(_split_rotation(parent, v, i, j))
+            if key not in seen:
+                seen.add(key)
+                if flt.matches(split_vertex(parent, v, i, j)):
+                    keep.append(key)
+    return sorted(keep)
+
+
+def square_regions_loop(n_max: int):
+    """Every degree-4 vertex link of every triangulation on 5..n_max+1
+    vertices, built as a region and kept when its ``outer_rooted_code`` is
+    new: the loop the cached region levels replace."""
+    from hamforge.corpus import enumerate_triangulations
+    from hamforge.errors import HamforgeError
+    from hamforge.plane_graph import Cycle, NearTriangulation, outer_rooted_code
+
+    seen = set()
+    for n in range(5, n_max + 2):
+        for g in enumerate_triangulations(n):
+            for v in range(g.n):
+                if g.degrees[v] != 4:
+                    continue
+                sub, origin = g.delete_vertices({v})
+                fwd = {old: new for new, old in enumerate(origin)}
+                oc = Cycle(tuple(fwd[w] for w in g.rotation[v]))
+                try:
+                    nt = NearTriangulation(sub, oc)
+                except HamforgeError:
+                    continue
+                key = outer_rooted_code(nt.graph)
+                if key in seen:
+                    continue
+                seen.add(key)
+                yield nt
+
+
+def full_traversal_canonical_code(g: PlaneGraph, roots=None) -> tuple[int, ...]:
+    """The minimum BFS code over every root of minimum (deg u, deg v) in
+    both directions, each traversal run to the end: the route
+    ``canonical_code`` cuts short."""
+    if g.n == 1:
+        return (0,)
+    degs = g.degrees
+    if roots is None:
+        roots = [(u, v) for u in range(g.n) for v in g.rotation[u]]
+    best_key = min((degs[u], degs[v]) for u, v in roots)
+    codes = []
+    for u, v in roots:
+        if (degs[u], degs[v]) != best_key:
+            continue
+        for direction in (1, -1):
+            label = [0] * g.n
+            label[u], label[v] = 1, 2
+            order, entry, code = [u], {u: v}, []
+            qi = 0
+            while qi < len(order):
+                w = order[qi]
+                qi += 1
+                rot = g.rotation[w]
+                d = len(rot)
+                start = rot.index(entry[w])
+                for i in range(d):
+                    nb = rot[(start + direction * i) % d]
+                    if label[nb] == 0:
+                        label[nb] = max(label) + 1
+                        order.append(nb)
+                        entry[nb] = w
+                    code.append(label[nb])
+                code.append(0)
+            codes.append(tuple(code))
+    return min(codes)

@@ -153,3 +153,14 @@ def test_csv_format(capsys):
                           "--format", "csv")
     assert code == 0
     assert out.splitlines()[0].startswith("suite,graph_id,operation,ok")
+
+
+@pytest.mark.slow
+def test_verify_conjecture_n13(capsys):
+    """The conjecture scan through n = 13: every 4-connected triangulation,
+    43 with n <= 11, 87 with n = 12 and 313 with n = 13."""
+    code, out, _err = run(capsys, "verify", "conjecture", "--n-max", "13")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert code == 0 and all(r["ok"] for r in rows)
+    sizes = [r["payload"]["n"] for r in rows]
+    assert (len(rows), sizes.count(12), sizes.count(13)) == (443, 87, 313)

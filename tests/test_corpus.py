@@ -8,6 +8,7 @@ from hamforge.corpus import (
     CorpusFilter,
     GeneratorBudgets,
     _all_splits,
+    _four_connected_level,
     _split_rotation,
     _triangulation_level,
     double_wheel,
@@ -33,9 +34,20 @@ from hamforge.errors import (
     TruncatedRecord,
     ValidationFailed,
 )
-from hamforge.plane_graph import build, canonical_code, is_isomorphic, is_k_connected
+from hamforge.plane_graph import (
+    build,
+    canonical_code,
+    is_isomorphic,
+    is_k_connected,
+    vertex_connectivity_flow,
+)
 
-from .oracles import flip_bfs_triangulations, nx_isomorphic, split_dedupe_levels
+from .oracles import (
+    filtered_level_codes,
+    flip_bfs_triangulations,
+    nx_isomorphic,
+    split_dedupe_levels,
+)
 
 # published enumeration of planar triangulations up to isomorphism (OEIS
 # A000109), cross-checked below against the independent flip-BFS generator
@@ -143,6 +155,40 @@ def test_enumerate_four_connected_counts(triangulations_by_n):
     flt = CorpusFilter(min_connectivity=4)
     for n, want in FOUR_CONNECTED_COUNTS.items():
         assert sum(flt.matches(g) for g in triangulations_by_n(n)) == want
+
+
+def test_four_connected_level_matches_filtered_corpus(triangulations_by_n):
+    flt = CorpusFilter(min_connectivity=4)
+    for n, want in FOUR_CONNECTED_COUNTS.items():
+        mine = [canonical_code(g) for g in _four_connected_level(n)]
+        assert mine == [canonical_code(g) for g in triangulations_by_n(n)
+                        if flt.matches(g)]
+        assert len(mine) == want
+
+
+def test_four_connected_level_passes_flow_connectivity():
+    for n in FOUR_CONNECTED_COUNTS:
+        for g in _four_connected_level(n):
+            assert g.is_triangulation and vertex_connectivity_flow(g) >= 4
+
+
+@pytest.mark.parametrize("flt", [
+    CorpusFilter(min_connectivity=4, min_degree=5),
+    CorpusFilter(min_connectivity=5),
+], ids=["4conn_mindeg5", "5conn"])
+def test_routed_filter_matches_filtering_full_level(flt, triangulations_by_n):
+    for n in range(4, 12):
+        routed = [canonical_code(g) for g in enumerate_triangulations(n, flt)]
+        assert routed == [canonical_code(g) for g in triangulations_by_n(n)
+                          if flt.matches(g)]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n, want", [(12, 87), (13, 313)])
+def test_four_connected_level_matches_filtered_corpus_large(n, want):
+    mine = [canonical_code(g) for g in _four_connected_level(n)]
+    assert len(mine) == want
+    assert mine == filtered_level_codes(n, CorpusFilter(min_connectivity=4))
 
 
 @pytest.mark.slow

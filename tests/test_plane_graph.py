@@ -42,7 +42,12 @@ from hamforge.plane_graph import (
 
 from hamforge.structures import enumerate_cycles
 
-from .oracles import nx_connectivity, nx_isomorphic, scan_face_index
+from .oracles import (
+    full_traversal_canonical_code,
+    nx_connectivity,
+    nx_isomorphic,
+    scan_face_index,
+)
 
 
 def test_build_octahedron_census():
@@ -329,6 +334,25 @@ def test_canonical_code_separates_classes(triangulations_by_n):
         assert len(codes) == len(gs)
         for g1, g2 in itertools.combinations(gs, 2):
             assert not nx_isomorphic(g1, g2)
+
+
+def test_canonical_code_matches_full_traversals(triangulations_by_n):
+    """Cutting traversals short and trying only roots of minimum degree
+    leaves every code as it was, rooted or not, on triangulations and on
+    disconnected graphs: a triangulation minus the neighbors of vertex 0,
+    which leaves vertex 0 isolated."""
+    for n in range(4, 10):
+        for g in triangulations_by_n(n):
+            assert canonical_code(g) == full_traversal_canonical_code(g)
+            f = g.faces[0]
+            roots = [(f[i], f[i - 1]) for i in range(3)]
+            assert (canonical_code(g, roots=roots)
+                    == full_traversal_canonical_code(g, roots=roots))
+            if g.n - g.degrees[0] < 3:
+                continue
+            sub, _origin = g.delete_vertices(set(g.rotation[0]))
+            if sub.edge_set:
+                assert canonical_code(sub) == full_traversal_canonical_code(sub)
 
 
 def test_from_faces_roundtrip():

@@ -6,8 +6,11 @@ import json
 
 import pytest
 
-from hamforge.corpus import read_planar_code
-from hamforge.verification import SUITE_RUNNERS, SUITES
+from hamforge import corpus
+from hamforge.corpus import CorpusFilter, read_planar_code
+from hamforge.verification import SUITE_RUNNERS, SUITES, square_boundary_regions
+
+from .oracles import square_regions_loop
 
 SMALL = {
     "euler": {"n_max": 7},
@@ -116,3 +119,38 @@ def test_tutte_row_fails_on_reversed_path(monkeypatch):
     monkeypatch.setattr(verification, "tutte_path", reversed_path)
     rows = list(verification.suite_tutte(n_max=5))
     assert rows and not any(r.ok for r in rows)
+
+
+def _rows_without_seconds(suite, **kwargs):
+    rows = []
+    for r in SUITE_RUNNERS[suite](**kwargs):
+        row = r.to_json()
+        del row["seconds"]
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("suite, kwargs", [
+    ("conjecture", {"n_max": 10}),
+    ("lemma-4edges", {"n_max": 9}),
+    ("lemma-edgesetF", {"n_max": 11, "min_degree": 4}),
+])
+def test_four_connected_level_keeps_reports(suite, kwargs, monkeypatch):
+    """The 4-connected suites print the same rows from the 4-connected
+    level as from the full level filtered."""
+    routed = _rows_without_seconds(suite, **kwargs)
+    flt = CorpusFilter(min_connectivity=4)
+    monkeypatch.setattr(corpus, "_four_connected_level", lambda n: tuple(
+        g for g in corpus._triangulation_level(n) if flt.matches(g)))
+    assert routed and all(row["ok"] for row in routed)
+    assert _rows_without_seconds(suite, **kwargs) == routed
+
+
+def test_square_boundary_regions_match_region_loop():
+    def fields(regions):
+        return [(nt.graph.rotation, nt.graph.outer_face_index,
+                 nt.outer_cycle.vertices) for nt in regions]
+
+    for n_max in range(4, 11):
+        mine = fields(square_boundary_regions(n_max))
+        assert mine and mine == fields(square_regions_loop(n_max))
