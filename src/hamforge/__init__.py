@@ -49,7 +49,6 @@ from .structures import (  # noqa: E402
 from .indset import (  # noqa: E402
     EdgeFamily,
     IndSetCert,
-    Thresholds,
     edge_families,
     filter_saturation,
     ham_family_from_edge_families,

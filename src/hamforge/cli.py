@@ -188,6 +188,12 @@ def cmd_analyze(args) -> int:
     return code
 
 
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
 class _Parser(argparse.ArgumentParser):
     """Command-line errors exit 64 (usage): 2 means an operational error."""
 
@@ -204,7 +210,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--budget-nodes", type=int,
+        p.add_argument("--budget-nodes", type=_positive_int,
                        help=f"search node budget (default {search_budget()})")
 
     p_verify = sub.add_parser("verify", help="run a named invariant suite")
@@ -229,6 +235,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        search_budget()             # a malformed HAMFORGE_BUDGET is a usage error
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EX_USAGE
     parser = make_parser()
     args = parser.parse_args(argv)
     if args.command == "verify":

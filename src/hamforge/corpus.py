@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import functools
-import json
-import os
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .errors import (
     BadHeader,
@@ -30,28 +28,10 @@ from .structures import has_separating_triangle
 PLANAR_CODE_HEADER = b">>planar_code<<"
 
 
-@dataclass(frozen=True)
-class GeneratorBudgets:
-    """Resource limits for the generators; overridable via a JSON config file."""
-
-    max_n: int = 14
-    flip_burn_in: int = 0  # 0 means the default of 10*n*n flips
-
-
-def load_budgets(path=None) -> GeneratorBudgets:
-    """Budgets from a JSON config file (keys: max_n, flip_burn_in).  Falls
-    back to HAMFORGE_GENERATOR_CONFIG, then defaults.  An unknown key raises
-    ValueError naming it."""
-    path = path or os.environ.get("HAMFORGE_GENERATOR_CONFIG")
-    if path and os.path.exists(path):
-        with open(path) as fh:
-            raw = json.load(fh)
-        unknown = sorted(set(raw) - {f.name for f in fields(GeneratorBudgets)})
-        if unknown:
-            raise ValueError(f"unknown generator budget key(s) in {path}: "
-                             + ", ".join(unknown))
-        return GeneratorBudgets(**raw)
-    return GeneratorBudgets()
+# exhaustive generation stops above this many vertices (BudgetExceeded)
+MAX_N = 14
+# random generation: FLIP_BURN_IN * n * n flips before rejection sampling
+FLIP_BURN_IN = 10
 
 
 @dataclass(frozen=True)
@@ -60,18 +40,12 @@ class CorpusFilter:
 
     min_connectivity: int = 3
     min_degree: int = 3
-    max_separating_4cycles: int | None = None
-    n_range: tuple[int, int] | None = None
 
     def __post_init__(self):
         if self.min_connectivity not in (3, 4, 5):
             raise ValueError("min_connectivity must be 3, 4 or 5")
-        if self.n_range is not None and self.n_range[0] > self.n_range[1]:
-            raise ValueError("empty n_range")
 
     def matches(self, g: PlaneGraph) -> bool:
-        if self.n_range is not None and not (self.n_range[0] <= g.n <= self.n_range[1]):
-            return False
         if g.min_degree() < self.min_degree:
             return False
         if self.min_connectivity == 4 and g.is_triangulation and g.n >= 5:
@@ -81,10 +55,6 @@ class CorpusFilter:
                 return False
         elif not is_k_connected(g, self.min_connectivity):
             return False
-        if self.max_separating_4cycles is not None:
-            from .structures import separating_cycles
-            if len(separating_cycles(g, 4)) > self.max_separating_4cycles:
-                return False
         return True
 
 
@@ -370,8 +340,7 @@ def _four_connected_level(n: int) -> tuple[PlaneGraph, ...]:
     return tuple(out[k] for k in sorted(out) if out[k] is not None)
 
 
-def enumerate_triangulations(n: int, flt: CorpusFilter | None = None,
-                             budgets: GeneratorBudgets | None = None):
+def enumerate_triangulations(n: int, flt: CorpusFilter | None = None):
     """All planar triangulations on n vertices up to isomorphism, filtered.
 
     Exhaustive by repeated vertex splitting from K4.  Each split child is
@@ -386,9 +355,8 @@ def enumerate_triangulations(n: int, flt: CorpusFilter | None = None,
     4-connected graphs, in the same order, so both routes yield the same
     classes.
     """
-    budgets = budgets or load_budgets()
-    if n > budgets.max_n:
-        raise BudgetExceeded(f"n={n} exceeds max_n={budgets.max_n}")
+    if n > MAX_N:
+        raise BudgetExceeded(f"n={n} exceeds max_n={MAX_N}")
     if flt is not None and flt.min_connectivity >= 4:
         level = _four_connected_level(n) if n >= 6 else ()
     else:
@@ -432,14 +400,12 @@ def flip_edge(g: PlaneGraph, u: int, v: int) -> PlaneGraph:
     return plane_graph_from_faces(keep)
 
 
-def random_triangulation(n: int, seed: int, flt: CorpusFilter | None = None,
-                         budgets: GeneratorBudgets | None = None) -> PlaneGraph:
+def random_triangulation(n: int, seed: int, flt: CorpusFilter | None = None) -> PlaneGraph:
     """Seeded random triangulation: burn-in flips from the double wheel, then
     rejection until the filter passes."""
-    budgets = budgets or load_budgets()
     rng = random.Random(seed)
     g = double_wheel(n) if n >= 6 else next(enumerate_triangulations(n))
-    burn = budgets.flip_burn_in or 10 * n * n
+    burn = FLIP_BURN_IN * n * n
     attempts = max(200, burn)
 
     def step(g):

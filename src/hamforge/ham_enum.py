@@ -19,10 +19,19 @@ DEFAULT_BUDGET = 10 ** 9
 
 
 def search_budget(budget=None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get("HAMFORGE_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    """``budget``, else HAMFORGE_BUDGET, else the default.  Anything but a
+    positive integer is a ValueError naming where it came from."""
+    if budget is None:
+        env = os.environ.get("HAMFORGE_BUDGET")
+        if not env:
+            return DEFAULT_BUDGET
+        if not env.strip().isdecimal() or int(env) < 1:
+            raise ValueError(
+                f"HAMFORGE_BUDGET must be a positive integer, got {env!r}")
+        return int(env)
+    if budget < 1:
+        raise ValueError(f"search budget must be a positive integer, got {budget}")
+    return budget
 
 
 def _prepare(g: PlaneGraph, required_edges, forbidden_edges):
@@ -258,6 +267,19 @@ def enumerate_ham_paths(g: PlaneGraph, a: int, b: int, required_edges=(),
     return found
 
 
+def ham_paths_without(g: PlaneGraph, drop, a: int, b: int, cap=None, budget=None):
+    """The Hamiltonian a-b paths of g minus the vertices ``drop``, as vertex
+    tuples in g's ids and in ``enumerate_ham_paths`` order; None when g minus
+    ``drop`` is disconnected."""
+    sub, origin = g.delete_vertices(set(drop))
+    if not sub.connected:
+        return None
+    fwd = {old: new for new, old in enumerate(origin)}
+    return [tuple(origin[z] for z in p)
+            for _e, p in enumerate_ham_paths(sub, fwd[a], fwd[b], cap=cap,
+                                             budget=budget)]
+
+
 # ---------------------------------------------------------------------------
 # verification helpers and cycle families
 # ---------------------------------------------------------------------------
@@ -284,10 +306,6 @@ def is_ham_cycle(g: PlaneGraph, edges) -> bool:
     return len(seen) == g.n
 
 
-def canonical_cycle_key(edges) -> tuple:
-    return tuple(sorted(edge_key(*e) for e in edges))
-
-
 @dataclass
 class HamFamily:
     """A deduplicated set of Hamiltonian cycles of one source graph.
@@ -300,17 +318,16 @@ class HamFamily:
     cycles: list[frozenset[Edge]] = field(default_factory=list)
     provenance: list[str] = field(default_factory=list)
     log: list[dict] = field(default_factory=list)
-    _keys: set = field(default_factory=set, repr=False)
+    _keys: set[frozenset[Edge]] = field(default_factory=set, repr=False)
 
     def add(self, edges, provenance: str) -> bool:
         """Verify and insert; returns False on duplicates."""
         edges = frozenset(edge_key(*e) for e in edges)
         if not is_ham_cycle(self.source, edges):
             raise ValueError(f"not a Hamiltonian cycle of {self.source}: {sorted(edges)}")
-        key = canonical_cycle_key(edges)
-        if key in self._keys:
+        if edges in self._keys:
             return False
-        self._keys.add(key)
+        self._keys.add(edges)
         self.cycles.append(edges)
         self.provenance.append(provenance)
         return True
@@ -324,7 +341,7 @@ class HamFamily:
         return len(self.cycles)
 
     def __contains__(self, edges):
-        return canonical_cycle_key(edges) in self._keys
+        return frozenset(edge_key(*e) for e in edges) in self._keys
 
 
 def enumerate_ham_cycles(g: PlaneGraph, cap: int, budget=None) -> HamFamily:

@@ -45,26 +45,14 @@ ALL_FLAGS = (FLAG_NO_SAT_4CYCLE, FLAG_NO_SAT_5CYCLE, FLAG_NO_SAT_DIAMOND6,
              FLAG_NO_VERTEX_ON_SEP4, FLAG_NO_VERTEX_3ADJ_SEP4)
 
 
-@dataclass(frozen=True)
-class Thresholds:
-    """The constants of the counting machinery, kept exact as rationals."""
+# the constant of the quadratic lower bound, kept exact
+C1 = Fraction(1, 108 * 16 * 541 * 301 * 2)
 
-    five_cycle_divisor: int = 541
-    diamond_divisor: int = 301
-    four_cycle_divisor: int = 108
-    common_neighborhood_divisor: int = 9
-    color_class_divisor: int = 12
-    t: int | None = None
 
-    @property
-    def c1(self) -> Fraction:
-        return Fraction(1, 108 * 16 * 541 * 301 * 2)
-
-    @staticmethod
-    def log_threshold(n: int) -> int:
-        """floor(16 * log2 n), the common-neighborhood cut in the few-
-        separating-4-cycles regime."""
-        return math.floor(16 * math.log2(n))
+def log_threshold(n: int) -> int:
+    """floor(16 * log2 n), the common-neighborhood cut in the few-
+    separating-4-cycles regime."""
+    return math.floor(16 * math.log2(n))
 
 
 @dataclass(frozen=True)
@@ -110,32 +98,27 @@ class IndSetCert:
 # verification (fresh scans, no bookkeeping)
 # ---------------------------------------------------------------------------
 
-def sat_pairs_4cycle(g: PlaneGraph) -> set[tuple[int, int]]:
-    """Non-adjacent pairs lying together on some 4-cycle."""
+def sat_pairs(g: PlaneGraph, length: int) -> set[tuple[int, int]]:
+    """Non-adjacent pairs lying together on some cycle of ``length``: the
+    pairs of an independent set that would saturate it."""
     out = set()
-    for c in enumerate_cycles(g, 4):
+    for c in enumerate_cycles(g, length):
         for u, v in itertools.combinations(sorted(c.vertices), 2):
             if not g.has_edge(u, v):
                 out.add((u, v))
     return out
 
 
-def sat_pairs_5cycle(g: PlaneGraph) -> set[tuple[int, int]]:
-    out = set()
-    for c in enumerate_cycles(g, 5):
-        for u, v in itertools.combinations(sorted(c.vertices), 2):
-            if not g.has_edge(u, v):
-                out.add((u, v))
-    return out
+_SAT_CYCLE_LENGTH = {FLAG_NO_SAT_4CYCLE: 4, FLAG_NO_SAT_5CYCLE: 5}
 
 
 def flag_holds(g: PlaneGraph, s, flag: str) -> bool:
-    """Re-verify one certificate flag by scanning all relevant objects."""
+    """Re-verify one certificate flag of the independent set ``s`` by
+    scanning all relevant objects."""
+    if flag in _SAT_CYCLE_LENGTH:
+        pairs = sat_pairs(g, _SAT_CYCLE_LENGTH[flag])
+        return not any(p in pairs for p in itertools.combinations(sorted(s), 2))
     s = set(s)
-    if flag == FLAG_NO_SAT_4CYCLE:
-        return all(len(s & set(c.vertices)) != 2 for c in enumerate_cycles(g, 4))
-    if flag == FLAG_NO_SAT_5CYCLE:
-        return all(len(s & set(c.vertices)) != 2 for c in enumerate_cycles(g, 5))
     if flag == FLAG_NO_SAT_DIAMOND6:
         return all(len(s & set(d.crucial)) < 3 for d in find_diamonds(g, "diamond6"))
     if flag == FLAG_NO_VERTEX_ON_SEP4:
@@ -244,10 +227,10 @@ def filter_saturation(g: PlaneGraph, cert: IndSetCert, kind: str) -> IndSetCert:
     """
     check_independent(g, cert.vertices)
     if kind == "4cycle":
-        pairs = sat_pairs_4cycle(g)
+        pairs = sat_pairs(g, 4)
         flag = FLAG_NO_SAT_4CYCLE
     elif kind == "5cycle":
-        pairs = sat_pairs_5cycle(g)
+        pairs = sat_pairs(g, 5)
         flag = FLAG_NO_SAT_5CYCLE
     elif kind == "diamond6":
         return _filter_diamond6(g, cert)
@@ -291,6 +274,22 @@ def _strip_separating_4cycles(g: PlaneGraph, cert: IndSetCert) -> IndSetCert:
     return replace(out, flags=out.flags | {FLAG_NO_VERTEX_3ADJ_SEP4})
 
 
+def _special_set_pipeline(g: PlaneGraph, t: int, strip_sep4: bool):
+    """The pair with more than t common neighbors, else the low-degree set
+    through the three saturation filters (and, with ``strip_sep4``, the
+    separating-4-cycle strip), verified by fresh scans."""
+    pair = max_common_neighborhood_pair(g)
+    if pair is not None and pair.size() > t:
+        return pair
+    cert = low_degree_independent_set(g)
+    for kind in ("4cycle", "5cycle", "diamond6"):
+        cert = filter_saturation(g, cert, kind)
+    if strip_sep4:
+        cert = _strip_separating_4cycles(g, cert)
+    verify_cert(g, cert)
+    return cert
+
+
 def special_set(g: PlaneGraph, t: int | None = None):
     """Either a high-common-neighborhood pair or a fully filtered set.
 
@@ -300,18 +299,8 @@ def special_set(g: PlaneGraph, t: int | None = None):
     guarantees are reported, never asserted: the constants are vacuous at
     this scale.
     """
-    if t is None:
-        t = Thresholds.log_threshold(g.n)
-    pair = max_common_neighborhood_pair(g)
-    if pair is not None and pair.size() > t:
-        return pair
-    cert = low_degree_independent_set(g)
-    cert = filter_saturation(g, cert, "4cycle")
-    cert = filter_saturation(g, cert, "5cycle")
-    cert = filter_saturation(g, cert, "diamond6")
-    cert = _strip_separating_4cycles(g, cert)
-    verify_cert(g, cert)
-    return cert
+    return _special_set_pipeline(g, log_threshold(g.n) if t is None else t,
+                                 strip_sep4=True)
 
 
 def special_set_mindeg5(g: PlaneGraph, t: int):
@@ -324,15 +313,7 @@ def special_set_mindeg5(g: PlaneGraph, t: int):
         raise MinDegreeViolated(f"min degree {g.min_degree()} < 5")
     if t < 2:
         raise ValueError("t must be >= 2")
-    pair = max_common_neighborhood_pair(g)
-    if pair is not None and pair.size() > t:
-        return pair
-    cert = low_degree_independent_set(g)
-    cert = filter_saturation(g, cert, "4cycle")
-    cert = filter_saturation(g, cert, "5cycle")
-    cert = filter_saturation(g, cert, "diamond6")
-    verify_cert(g, cert)
-    return cert
+    return _special_set_pipeline(g, t, strip_sep4=False)
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +351,8 @@ def check_family_hypotheses(g: PlaneGraph, cert: IndSetCert) -> None:
 def edge_families(g: PlaneGraph, cert: IndSetCert):
     """All prod(deg(v)) edge families in deterministic order."""
     check_family_hypotheses(g, cert)
-    choice_lists = [[edge_key(v, w) for w in g.rotation[v] if True]
+    choice_lists = [sorted({edge_key(v, w) for w in g.rotation[v]})
                     for v in cert.vertices]
-    choice_lists = [sorted(set(c)) for c in choice_lists]
     for combo in itertools.product(*choice_lists):
         yield EdgeFamily(cert=cert, edges=frozenset(combo))
 
@@ -391,12 +371,14 @@ def guaranteed_family_floor(k: int) -> int:
 
 def ham_family_from_edge_families(g: PlaneGraph, cert: IndSetCert,
                                   cap: int | None = None,
-                                  budget=None) -> HamFamily:
-    """One Hamiltonian cycle per family F, after checking G-F is 4-connected.
+                                  budget=None, required_edges=()) -> HamFamily:
+    """One Hamiltonian cycle per family F, the first of G-F through every
+    ``required_edges`` edge, after checking G-F is 4-connected.
 
     A connectivity failure is a counterexample event: it aborts with the
-    offending family serialized in the exception.  Uncapped runs assert the
-    ceil((3/2)^|S|) floor on the deduplicated family size.
+    offending family serialized in the exception.  A run over every family
+    (``cap`` did not cut it short) asserts the ceil((3/2)^|S|) floor on the
+    deduplicated family size.
     """
     budget = search_budget(budget)
     fam = HamFamily(g)
@@ -408,14 +390,17 @@ def ham_family_from_edge_families(g: PlaneGraph, cert: IndSetCert,
         reduced = g.delete_edges(family.edges)
         if not is_k_connected(reduced, 4):
             raise FourConnectivityLost(family.edges)
-        cycle = first_ham_cycle(reduced, budget=budget)
+        cycle = first_ham_cycle(reduced, required_edges=required_edges,
+                                budget=budget)
         if cycle is None:
-            raise SearchExhausted(
-                f"4-connected planar graph without a Hamiltonian cycle: F={sorted(family.edges)}")
+            through = f" through {list(required_edges)}" if required_edges else ""
+            raise SearchExhausted("4-connected planar graph without a Hamiltonian "
+                                  f"cycle{through}: F={sorted(family.edges)}")
         fam.add(cycle, f"edge_family:{sorted(family.edges)}")
-    if cap is None and len(fam) < guaranteed_family_floor(len(cert.vertices)):
+    floor = guaranteed_family_floor(len(cert))
+    if processed == family_count(g, cert) and len(fam) < floor:
         raise StructureViolation(
-            f"family size {len(fam)} below the (3/2)^{len(cert.vertices)} floor")
-    fam.log.append({"branch": "edge_families", "families": processed,
-                    "distinct": len(fam), "floor": guaranteed_family_floor(len(cert.vertices))})
+            f"family size {len(fam)} below the (3/2)^{len(cert)} floor")
+    fam.log.append({"branch": "edge_families", "set_size": len(cert),
+                    "families": processed, "distinct": len(fam), "floor": floor})
     return fam

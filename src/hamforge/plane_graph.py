@@ -584,14 +584,6 @@ def closure_containing(g: PlaneGraph, c: Cycle, v: int) -> NearTriangulation:
     return closure(g2, c)
 
 
-def interior_of(g: PlaneGraph, c: Cycle) -> list[int]:
-    """Vertices strictly inside ``c`` (in ``g``'s ids)."""
-    cl = closure(g, c)
-    on_cycle = set(c.vertices)
-    return [cl.to_origin(v) for v in range(cl.graph.n)
-            if cl.to_origin(v) not in on_cycle]
-
-
 def contract_interior(g: PlaneGraph, c: Cycle):
     """Contract everything strictly inside ``c`` to one new vertex.
 

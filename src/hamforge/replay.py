@@ -19,7 +19,6 @@ from .errors import (
     DisconnectedInterior,
     EmptyInterior,
     EmptyStar,
-    FourConnectivityLost,
     HypothesisViolated,
     InteriorsOverlap,
     MultiEdge,
@@ -31,14 +30,12 @@ from .errors import (
 from .ham_enum import (
     HamFamily,
     enumerate_ham_cycles_raw,
-    enumerate_ham_paths,
     first_ham_cycle,
+    ham_paths_without,
     is_ham_cycle,
 )
 from .indset import (
     IndSetCert,
-    edge_families,
-    guaranteed_family_floor,
     ham_family_from_edge_families,
     special_set,
 )
@@ -55,7 +52,6 @@ from .plane_graph import (
     contract_interior,
     edge_key,
     is_k_connected,
-    path_edges,
 )
 from .structures import DiamondCert, separating_cycles
 from .tutte import (
@@ -108,7 +104,7 @@ def _junction_chain(g: PlaneGraph, cl: NearTriangulation, c: Cycle, v: int, x: i
     return blocks, endpoints
 
 
-def _two_block_run(blocks, endpoints, length: int = 7):
+def _two_block_run(blocks, length: int = 7):
     """First index i with ``length`` consecutive 2-vertex blocks, or None."""
     run = 0
     for i, b in enumerate(blocks):
@@ -158,7 +154,7 @@ def _find_run(g: PlaneGraph, v: int, x: int, c: Cycle, cl) -> _Run | None:
         blocks, endpoints = _junction_chain(g, cl, c, v, x)
     except NotAChain:
         return None
-    i = _two_block_run(blocks, endpoints, 7)
+    i = _two_block_run(blocks, 7)
     if i is None:
         return None
     # seven 2-blocks B_i..B_i+6 have six interior junctions
@@ -310,28 +306,8 @@ def lemma_2edge_family(g: PlaneGraph, e, f, budget=None, t=None,
         cert1 = IndSetCert(vertices=s1,
                            max_degree=max((g.degrees[v] for v in s1), default=0),
                            provenance=branch.provenance + ("drop_triangle",))
-        count = 0
-        for family in edge_families(g, cert1):
-            if count >= cap:
-                break
-            count += 1
-            reduced = g.delete_edges(family.edges)
-            if not is_k_connected(reduced, 4):
-                raise FourConnectivityLost(family.edges)
-            found = enumerate_ham_paths(reduced, b, c, required_edges=[e],
-                                        forbidden_edges=[f], cap=1)
-            if not found:
-                raise SearchExhausted(
-                    f"no Hamiltonian {b}-{c} path through {e} in G-F")
-            _edges, pathseq = found[0]
-            fam.add(path_edges(pathseq) | {f}, "edge_family")
-        floor = guaranteed_family_floor(len(s1))
-        fam.log.append({"branch": "edge_families", "set_size": len(s1),
-                        "families": count, "distinct": len(fam), "floor": floor})
-        if count and len(fam) < floor:
-            raise StructureViolation(
-                f"family of {len(fam)} below the (3/2)^{len(s1)} floor")
-        return fam
+        return ham_family_from_edge_families(g, cert1, cap=cap,
+                                             required_edges=(e, f))
 
     pair = branch
     v, x = pair.v, pair.x
@@ -369,18 +345,13 @@ def _case1_splice(g, cyc: Cycle, fam: HamFamily, cap, required=(), tag="case1"):
         p_loc, q_loc = _cycle_neighbors(cyc_edges, star)
         p, q = back[p_loc], back[q_loc]
         drop = [cl_fwd[z] for z in cyc.vertices if z not in (p, q)]
-        region, r_origin = cl.graph.delete_vertices(set(drop))
-        if not region.connected:
+        paths = ham_paths_without(cl.graph, drop, cl_fwd[p], cl_fwd[q], cap=cap)
+        if paths is None:
             continue
-        r_fwd = {cl.to_origin(r_origin[i]): i for i in range(region.n)}
-        trunk = set()
-        ok = True
-        for e2 in _drop_vertex(cyc_edges, star):
-            p2, q2 = back[e2[0]], back[e2[1]]
-            trunk.add(edge_key(p2, q2))
-        for _e, pathseq in enumerate_ham_paths(region, r_fwd[p], r_fwd[q],
-                                               cap=cap):
-            lifted = [cl.to_origin(r_origin[z]) for z in pathseq]
+        trunk = {edge_key(back[p2], back[q2])
+                 for p2, q2 in _drop_vertex(cyc_edges, star)}
+        for pathseq in paths:
+            lifted = [cl.to_origin(z) for z in pathseq]
             edges = trunk | set(_path_edge_list(lifted))
             if is_ham_cycle(g, edges) and all(r in edges for r in
                                               (edge_key(*r2) for r2 in required)):
@@ -508,15 +479,14 @@ def _theorem1_trunk_splice(g, cyc: Cycle, cl, fam: HamFamily, cap) -> int:
     trunk = [edge_key(origin[a], origin[b])
              for a, b in zip(cert.path, cert.path[1:])]
     cl_fwd = {cl.to_origin(i): i for i in range(cl.graph.n)}
-    region, r_origin = cl.graph.delete_vertices({cl_fwd[v], cl_fwd[x]})
-    if not region.connected:
+    paths = ham_paths_without(cl.graph, (cl_fwd[v], cl_fwd[x]), cl_fwd[u],
+                              cl_fwd[w], cap=cap)
+    if paths is None:
         fam.log.append({"branch": "trunk_splice", "skipped": "region disconnected"})
         return 0
-    r_fwd = {cl.to_origin(r_origin[i]): i for i in range(region.n)}
     added = 0
-    for _e, pathseq in enumerate_ham_paths(region, r_fwd[u], r_fwd[w],
-                                           cap=cap):
-        lifted = [cl.to_origin(r_origin[z]) for z in pathseq]
+    for pathseq in paths:
+        lifted = [cl.to_origin(z) for z in pathseq]
         edges = set(trunk) | set(_path_edge_list(lifted))
         if is_ham_cycle(g, edges) and fam.add(frozenset(edges), "trunk_splice"):
             added += 1
@@ -680,12 +650,8 @@ def _pocket_paths(g, cert, cl: NearTriangulation, a, b, cap=2):
             out = [tuple(reversed(out[0]))]
     if not out:
         drop = [q for q in vs if cl.to_origin(q) not in (a, b)]
-        region, origin = cl.graph.delete_vertices(set(drop))
-        if not region.connected:
-            return []
-        rf = {cl.to_origin(origin[i]): i for i in range(region.n)}
-        for _e, p in enumerate_ham_paths(region, rf[a], rf[b], cap=cap):
-            out.append(tuple(cl.to_origin(origin[z]) for z in p))
+        paths = ham_paths_without(cl.graph, drop, fwd[a], fwd[b], cap=cap) or []
+        out = [tuple(cl.to_origin(z) for z in p) for p in paths]
     return out[:cap]
 
 
@@ -975,12 +941,6 @@ def _ladder_paths(ladder: Ladder, cycle_vertices, a, b, cap):
     vertices, as label sequences, at most ``cap`` of them."""
     drop = [i for i, lab in enumerate(ladder.labels)
             if lab in cycle_vertices and lab not in (a, b)]
-    region, origin = ladder.graph.delete_vertices(set(drop))
-    if not region.connected:
-        return []
-    labels = [ladder.labels[origin[i]] for i in range(region.n)]
-    fwd = {lab: i for i, lab in enumerate(labels)}
-    out = []
-    for _e, p in enumerate_ham_paths(region, fwd[a], fwd[b], cap=cap):
-        out.append(tuple(labels[z] for z in p))
-    return out
+    paths = ham_paths_without(ladder.graph, drop, ladder.local(a),
+                              ladder.local(b), cap=cap) or []
+    return [tuple(ladder.labels[z] for z in p) for p in paths]

@@ -20,7 +20,12 @@ from .errors import (
     SearchExhausted,
     TutteViolation,
 )
-from .ham_enum import enumerate_ham_cycles_raw, enumerate_ham_paths, search_budget
+from .ham_enum import (
+    enumerate_ham_cycles_raw,
+    enumerate_ham_paths,
+    ham_paths_without,
+    search_budget,
+)
 from .plane_graph import (
     BridgeDecomposition,
     Cycle,
@@ -136,6 +141,50 @@ def _simple_paths_lex(g: PlaneGraph, x: int, y: int):
     yield from extend()
 
 
+def _graph_and_cycle(g_or_nt, c: Cycle | None):
+    """The graph and its validated outer cycle (a NearTriangulation's own
+    cycle unless ``c`` is given)."""
+    if isinstance(g_or_nt, NearTriangulation):
+        g = g_or_nt.graph
+        c = c or g_or_nt.outer_cycle
+    else:
+        g = g_or_nt
+    if c is None:
+        raise ValueError("outer cycle required")
+    c.validate(g)
+    return g, c
+
+
+def _tutte_search(g: PlaneGraph, x: int, y: int, required, constraint_edges,
+                  hamiltonian: bool, budget) -> TuttePathCert:
+    """The x-y path through every ``required`` edge, Tutte for the
+    ``constraint_edges`` subgraph: Hamiltonian if one exists, else (unless
+    ``hamiltonian``) the lexicographically first valid path."""
+    budget = search_budget(budget)
+    # a Hamiltonian path is vacuously C-Tutte (every bridge is a chord), so
+    # prefer one; the pure lexicographic fallback covers graphs where the
+    # guarantee is only the Tutte condition
+    for _edges, p in enumerate_ham_paths(g, x, y, required_edges=required,
+                                         budget=budget, cap=1):
+        return verify_tutte(g, p, constraint_edges)
+    if hamiltonian:
+        through = " and ".join(map(str, required))
+        raise SearchExhausted(
+            f"no Hamiltonian {x}-{y} path through {through} (n={g.n})")
+
+    for p in _simple_paths_lex(g, x, y):
+        if not path_edges(p) >= set(required):
+            continue
+        dec, violation = _check_tutte(g, p, constraint_edges)
+        if violation is None:
+            return TuttePathCert(path=p, constraint_edges=constraint_edges,
+                                 decomposition=dec,
+                                 is_hamiltonian=len(p) == g.n)
+    kind = "C-Tutte" if len(required) == 1 else "uCv-Tutte"
+    raise SearchExhausted(f"no {x}-{y} {kind} path through "
+                          f"{', '.join(map(str, required))} (n={g.n})")
+
+
 def tutte_path(g_or_nt, c: Cycle | None = None, x: int = 0, y: int = 1,
                e=None, hamiltonian: bool = False, budget=None) -> TuttePathCert:
     """A C-Tutte path between x and y through edge e (e on the outer cycle).
@@ -146,14 +195,7 @@ def tutte_path(g_or_nt, c: Cycle | None = None, x: int = 0, y: int = 1,
     is still checked.  SearchExhausted flags a counterexample to the
     underlying theorem and must be treated as fatal.
     """
-    if isinstance(g_or_nt, NearTriangulation):
-        g = g_or_nt.graph
-        c = c or g_or_nt.outer_cycle
-    else:
-        g = g_or_nt
-    if c is None:
-        raise ValueError("outer cycle required")
-    c.validate(g)
+    g, c = _graph_and_cycle(g_or_nt, c)
     if x not in c.vertices:
         raise HypothesisViolated("x_on_outer_cycle")
     if e is None:
@@ -161,27 +203,7 @@ def tutte_path(g_or_nt, c: Cycle | None = None, x: int = 0, y: int = 1,
     e = edge_key(*e)
     if e not in c.edges():
         raise HypothesisViolated("e_on_outer_cycle")
-    budget = search_budget(budget)
-
-    # a Hamiltonian path is vacuously C-Tutte (every bridge is a chord), so
-    # prefer one; the pure lexicographic fallback covers graphs where the
-    # guarantee is only the Tutte condition
-    for _edges, p in enumerate_ham_paths(g, x, y, required_edges=[e],
-                                         budget=budget, cap=1):
-        return verify_tutte(g, p, c)
-    if hamiltonian:
-        raise SearchExhausted(
-            f"no Hamiltonian {x}-{y} path through {e} (n={g.n})")
-
-    for p in _simple_paths_lex(g, x, y):
-        if e not in path_edges(p):
-            continue
-        dec, violation = _check_tutte(g, p, c.edges())
-        if violation is None:
-            return TuttePathCert(path=p, constraint_edges=c.edges(),
-                                 decomposition=dec,
-                                 is_hamiltonian=len(p) == g.n)
-    raise SearchExhausted(f"no {x}-{y} C-Tutte path through {e} (n={g.n})")
+    return _tutte_search(g, x, y, (e,), c.edges(), hamiltonian, budget)
 
 
 def clockwise_order_ok(c: Cycle, u: int, e, f, v: int) -> bool:
@@ -219,37 +241,14 @@ def tutte_path_two_edges(g_or_nt, c: Cycle | None, u: int, v: int, e, f,
     otherwise); the Tutte constraint subgraph is the clockwise u-to-v
     subpath of the outer cycle.
     """
-    if isinstance(g_or_nt, NearTriangulation):
-        g = g_or_nt.graph
-        c = c or g_or_nt.outer_cycle
-    else:
-        g = g_or_nt
-    c.validate(g)
+    g, c = _graph_and_cycle(g_or_nt, c)
     e, f = edge_key(*e), edge_key(*f)
     if e not in c.edges() or f not in c.edges():
         raise HypothesisViolated("edges_on_outer_cycle")
     if not clockwise_order_ok(c, u, e, f, v):
         raise BadOrder(f"{u}, {e}, {f}, {v} not in clockwise order on {c.vertices}")
-    constraint = c.subpath(u, v)
-    budget = search_budget(budget)
-
-    for _edges, p in enumerate_ham_paths(g, u, v, required_edges=[e, f],
-                                         budget=budget, cap=1):
-        return verify_tutte(g, p, constraint)
-    if hamiltonian:
-        raise SearchExhausted(
-            f"no Hamiltonian {u}-{v} path through {e} and {f} (n={g.n})")
-
-    for p in _simple_paths_lex(g, u, v):
-        pe = path_edges(p)
-        if e not in pe or f not in pe:
-            continue
-        dec, violation = _check_tutte(g, p, path_edges(constraint))
-        if violation is None:
-            return TuttePathCert(path=p, constraint_edges=path_edges(constraint),
-                                 decomposition=dec,
-                                 is_hamiltonian=len(p) == g.n)
-    raise SearchExhausted(f"no {u}-{v} uCv-Tutte path through {e}, {f} (n={g.n})")
+    return _tutte_search(g, u, v, (e, f), path_edges(c.subpath(u, v)),
+                         hamiltonian, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -671,15 +670,8 @@ def diamond_region_paths(r: NearTriangulation, z: int, dprime: DiamondCert,
     counts = {}
     paths_by_pair = {}
     for a, b in itertools.combinations(sorted(cvs), 2):
-        keep_drop = set(cvs) - {a, b}
-        sub, origin = g.delete_vertices(keep_drop)
-        fwd = {old: new for new, old in enumerate(origin)}
-        if not sub.connected:
-            counts[(a, b)] = 0
-            paths_by_pair[(a, b)] = []
-            continue
-        found = enumerate_ham_paths(sub, fwd[a], fwd[b], budget=budget)
-        paths = [tuple(origin[q] for q in p) for _e, p in found]
+        paths = ham_paths_without(g, set(cvs) - {a, b}, a, b,
+                                  budget=budget) or []
         counts[(a, b)] = len(paths)
         paths_by_pair[(a, b)] = paths
 

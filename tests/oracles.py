@@ -8,8 +8,12 @@ exceptions are slow routes a fast path must reproduce exactly:
 ``split_dedupe_levels``, the generate-then-dedupe route that builds every
 split child, ``filtered_level_codes``, the full level filtered,
 ``square_regions_loop``, the region loop that builds every candidate,
-``full_traversal_canonical_code``, every traversal run to the end, and
-``scan_face_index``, the scan over every face.
+``full_traversal_canonical_code``, every traversal run to the end,
+``scan_face_index``, the scan over every face, and the earlier copies of
+searches now folded into one: ``reference_tutte_path`` and
+``reference_tutte_path_two_edges``, ``region_paths_loop``,
+``two_edge_family_loop`` and ``reference_special_set`` /
+``reference_special_set_mindeg5``.
 """
 
 from __future__ import annotations
@@ -305,3 +309,216 @@ def full_traversal_canonical_code(g: PlaneGraph, roots=None) -> tuple[int, ...]:
                 code.append(0)
             codes.append(tuple(code))
     return min(codes)
+
+
+# ---------------------------------------------------------------------------
+# the separate implementations the shared searches replace
+# ---------------------------------------------------------------------------
+
+def reference_tutte_path(g, c, x, y, e, hamiltonian=False):
+    """``tutte_path`` on a bare graph as its own search: a Hamiltonian x-y
+    path through e, else the lexicographically first C-Tutte path."""
+    from hamforge.errors import HypothesisViolated, SearchExhausted
+    from hamforge.ham_enum import enumerate_ham_paths
+    from hamforge.plane_graph import path_edges
+    from hamforge.tutte import TuttePathCert, _check_tutte, _simple_paths_lex, verify_tutte
+
+    c.validate(g)
+    if x not in c.vertices:
+        raise HypothesisViolated("x_on_outer_cycle")
+    e = edge_key(*e)
+    if e not in c.edges():
+        raise HypothesisViolated("e_on_outer_cycle")
+    for _edges, p in enumerate_ham_paths(g, x, y, required_edges=[e], cap=1):
+        return verify_tutte(g, p, c)
+    if hamiltonian:
+        raise SearchExhausted(
+            f"no Hamiltonian {x}-{y} path through {e} (n={g.n})")
+    for p in _simple_paths_lex(g, x, y):
+        if e not in path_edges(p):
+            continue
+        dec, violation = _check_tutte(g, p, c.edges())
+        if violation is None:
+            return TuttePathCert(path=p, constraint_edges=c.edges(),
+                                 decomposition=dec,
+                                 is_hamiltonian=len(p) == g.n)
+    raise SearchExhausted(f"no {x}-{y} C-Tutte path through {e} (n={g.n})")
+
+
+def reference_tutte_path_two_edges(g, c, u, v, e, f, hamiltonian=False):
+    """``tutte_path_two_edges`` on a bare graph as its own search: the same
+    two stages through both e and f, Tutte for the clockwise u-v subpath."""
+    from hamforge.errors import BadOrder, HypothesisViolated, SearchExhausted
+    from hamforge.ham_enum import enumerate_ham_paths
+    from hamforge.plane_graph import path_edges
+    from hamforge.tutte import (
+        TuttePathCert,
+        _check_tutte,
+        _simple_paths_lex,
+        clockwise_order_ok,
+        verify_tutte,
+    )
+
+    c.validate(g)
+    e, f = edge_key(*e), edge_key(*f)
+    if e not in c.edges() or f not in c.edges():
+        raise HypothesisViolated("edges_on_outer_cycle")
+    if not clockwise_order_ok(c, u, e, f, v):
+        raise BadOrder(f"{u}, {e}, {f}, {v} not in clockwise order on {c.vertices}")
+    constraint = c.subpath(u, v)
+    for _edges, p in enumerate_ham_paths(g, u, v, required_edges=[e, f], cap=1):
+        return verify_tutte(g, p, constraint)
+    if hamiltonian:
+        raise SearchExhausted(
+            f"no Hamiltonian {u}-{v} path through {e} and {f} (n={g.n})")
+    for p in _simple_paths_lex(g, u, v):
+        pe = path_edges(p)
+        if e not in pe or f not in pe:
+            continue
+        dec, violation = _check_tutte(g, p, path_edges(constraint))
+        if violation is None:
+            return TuttePathCert(path=p, constraint_edges=path_edges(constraint),
+                                 decomposition=dec,
+                                 is_hamiltonian=len(p) == g.n)
+    raise SearchExhausted(f"no {u}-{v} uCv-Tutte path through {e}, {f} (n={g.n})")
+
+
+def region_paths_loop(g, drop, a, b, cap=None):
+    """Hamiltonian a-b paths of g minus ``drop`` in g's ids, None when that
+    is disconnected: the delete-relabel-enumerate-lift loop, inline."""
+    from hamforge.ham_enum import enumerate_ham_paths
+
+    region, origin = g.delete_vertices(set(drop))
+    if not region.connected:
+        return None
+    rf = {origin[i]: i for i in range(region.n)}
+    return [tuple(origin[z] for z in p)
+            for _e, p in enumerate_ham_paths(region, rf[a], rf[b], cap=cap)]
+
+
+def two_edge_family_loop(g, cert, e, f, cap=10 ** 6):
+    """The edge-family branch of ``lemma_2edge_family`` as its own loop: per
+    family F, the first Hamiltonian b-c path of G - F through e = ab and not
+    f = bc, closed by f.  Returns (family size, log entry)."""
+    from hamforge.errors import FourConnectivityLost, SearchExhausted, StructureViolation
+    from hamforge.ham_enum import HamFamily, enumerate_ham_paths
+    from hamforge.indset import edge_families, guaranteed_family_floor
+    from hamforge.plane_graph import is_k_connected, path_edges
+
+    e, f = edge_key(*e), edge_key(*f)
+    b = (set(e) & set(f)).pop()
+    c = (set(f) - {b}).pop()
+    fam = HamFamily(g)
+    count = 0
+    for family in edge_families(g, cert):
+        if count >= cap:
+            break
+        count += 1
+        reduced = g.delete_edges(family.edges)
+        if not is_k_connected(reduced, 4):
+            raise FourConnectivityLost(family.edges)
+        found = enumerate_ham_paths(reduced, b, c, required_edges=[e],
+                                    forbidden_edges=[f], cap=1)
+        if not found:
+            raise SearchExhausted(f"no Hamiltonian {b}-{c} path through {e} in G-F")
+        fam.add(path_edges(found[0][1]) | {f}, "edge_family")
+    floor = guaranteed_family_floor(len(cert))
+    if count and len(fam) < floor:
+        raise StructureViolation(
+            f"family of {len(fam)} below the (3/2)^{len(cert)} floor")
+    return len(fam), {"branch": "edge_families", "set_size": len(cert),
+                      "families": count, "distinct": len(fam), "floor": floor}
+
+
+def _reference_sat_pairs(g, length):
+    """Non-adjacent pairs lying together on some cycle of ``length``."""
+    from hamforge.structures import enumerate_cycles
+
+    out = set()
+    for c in enumerate_cycles(g, length):
+        for u, v in itertools.combinations(sorted(c.vertices), 2):
+            if not g.has_edge(u, v):
+                out.add((u, v))
+    return out
+
+
+def _reference_flag_holds(g, s, flag):
+    from hamforge.indset import FLAG_NO_SAT_4CYCLE, FLAG_NO_SAT_5CYCLE, flag_holds
+    from hamforge.structures import enumerate_cycles
+
+    s = set(s)
+    if flag == FLAG_NO_SAT_4CYCLE:
+        return all(len(s & set(c.vertices)) != 2 for c in enumerate_cycles(g, 4))
+    if flag == FLAG_NO_SAT_5CYCLE:
+        return all(len(s & set(c.vertices)) != 2 for c in enumerate_cycles(g, 5))
+    return flag_holds(g, s, flag)
+
+
+def _reference_filters(g, cert):
+    """The 4-cycle, 5-cycle and diamond-6 saturation filters in turn."""
+    from hamforge.indset import (
+        FLAG_NO_SAT_4CYCLE,
+        FLAG_NO_SAT_5CYCLE,
+        _filter_diamond6,
+    )
+    from hamforge.structures import check_independent
+
+    for length, flag in ((4, FLAG_NO_SAT_4CYCLE), (5, FLAG_NO_SAT_5CYCLE)):
+        check_independent(g, cert.vertices)
+        pairs = _reference_sat_pairs(g, length)
+        kept = []
+        for v in cert.vertices:
+            if all(edge_key(u, v) not in pairs for u in kept):
+                kept.append(v)
+        ratio = f"{len(kept)}/{len(cert.vertices)}" if cert.vertices else "1/1"
+        cert = cert.with_stage(kept, flag, f"greedy_no_sat_{length}cycle", ratio)
+    check_independent(g, cert.vertices)
+    return _filter_diamond6(g, cert)
+
+
+def _reference_verify_cert(g, cert):
+    from hamforge.errors import HypothesisViolated, SNotIndependent
+    from hamforge.structures import check_independent
+
+    check_independent(g, cert.vertices)
+    if cert.vertices and max(g.degrees[v] for v in cert.vertices) > cert.max_degree:
+        raise SNotIndependent("recorded max_degree is wrong")
+    for flag in cert.flags:
+        if not _reference_flag_holds(g, cert.vertices, flag):
+            raise HypothesisViolated(flag, "claimed flag fails a fresh scan")
+
+
+def reference_special_set(g, t=None):
+    """``special_set`` with its own pipeline and the per-length pair scans."""
+    import math
+
+    from hamforge.indset import _strip_separating_4cycles, low_degree_independent_set
+    from hamforge.structures import max_common_neighborhood_pair
+
+    if t is None:
+        t = math.floor(16 * math.log2(g.n))
+    pair = max_common_neighborhood_pair(g)
+    if pair is not None and pair.size() > t:
+        return pair
+    cert = _reference_filters(g, low_degree_independent_set(g))
+    cert = _strip_separating_4cycles(g, cert)
+    _reference_verify_cert(g, cert)
+    return cert
+
+
+def reference_special_set_mindeg5(g, t):
+    """``special_set_mindeg5`` with its own pipeline."""
+    from hamforge.errors import MinDegreeViolated
+    from hamforge.indset import low_degree_independent_set
+    from hamforge.structures import max_common_neighborhood_pair
+
+    if g.min_degree() < 5:
+        raise MinDegreeViolated(f"min degree {g.min_degree()} < 5")
+    if t < 2:
+        raise ValueError("t must be >= 2")
+    pair = max_common_neighborhood_pair(g)
+    if pair is not None and pair.size() > t:
+        return pair
+    cert = _reference_filters(g, low_degree_independent_set(g))
+    _reference_verify_cert(g, cert)
+    return cert

@@ -125,8 +125,7 @@ def test_criterion_8_asymptotics_out_of_scope():
     makes c1^2 n < 1 for every feasible n, so the numeric conclusions are
     vacuous here.  The constructive steps those proofs compose are covered
     by criteria 3-7; this placeholder records that the gap is deliberate."""
-    from hamforge.indset import Thresholds
-    c1 = Thresholds().c1
+    from hamforge.indset import C1 as c1
     n_feasible = 14
     vacuous = float(c1 ** 2 * n_feasible ** 2) < 1
     _line(8, "asymptotics out of scope", vacuous,

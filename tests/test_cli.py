@@ -164,3 +164,21 @@ def test_verify_conjecture_n13(capsys):
     assert code == 0 and all(r["ok"] for r in rows)
     sizes = [r["payload"]["n"] for r in rows]
     assert (len(rows), sizes.count(12), sizes.count(13)) == (443, 87, 313)
+
+
+@pytest.mark.parametrize("argv", [("count", "--double-wheel", "8"), ("--help",),
+                                  ("verify", "euler", "--n-max", "5")])
+def test_malformed_budget_env_is_a_usage_error(capsys, monkeypatch, argv):
+    monkeypatch.setenv("HAMFORGE_BUDGET", "abc")
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and out == ""
+    assert "HAMFORGE_BUDGET" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "many"])
+def test_budget_nodes_below_one_rejected_at_parse_time(capsys, value):
+    with pytest.raises(SystemExit) as exit_:
+        main(["count", "--double-wheel", "8", "--budget-nodes", value])
+    out = capsys.readouterr()
+    assert exit_.value.code == 64 and out.out == ""
+    assert "--budget-nodes" in out.err and "positive integer" in out.err

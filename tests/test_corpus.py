@@ -1,12 +1,10 @@
 import io
-import json
 
 import pytest
 
 from hamforge import corpus
 from hamforge.corpus import (
     CorpusFilter,
-    GeneratorBudgets,
     _all_splits,
     _four_connected_level,
     _split_rotation,
@@ -18,7 +16,6 @@ from hamforge.corpus import (
     graph_to_planar_code,
     icosahedron,
     k4,
-    load_budgets,
     octahedron,
     random_triangulation,
     read_planar_code,
@@ -264,19 +261,6 @@ def test_four_connected_filter_cut_search_off_triangulations(monkeypatch):
 def test_enumerate_budget():
     with pytest.raises(BudgetExceeded):
         list(enumerate_triangulations(15))
-
-
-def test_load_budgets_reads_known_keys(tmp_path):
-    path = tmp_path / "budgets.json"
-    path.write_text(json.dumps({"max_n": 9, "flip_burn_in": 5}))
-    assert load_budgets(str(path)) == GeneratorBudgets(max_n=9, flip_burn_in=5)
-
-
-def test_load_budgets_rejects_unknown_key(tmp_path):
-    path = tmp_path / "budgets.json"
-    path.write_text(json.dumps({"max_n": 9, "timeout_ms": 1000}))
-    with pytest.raises(ValueError, match="timeout_ms"):
-        load_budgets(str(path))
 
 
 def test_flip_preserves_triangulation():

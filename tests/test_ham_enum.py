@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,7 +19,9 @@ from hamforge.ham_enum import (
     enumerate_ham_cycles,
     enumerate_ham_cycles_raw,
     first_ham_cycle,
+    ham_paths_without,
     is_ham_cycle,
+    search_budget,
 )
 from hamforge.plane_graph import build, edge_key
 
@@ -25,6 +29,7 @@ from .oracles import (
     naive_count_ham_cycles,
     naive_count_ham_paths,
     permutation_count_ham_cycles,
+    region_paths_loop,
 )
 
 
@@ -160,3 +165,38 @@ def test_family_dedupes():
     assert fam.add(cyc, "a")
     assert not fam.add(cyc, "b")
     assert len(fam) == 1
+
+
+def test_ham_paths_without_matches_region_loop():
+    """The shared region-path enumerator equals the inline delete-relabel-
+    enumerate-lift loop, order included, for every ordered outer pair of
+    every square region with n <= 9 (None exactly when disconnected)."""
+    from hamforge.verification import square_boundary_regions
+
+    disconnected = paths = 0
+    for nt in square_boundary_regions(9):
+        cvs = nt.outer_cycle.vertices
+        for a, b in itertools.permutations(cvs, 2):
+            drop = set(cvs) - {a, b}
+            got = ham_paths_without(nt.graph, drop, a, b)
+            assert got == region_paths_loop(nt.graph, drop, a, b), (nt, a, b)
+            assert ham_paths_without(nt.graph, drop, a, b, cap=1) == \
+                region_paths_loop(nt.graph, drop, a, b, cap=1)
+            disconnected += got is None
+            paths += len(got or ())
+    assert disconnected and paths
+
+
+def test_search_budget_takes_only_positive_integers(monkeypatch):
+    monkeypatch.delenv("HAMFORGE_BUDGET", raising=False)
+    assert search_budget() == 10 ** 9
+    assert search_budget(7) == 7
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="positive integer"):
+            search_budget(bad)
+    monkeypatch.setenv("HAMFORGE_BUDGET", "500")
+    assert search_budget() == 500
+    for bad in ("abc", "0", "-3", "1e6"):
+        monkeypatch.setenv("HAMFORGE_BUDGET", bad)
+        with pytest.raises(ValueError, match="HAMFORGE_BUDGET"):
+            search_budget()

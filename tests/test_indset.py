@@ -3,17 +3,23 @@ from fractions import Fraction
 
 import pytest
 
-from hamforge.corpus import double_wheel, icosahedron, octahedron
+from hamforge.corpus import (
+    CorpusFilter,
+    double_wheel,
+    enumerate_triangulations,
+    icosahedron,
+    octahedron,
+)
 from hamforge.errors import (
     HypothesisViolated,
     MinDegreeViolated,
     SNotIndependent,
 )
-from hamforge.ham_enum import count_ham_cycles, is_ham_cycle
+from hamforge.ham_enum import count_ham_cycles, first_ham_cycle, is_ham_cycle
 from hamforge.indset import (
     ALL_FLAGS,
     IndSetCert,
-    Thresholds,
+    C1,
     edge_families,
     family_count,
     filter_saturation,
@@ -29,13 +35,11 @@ from hamforge.indset import (
 from hamforge.plane_graph import edge_key, is_k_connected
 from hamforge.structures import PairCert
 
+from .oracles import reference_special_set, reference_special_set_mindeg5
+
 
 def test_thresholds_exact():
-    t = Thresholds()
-    assert t.c1 == Fraction(1, 108 * 16 * 541 * 301 * 2)
-    assert (t.five_cycle_divisor, t.diamond_divisor, t.four_cycle_divisor,
-            t.common_neighborhood_divisor, t.color_class_divisor) == \
-        (541, 301, 108, 9, 12)
+    assert C1 == Fraction(1, 108 * 16 * 541 * 301 * 2)
 
 
 def test_four_color_is_proper():
@@ -201,13 +205,87 @@ def test_multiplicity_bound():
     """Each produced cycle is selected by at most 3^a1 * 4^a2 families."""
     ico = icosahedron()
     cert = icosa_antipodal_cert()
-    from hamforge.ham_enum import canonical_cycle_key, first_ham_cycle
     picks = {}
     for fam in edge_families(ico, cert):
         cyc = first_ham_cycle(ico.delete_edges(fam.edges))
-        picks.setdefault(canonical_cycle_key(cyc), 0)
-        picks[canonical_cycle_key(cyc)] += 1
+        picks.setdefault(frozenset(cyc), 0)
+        picks[frozenset(cyc)] += 1
     a1 = sum(1 for v in cert.vertices if ico.degrees[v] == 5)
     a2 = sum(1 for v in cert.vertices if ico.degrees[v] == 6)
     bound = 3 ** a1 * 4 ** a2
     assert max(picks.values()) <= bound
+
+
+def test_family_floor_asserted_whenever_every_family_ran(monkeypatch):
+    """The floor is checked when the loop covered every family, capped or
+    not, and only then: one fixed cycle per family stays below ceil(1.5^2)."""
+    from hamforge import indset
+    from hamforge.errors import StructureViolation
+
+    ico = icosahedron()
+    cert = icosa_antipodal_cert()
+    same = first_ham_cycle(ico)
+    monkeypatch.setattr(indset, "first_ham_cycle", lambda g, **kw: same)
+    for cap in (None, 25, 30):
+        with pytest.raises(StructureViolation):
+            ham_family_from_edge_families(ico, cert, cap=cap)
+    fam = ham_family_from_edge_families(ico, cert, cap=24)
+    assert len(fam) == 1 and fam.log[-1]["families"] == 24
+
+
+def test_ham_family_through_required_edges():
+    ico = icosahedron()
+    cert = icosa_antipodal_cert()
+    a, b, c = next(f for f in ico.faces if not set(f) & {0, 11})
+    e, f = edge_key(a, b), edge_key(b, c)
+    fam = ham_family_from_edge_families(ico, cert, required_edges=(e, f))
+    assert len(fam) >= guaranteed_family_floor(2)
+    assert all(e in cyc and f in cyc and is_ham_cycle(ico, cyc) for cyc in fam.cycles)
+    assert fam.log == [{"branch": "edge_families", "set_size": 2, "families": 25,
+                        "distinct": len(fam), "floor": 3}]
+
+
+# -- one special-set pipeline, against the separate pipelines -------------------
+
+def test_special_set_pipelines_match_separate_copies():
+    """``to_json`` of every certificate is unchanged on each 4-connected
+    corpus graph with n <= 11 and on the icosahedron."""
+    four = CorpusFilter(min_connectivity=4)
+    graphs = [g for n in range(6, 12) for g in enumerate_triangulations(n, four)]
+    graphs.append(icosahedron())
+    assert len(graphs) == 44
+    compared = 0
+    for g in graphs:
+        runs = [(special_set, reference_special_set, (t,)) for t in (None, 4)]
+        if g.min_degree() >= 5:
+            runs += [(special_set_mindeg5, reference_special_set_mindeg5, (t,))
+                     for t in (2, g.n)]
+        for ours, theirs, args in runs:
+            got, want = ours(g, *args), theirs(g, *args)
+            if isinstance(want, IndSetCert):
+                assert isinstance(got, IndSetCert) and got.to_json() == want.to_json()
+                compared += 1
+            else:
+                assert got == want
+    assert compared >= 44
+
+
+def test_flag_holds_matches_cycle_scans(triangulations_by_n):
+    """The pair-based 4- and 5-cycle flags agree with a scan of every cycle
+    on every independent set of up to three vertices (4-connected, n <= 8)."""
+    from hamforge.indset import FLAG_NO_SAT_4CYCLE, FLAG_NO_SAT_5CYCLE
+    from hamforge.structures import enumerate_cycles
+
+    for n in range(6, 9):
+        for g in triangulations_by_n(n):
+            if not is_k_connected(g, 4):
+                continue
+            cycles = {4: enumerate_cycles(g, 4), 5: enumerate_cycles(g, 5)}
+            for size in (1, 2, 3):
+                for s in itertools.combinations(range(g.n), size):
+                    if any(g.has_edge(u, v) for u, v in itertools.combinations(s, 2)):
+                        continue
+                    for flag, length in ((FLAG_NO_SAT_4CYCLE, 4), (FLAG_NO_SAT_5CYCLE, 5)):
+                        want = all(len(set(s) & set(c.vertices)) != 2
+                                   for c in cycles[length])
+                        assert flag_holds(g, s, flag) == want, (g, s, flag)

@@ -16,6 +16,7 @@ from hamforge.errors import (
     InteriorsOverlap,
 )
 from hamforge.ham_enum import count_ham_cycles, is_ham_cycle
+from hamforge.indset import IndSetCert, special_set
 from hamforge.plane_graph import edge_key, is_k_connected
 from hamforge.replay import (
     disjoint_diamond_family,
@@ -24,6 +25,8 @@ from hamforge.replay import (
     theorem1_family,
     theorem2_tree,
 )
+
+from .oracles import two_edge_family_loop
 
 
 def test_lemma_2edge_octahedron_base():
@@ -194,3 +197,35 @@ def test_bug_in_guarded_call_propagates(monkeypatch):
     monkeypatch.setattr(replay, "closure", broken)
     with pytest.raises(KeyError):
         theorem1_family(double_wheel(10), t=4)
+
+
+def test_lemma_2edge_edge_branch_matches_its_own_loop():
+    """On every face and shared vertex of the icosahedron, the edge-family
+    branch run through ``ham_family_from_edge_families`` gives the log of
+    the branch's former loop (first b-c path through e, closed by f).  Its
+    members are the first cycles through e and f instead, so they may differ;
+    the family size differs on one pair only, where the new family is larger
+    and both reach the floor."""
+    ico = icosahedron()
+    nonempty = 0
+    larger = []
+    for face in ico.faces:
+        for b in face:
+            a, c = (v for v in face if v != b)
+            e, f = edge_key(a, b), edge_key(b, c)
+            fam = lemma_2edge_family(ico, e, f)
+            g = ico.rooted_at_face((a, b, c))
+            branch = special_set(g)
+            s1 = tuple(v for v in branch.vertices if v not in (a, b, c))
+            cert1 = IndSetCert(vertices=s1,
+                               max_degree=max((g.degrees[v] for v in s1), default=0))
+            size, log = two_edge_family_loop(g, cert1, e, f)
+            assert [dict(entry, distinct=size) for entry in fam.log] == [log], (face, b)
+            assert size <= len(fam) <= count_ham_cycles(ico, required_edges=[e, f])
+            if len(fam) != size:
+                larger.append((face, b, size, len(fam)))
+            assert all(e in cyc and f in cyc and is_ham_cycle(ico, cyc)
+                       for cyc in fam.cycles)
+            nonempty += bool(s1)
+    assert nonempty == 45
+    assert larger == [((11, 9, 8), 8, 2, 3)]

@@ -37,7 +37,11 @@ from hamforge.tutte import (
     verify_tutte,
 )
 
-from .oracles import nx_outerplanar
+from .oracles import (
+    nx_outerplanar,
+    reference_tutte_path,
+    reference_tutte_path_two_edges,
+)
 
 
 # -- verify_tutte ----------------------------------------------------------------
@@ -317,3 +321,68 @@ def test_diamond_region_rejects_degree_five_center():
     nt, cert = case3_region()
     with pytest.raises(HypothesisViolated):
         diamond_region_paths(nt, 5, cert)      # vertex 5 has degree 5
+
+
+# -- the two front ends over one search, against their separate copies ---------
+
+def _tutte_instances(triangulations_by_n):
+    for k in range(4, 9):
+        w = wheel(k)
+        yield w, Cycle(w.outer_face)
+    for k in range(3, 9):
+        yield cycle_graph(k), Cycle(tuple(range(k)))
+    for n in range(4, 9):
+        for g in triangulations_by_n(n):
+            yield g, Cycle(g.outer_face)
+
+
+def _outcome(search, *args, **kwargs):
+    try:
+        cert = search(*args, **kwargs)
+    except SearchExhausted as exc:
+        return "exhausted", str(exc)
+    return cert.path, cert.is_hamiltonian, cert.constraint_edges
+
+
+def test_tutte_front_ends_match_separate_searches(triangulations_by_n):
+    """Every valid argument tuple on wheels, cycles and the n <= 8 corpus,
+    Hamiltonian-only and with the lexicographic fallback: same path, same
+    Hamiltonicity, or the same SearchExhausted message."""
+    seen = {"one": 0, "two": 0, "fallback": 0, "exhausted": 0}
+    for g, c in _tutte_instances(triangulations_by_n):
+        edges = sorted(c.edges())
+        for hamiltonian in (True, False):
+            for x in c.vertices:
+                for y in range(g.n):
+                    if y == x:
+                        continue
+                    for e in edges:
+                        got = _outcome(tutte_path, g, c, x, y, e, hamiltonian=hamiltonian)
+                        assert got == _outcome(reference_tutte_path, g, c, x, y, e,
+                                               hamiltonian=hamiltonian), (g, c, x, y, e)
+                        seen["one"] += 1
+                        seen["fallback"] += got[1] is False
+                        seen["exhausted"] += got[0] == "exhausted"
+            for u in c.vertices:
+                for v in c.vertices:
+                    for e in edges:
+                        for f in edges:
+                            if not clockwise_order_ok(c, u, e, f, v):
+                                continue
+                            got = _outcome(tutte_path_two_edges, g, c, u, v, e, f,
+                                           hamiltonian=hamiltonian)
+                            assert got == _outcome(reference_tutte_path_two_edges,
+                                                   g, c, u, v, e, f,
+                                                   hamiltonian=hamiltonian), \
+                                (g, c, u, v, e, f)
+                            seen["two"] += 1
+                            seen["fallback"] += got[1] is False
+                            seen["exhausted"] += got[0] == "exhausted"
+    assert all(seen.values()), seen
+
+
+def test_tutte_path_two_edges_needs_outer_cycle():
+    g = wheel(6)
+    vs = g.outer_face
+    with pytest.raises(ValueError, match="outer cycle required"):
+        tutte_path_two_edges(g, None, vs[0], vs[4], (vs[1], vs[2]), (vs[2], vs[3]))
