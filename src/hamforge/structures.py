@@ -129,15 +129,55 @@ def separating_cycles(g: PlaneGraph, length: int) -> list[Cycle]:
 def has_separating_triangle(g: PlaneGraph) -> bool:
     """Whether ``separating_cycles(g, 3)`` is non-empty.
 
-    In a triangulation with n >= 4 a 3-cycle separates exactly when it
-    bounds no face, so the answer is a count.  Any other graph is searched,
-    stopping at the first separating triangle.
+    Two shapes are answered by a count of the 3-cycles that bound no face;
+    any other graph is searched, stopping at the first separating triangle.
+
+    - A triangulation with n >= 4: a 3-cycle separates exactly when it
+      bounds no face.
+    - A square region: connected, the outer face on 4 distinct vertices
+      (a 4-cycle C), every other face a triangle.  Distinct triangular
+      faces bound distinct 3-cycles, so g has a non-facial 3-cycle exactly
+      when ``len(g.triangles()) != len(g.faces) - 1``, and that is exactly
+      when g has a separating triangle.  A non-facial 3-cycle has a vertex
+      inside (an empty inside would be a face), while C keeps a vertex
+      outside it, so it separates.  If every 3-cycle is facial, C has no
+      chord once n > 4: a chord cuts C into two 3-cycles, and the side
+      holding the other vertices is not a face.  With no chord a facial
+      triangle T holds at most two vertices of C, consecutive ones, so
+      C - T is connected; a component of g - T away from C - T would be
+      enclosed by a cycle on T's vertices, i.e. lie inside T, which is a
+      face.  So g - T is connected.  (With n = 4, g is K4 - e and nothing
+      separates.)  The rule needs the 4-cycle: with an outer 5-cycle a
+      chord can cut off a lone vertex behind a facial triangle.
     """
     if g.n <= 3:
         return False
     if g.is_triangulation:
         return len(g.triangles()) != len(g.faces)
+    if _is_square_region(g):
+        return len(g.triangles()) != len(g.faces) - 1
     return any(not _connected_after_removal(g, set(t)) for t in g.triangles())
+
+
+def _is_square_region(g: PlaneGraph) -> bool:
+    out = g.outer_face_index
+    return (g.connected and len(set(g.faces[out])) == len(g.faces[out]) == 4
+            and all(len(f) == 3 for i, f in enumerate(g.faces) if i != out))
+
+
+def link_region_has_separating_triangle(g: PlaneGraph, v: int) -> bool:
+    """``has_separating_triangle`` of the square region g - v bounded by the
+    link of v, read off the triangulation g without building the region.
+
+    The region's 3-cycles are those of g avoiding v and its triangular
+    faces are those of g avoiding v, so it has a separating triangle
+    exactly when the first outnumber the second.
+    """
+    if not g.is_triangulation or g.n < 5 or g.degrees[v] != 4:
+        raise ValueError("link regions are cut from degree-4 vertices of "
+                         "triangulations with n >= 5")
+    avoiding = sum(1 for t in g.triangles() if v not in t)
+    return avoiding > len(g.faces) - 4
 
 
 # ---------------------------------------------------------------------------

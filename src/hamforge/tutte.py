@@ -31,6 +31,7 @@ from .plane_graph import (
     Cycle,
     NearTriangulation,
     PlaneGraph,
+    _blocks_and_cuts,
     block_chain,
     bridges,
     canonical_cycle,
@@ -476,8 +477,8 @@ def two_ham_paths_uv(r: NearTriangulation, budget=None):
 
 
 def _has_cut_vertex(g: PlaneGraph) -> bool:
-    from .plane_graph import _connected_after_removal
-    return any(not _connected_after_removal(g, {v}) for v in range(g.n))
+    """Whether the connected graph g has an articulation vertex (one DFS)."""
+    return bool(_blocks_and_cuts(g)[1])
 
 
 def _merged_outer_face(host: PlaneGraph, sub: PlaneGraph, origin) -> Cycle | None:

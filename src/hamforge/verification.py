@@ -51,7 +51,7 @@ from .plane_graph import (
     vertex_connectivity_flow,
 )
 from .replay import lemma_2edge_family, nested_chain, theorem1_family, theorem2_tree
-from .structures import has_separating_triangle
+from .structures import link_region_has_separating_triangle
 from .tutte import (
     PathPair,
     diamond_region_paths,
@@ -131,18 +131,32 @@ def corpus_triangulations(n_max: int, n_min: int = 4, flt: CorpusFilter | None =
         yield from enumerate_triangulations(n, flt)
 
 
-def square_boundary_regions(n_max: int):
-    """Near triangulations with an outer 4-cycle up to ``n_max`` vertices,
-    one per isomorphism class: vertex links of degree-4 vertices.
+def link_region(g: PlaneGraph, v: int) -> NearTriangulation:
+    """The region g - v bounded by the link of v.
 
     The link of a degree-4 vertex of a triangulation with n >= 5 is a
-    4-cycle bounding a face of the rest, so every region is valid.
+    4-cycle bounding a face of the rest, so the region is valid.
     """
+    sub, origin = g.delete_vertices({v})
+    fwd = {old: new for new, old in enumerate(origin)}
+    return NearTriangulation(sub, Cycle(tuple(fwd[w] for w in g.rotation[v])))
+
+
+def square_boundary_regions(n_max: int):
+    """Near triangulations with an outer 4-cycle up to ``n_max`` vertices,
+    one per isomorphism class: vertex links of degree-4 vertices."""
     for n in range(5, n_max + 2):
         for g, v in _square_region_level(n):
-            sub, origin = g.delete_vertices({v})
-            fwd = {old: new for new, old in enumerate(origin)}
-            yield NearTriangulation(sub, Cycle(tuple(fwd[w] for w in g.rotation[v])))
+            yield link_region(g, v)
+
+
+def dichotomy_regions(n_max: int):
+    """The ``square_boundary_regions(n_max)`` without a separating triangle,
+    in the same order; the others are skipped before they are built."""
+    for n in range(5, n_max + 2):
+        for g, v in _square_region_level(n):
+            if not link_region_has_separating_triangle(g, v):
+                yield link_region(g, v)
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +289,8 @@ def _max_certificates_check(g: PlaneGraph):
 
 
 def _dichotomy_reports(suite, kind, n_max, budget):
-    for nt in square_boundary_regions(n_max):
+    for nt in dichotomy_regions(n_max):
         g = nt.graph
-        if has_separating_triangle(g):
-            continue
         base = nt.outer_cycle.vertices
         for rot in range(4):
             for refl in (False, True):

@@ -11,7 +11,12 @@ from hamforge.corpus import (
     wheel,
 )
 from hamforge.errors import SNotIndependent
-from hamforge.plane_graph import Cycle, _connected_after_removal, is_k_connected
+from hamforge.plane_graph import (
+    Cycle,
+    _connected_after_removal,
+    is_k_connected,
+    plane_graph_from_faces,
+)
 from hamforge.structures import (
     DIAMOND4_EDGES,
     DIAMOND6_EDGES,
@@ -19,12 +24,13 @@ from hamforge.structures import (
     enumerate_cycles,
     find_diamonds,
     has_separating_triangle,
+    link_region_has_separating_triangle,
     max_common_neighborhood_pair,
     saturates,
     separating_cycles,
 )
 
-from hamforge.verification import square_boundary_regions
+from hamforge.verification import link_region, square_boundary_regions
 
 from .oracles import match_pattern
 
@@ -46,16 +52,60 @@ def test_separating_deletion_reverified():
             assert not _connected_after_removal(g, set(c.vertices))
 
 
+def _link_pairs(triangulations_by_n, n_max):
+    return [(g, v) for n in range(5, n_max + 1) for g in triangulations_by_n(n)
+            for v in range(g.n) if g.degrees[v] == 4]
+
+
+def _check_link_regions(pairs):
+    """Both count rules of every link region against the exhaustive search;
+    the answers seen."""
+    answers = set()
+    for g, v in pairs:
+        region = link_region(g, v).graph
+        want = bool(separating_cycles(region, 3))
+        assert has_separating_triangle(region) == want, (g.rotation, v)
+        assert link_region_has_separating_triangle(g, v) == want, (g.rotation, v)
+        answers.add(want)
+    return answers
+
+
 def test_has_separating_triangle_matches_separating_cycles(triangulations_by_n):
+    # K4 - e rooted at its 4-face: the square-region count, n = 4
+    k4_minus_e = plane_graph_from_faces([(0, 1, 2), (0, 2, 3), (0, 3, 2, 1)],
+                                        outer=(0, 1, 2, 3))
+    # outer 5-cycle abcde around y with the chord ac: the facial triangle
+    # (a, c, y) cuts b off although 3-cycles and inner faces are equal in
+    # number, so the count is not used off 4-cycles
+    pentagon = plane_graph_from_faces(
+        [(0, 1, 2), (0, 2, 5), (2, 3, 5), (3, 4, 5), (4, 0, 5), (0, 4, 3, 2, 1)],
+        outer=(0, 1, 2, 3, 4))
+    assert len(pentagon.triangles()) == len(pentagon.faces) - 1
+    assert not has_separating_triangle(k4_minus_e)
+    assert has_separating_triangle(pentagon)
+
     graphs = [g for n in range(4, 12) for g in triangulations_by_n(n)]
     graphs += [nt.graph for nt in square_boundary_regions(10)]
     graphs += [f(k) for k in range(3, 9) for f in (cycle_graph, wheel)]
+    graphs += [k4_minus_e, pentagon]
     answers = set()
     for g in graphs:
         got = has_separating_triangle(g)
         assert got == bool(separating_cycles(g, 3))
         answers.add(got)
     assert answers == {True, False}
+
+    # every degree-4 link region with n <= 11, not only one per class
+    pairs = _link_pairs(triangulations_by_n, 11)
+    assert len(pairs) == 4139
+    assert _check_link_regions(pairs) == {True, False}
+
+
+@pytest.mark.slow
+def test_link_region_count_rules_through_n12(triangulations_by_n):
+    pairs = _link_pairs(triangulations_by_n, 12)
+    assert len(pairs) == 25716
+    assert _check_link_regions(pairs) == {True, False}
 
 
 def test_four_connected_have_no_separating_triangles(triangulations_by_n):

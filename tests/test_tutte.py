@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from hamforge.corpus import (
@@ -230,6 +232,28 @@ def test_uv_two_interior_pair_branch(triangulations_by_n):
             assert count_ham_paths(sub, fwd[u], fwd[v]) >= 2
             break
     assert found
+
+
+def test_has_cut_vertex_matches_vertex_deletion_search(triangulations_by_n):
+    """The one-DFS articulation test against a BFS per deleted vertex, on
+    every connected n <= 9 triangulation minus a vertex pair and every
+    square region with n <= 9."""
+    from hamforge.plane_graph import _connected_after_removal
+    from hamforge.tutte import _has_cut_vertex
+    from hamforge.verification import square_boundary_regions
+    graphs = [nt.graph for nt in square_boundary_regions(9)]
+    for n in range(5, 10):
+        for g in triangulations_by_n(n):
+            for pair in itertools.combinations(range(g.n), 2):
+                sub, _origin = g.delete_vertices(pair)
+                if sub.connected:
+                    graphs.append(sub)
+    answers = set()
+    for g in graphs:
+        got = _has_cut_vertex(g)
+        assert got == any(not _connected_after_removal(g, {v}) for v in range(g.n))
+        answers.add(got)
+    assert answers == {True, False}
 
 
 # -- cycles through triangle edges ---------------------------------------------------

@@ -6,8 +6,9 @@ import json
 
 import pytest
 
-from hamforge import corpus
+from hamforge import corpus, verification
 from hamforge.corpus import CorpusFilter, read_planar_code
+from hamforge.structures import separating_cycles
 from hamforge.verification import SUITE_RUNNERS, SUITES, square_boundary_regions
 
 from .oracles import square_regions_loop
@@ -146,11 +147,29 @@ def test_four_connected_level_keeps_reports(suite, kwargs, monkeypatch):
     assert _rows_without_seconds(suite, **kwargs) == routed
 
 
-def test_square_boundary_regions_match_region_loop():
-    def fields(regions):
-        return [(nt.graph.rotation, nt.graph.outer_face_index,
-                 nt.outer_cycle.vertices) for nt in regions]
+def _region_fields(regions):
+    return [(nt.graph.rotation, nt.graph.outer_face_index,
+             nt.outer_cycle.vertices) for nt in regions]
 
+
+def test_square_boundary_regions_match_region_loop():
     for n_max in range(4, 11):
-        mine = fields(square_boundary_regions(n_max))
-        assert mine and mine == fields(square_regions_loop(n_max))
+        mine = _region_fields(square_boundary_regions(n_max))
+        assert mine and mine == _region_fields(square_regions_loop(n_max))
+
+
+def test_dichotomy_regions_are_the_loop_without_separating_triangles(monkeypatch):
+    for n_max in range(4, 11):
+        mine = _region_fields(verification.dichotomy_regions(n_max))
+        assert mine == _region_fields(
+            nt for nt in square_regions_loop(n_max)
+            if not separating_cycles(nt.graph, 3))
+    assert len(mine) == 97
+
+    # the lemma suite builds only those regions
+    built = []
+    original = verification.link_region
+    monkeypatch.setattr(verification, "link_region",
+                        lambda g, v: built.append(v) or original(g, v))
+    assert len(list(verification.suite_lemma_uwpath(n_max=10))) == 772
+    assert len(built) == 97
