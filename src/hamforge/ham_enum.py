@@ -34,7 +34,7 @@ def search_budget(budget=None) -> int:
     return budget
 
 
-def _prepare(g: PlaneGraph, required_edges, forbidden_edges):
+def _prepare(g: PlaneGraph, required_edges, forbidden_edges, exclude=frozenset()):
     req = frozenset(edge_key(*e) for e in required_edges)
     forb = frozenset(edge_key(*e) for e in forbidden_edges)
     if req & forb:
@@ -42,8 +42,13 @@ def _prepare(g: PlaneGraph, required_edges, forbidden_edges):
     for e in req:
         if e not in g.edge_set:
             raise ValueError(f"required edge {e} not in graph")
+        if not exclude.isdisjoint(e):
+            raise ValueError(f"required edge {e} has an excluded end")
     adj = [sorted(w for w in g.adj[v] if edge_key(v, w) not in forb)
            for v in range(g.n)]
+    if exclude:
+        adj = [[] if v in exclude else [w for w in a if w not in exclude]
+               for v, a in enumerate(adj)]
     req_at = [[] for _ in range(g.n)]
     for u, v in req:
         req_at[u].append(v)
@@ -65,9 +70,9 @@ class _Search:
     __slots__ = ("g", "adj", "adjset", "req_at", "budget", "nodes", "count",
                  "emit", "cap", "n")
 
-    def __init__(self, g, adj, req_at, budget, emit, cap):
+    def __init__(self, g, adj, req_at, budget, emit, cap, excluded=0):
         self.g = g
-        self.n = g.n
+        self.n = g.n - excluded  # vertices to cover; arrays keep g's ids
         self.adj = adj
         self.adjset = [frozenset(a) for a in adj]
         self.req_at = req_at
@@ -152,7 +157,7 @@ class _Search:
             raise ValueError("path endpoints must differ")
         if len(self.req_at[a]) > 1 or len(self.req_at[b]) > 1:
             return 0
-        visited = [False] * self.n
+        visited = [False] * self.g.n
         visited[a] = True
         path = [a]
         free = [len(x) for x in self.adj]
@@ -242,42 +247,37 @@ def first_ham_cycle(g: PlaneGraph, required_edges=(), forbidden_edges=(),
     return out[0][0] if out else None
 
 
-def count_ham_paths(g: PlaneGraph, a: int, b: int, required_edges=(),
-                    forbidden_edges=(), budget=None) -> int:
-    """Exact number of Hamiltonian a-b paths."""
-    prep = _prepare(g, required_edges, forbidden_edges)
+def _run_paths(g, a, b, required_edges, forbidden_edges, exclude, budget,
+               emit=None, cap=None) -> int:
+    """Search the Hamiltonian a-b paths of g minus ``exclude``; their number."""
+    exclude = frozenset(exclude)
+    for z in sorted(exclude):
+        if z in (a, b):
+            raise ValueError(f"path endpoint {z} is excluded")
+        if not 0 <= z < g.n:
+            raise ValueError(f"excluded vertex {z} not in graph")
+    prep = _prepare(g, required_edges, forbidden_edges, exclude)
     if prep is None:
         return 0
-    adj, req_at = prep
-    s = _Search(g, adj, req_at, search_budget(budget), None, None)
-    return s.run_paths(a, b)
+    return _Search(g, *prep, search_budget(budget), emit, cap,
+                   len(exclude)).run_paths(a, b)
+
+
+def count_ham_paths(g: PlaneGraph, a: int, b: int, required_edges=(),
+                    forbidden_edges=(), budget=None, exclude=()) -> int:
+    """Exact number of Hamiltonian a-b paths of g minus ``exclude``."""
+    return _run_paths(g, a, b, required_edges, forbidden_edges, exclude, budget)
 
 
 def enumerate_ham_paths(g: PlaneGraph, a: int, b: int, required_edges=(),
-                        forbidden_edges=(), budget=None, cap=None):
-    """Deterministic list of (edge set, vertex tuple) Hamiltonian a-b paths."""
-    prep = _prepare(g, required_edges, forbidden_edges)
-    if prep is None:
-        return []
-    adj, req_at = prep
+                        forbidden_edges=(), budget=None, cap=None, exclude=()):
+    """Deterministic list of (edge set, vertex tuple) Hamiltonian a-b paths
+    of g minus ``exclude``, in g's ids.  The search takes the steps it takes
+    on the relabeled subgraph: same paths, same order, same budget."""
     found = []
-    s = _Search(g, adj, req_at, search_budget(budget),
-                lambda e, p: found.append((e, p)), cap)
-    s.run_paths(a, b)
+    _run_paths(g, a, b, required_edges, forbidden_edges, exclude, budget,
+               lambda e, p: found.append((e, p)), cap)
     return found
-
-
-def ham_paths_without(g: PlaneGraph, drop, a: int, b: int, cap=None, budget=None):
-    """The Hamiltonian a-b paths of g minus the vertices ``drop``, as vertex
-    tuples in g's ids and in ``enumerate_ham_paths`` order; None when g minus
-    ``drop`` is disconnected."""
-    sub, origin = g.delete_vertices(set(drop))
-    if not sub.connected:
-        return None
-    fwd = {old: new for new, old in enumerate(origin)}
-    return [tuple(origin[z] for z in p)
-            for _e, p in enumerate_ham_paths(sub, fwd[a], fwd[b], cap=cap,
-                                             budget=budget)]
 
 
 # ---------------------------------------------------------------------------

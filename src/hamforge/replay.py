@@ -30,8 +30,8 @@ from .errors import (
 from .ham_enum import (
     HamFamily,
     enumerate_ham_cycles_raw,
+    enumerate_ham_paths,
     first_ham_cycle,
-    ham_paths_without,
     is_ham_cycle,
 )
 from .indset import (
@@ -43,6 +43,7 @@ from .plane_graph import (
     Cycle,
     NearTriangulation,
     PlaneGraph,
+    _connected_after_removal,
     add_edge_in_face,
     block_chain,
     canonical_cycle,
@@ -345,12 +346,10 @@ def _case1_splice(g, cyc: Cycle, fam: HamFamily, cap, required=(), tag="case1"):
         p_loc, q_loc = _cycle_neighbors(cyc_edges, star)
         p, q = back[p_loc], back[q_loc]
         drop = [cl_fwd[z] for z in cyc.vertices if z not in (p, q)]
-        paths = ham_paths_without(cl.graph, drop, cl_fwd[p], cl_fwd[q], cap=cap)
-        if paths is None:
-            continue
         trunk = {edge_key(back[p2], back[q2])
                  for p2, q2 in _drop_vertex(cyc_edges, star)}
-        for pathseq in paths:
+        for _e, pathseq in enumerate_ham_paths(cl.graph, cl_fwd[p], cl_fwd[q],
+                                               cap=cap, exclude=drop):
             lifted = [cl.to_origin(z) for z in pathseq]
             edges = trunk | set(_path_edge_list(lifted))
             if is_ham_cycle(g, edges) and all(r in edges for r in
@@ -479,13 +478,13 @@ def _theorem1_trunk_splice(g, cyc: Cycle, cl, fam: HamFamily, cap) -> int:
     trunk = [edge_key(origin[a], origin[b])
              for a, b in zip(cert.path, cert.path[1:])]
     cl_fwd = {cl.to_origin(i): i for i in range(cl.graph.n)}
-    paths = ham_paths_without(cl.graph, (cl_fwd[v], cl_fwd[x]), cl_fwd[u],
-                              cl_fwd[w], cap=cap)
-    if paths is None:
+    drop = {cl_fwd[v], cl_fwd[x]}
+    if not _connected_after_removal(cl.graph, drop):
         fam.log.append({"branch": "trunk_splice", "skipped": "region disconnected"})
         return 0
     added = 0
-    for pathseq in paths:
+    for _e, pathseq in enumerate_ham_paths(cl.graph, cl_fwd[u], cl_fwd[w],
+                                           cap=cap, exclude=drop):
         lifted = [cl.to_origin(z) for z in pathseq]
         edges = set(trunk) | set(_path_edge_list(lifted))
         if is_ham_cycle(g, edges) and fam.add(frozenset(edges), "trunk_splice"):
@@ -650,8 +649,8 @@ def _pocket_paths(g, cert, cl: NearTriangulation, a, b, cap=2):
             out = [tuple(reversed(out[0]))]
     if not out:
         drop = [q for q in vs if cl.to_origin(q) not in (a, b)]
-        paths = ham_paths_without(cl.graph, drop, fwd[a], fwd[b], cap=cap) or []
-        out = [tuple(cl.to_origin(z) for z in p) for p in paths]
+        paths = enumerate_ham_paths(cl.graph, fwd[a], fwd[b], cap=cap, exclude=drop)
+        out = [tuple(cl.to_origin(z) for z in p) for _e, p in paths]
     return out[:cap]
 
 
@@ -941,6 +940,6 @@ def _ladder_paths(ladder: Ladder, cycle_vertices, a, b, cap):
     vertices, as label sequences, at most ``cap`` of them."""
     drop = [i for i, lab in enumerate(ladder.labels)
             if lab in cycle_vertices and lab not in (a, b)]
-    paths = ham_paths_without(ladder.graph, drop, ladder.local(a),
-                              ladder.local(b), cap=cap) or []
-    return [tuple(ladder.labels[z] for z in p) for p in paths]
+    paths = enumerate_ham_paths(ladder.graph, ladder.local(a), ladder.local(b),
+                                cap=cap, exclude=drop)
+    return [tuple(ladder.labels[z] for z in p) for _e, p in paths]

@@ -23,7 +23,6 @@ from .errors import (
 from .ham_enum import (
     enumerate_ham_cycles_raw,
     enumerate_ham_paths,
-    ham_paths_without,
     search_budget,
 )
 from .plane_graph import (
@@ -671,8 +670,8 @@ def diamond_region_paths(r: NearTriangulation, z: int, dprime: DiamondCert,
     counts = {}
     paths_by_pair = {}
     for a, b in itertools.combinations(sorted(cvs), 2):
-        paths = ham_paths_without(g, set(cvs) - {a, b}, a, b,
-                                  budget=budget) or []
+        paths = [p for _e, p in enumerate_ham_paths(
+            g, a, b, budget=budget, exclude=set(cvs) - {a, b})]
         counts[(a, b)] = len(paths)
         paths_by_pair[(a, b)] = paths
 

@@ -107,8 +107,9 @@ def bundle_for(g: PlaneGraph, **params) -> dict:
     }
 
 
-def _row(suite, g, op, check, **params) -> RunReport:
-    """The row of ``check() -> (ok, payload)``, operation ``op`` on ``g``.
+def _row(suite, g, gid, op, check, **params) -> RunReport:
+    """The row of ``check() -> (ok, payload)``, operation ``op`` on ``g``,
+    whose ``graph_id`` the caller passes as ``gid``.
 
     A HamforgeError from ``check`` is a counterexample: the row fails and its
     payload names the error.  An OperationalError propagates.  A failed row
@@ -121,7 +122,7 @@ def _row(suite, g, op, check, **params) -> RunReport:
         raise
     except HamforgeError as exc:
         ok, payload = False, {"error": type(exc).__name__, "detail": str(exc)}
-    return RunReport(suite=suite, graph_id=graph_id(g), operation=op, ok=ok,
+    return RunReport(suite=suite, graph_id=gid, operation=op, ok=ok,
                      payload=payload, seconds=time.perf_counter() - t0,
                      bundle=None if ok else bundle_for(g, **params))
 
@@ -169,7 +170,7 @@ def suite_euler(n_max=9, **_kw):
             m = len(g.edge_set)
             ok = (g.n - m + len(g.faces) == 2) and m == 3 * g.n - 6 and g.is_triangulation
             return ok, {"n": g.n, "m": m, "faces": len(g.faces)}
-        yield _row("euler", g, "face_census", face_census)
+        yield _row("euler", g, graph_id(g), "face_census", face_census)
 
 
 def suite_connectivity(n_max=9, **_kw):
@@ -178,7 +179,7 @@ def suite_connectivity(n_max=9, **_kw):
             flow = vertex_connectivity_flow(g)
             exhaustive = max(k for k in range(1, 6) if is_k_connected(g, k))
             return flow == exhaustive, {"n": g.n, "flow": flow, "exhaustive": exhaustive}
-        yield _row("connectivity", g, "dual_route", dual_route)
+        yield _row("connectivity", g, graph_id(g), "dual_route", dual_route)
 
 
 def _tutte_corpus(n_max):
@@ -219,7 +220,7 @@ def suite_tutte(n_max=10, **_kw):
                         except HamforgeError as exc:
                             failures.append((x, y, e, str(exc)))
             return not failures, {"n": g.n, "triples": trials, "failures": failures[:5]}
-        yield _row("tutte", g, "totality", totality)
+        yield _row("tutte", g, graph_id(g), "totality", totality)
 
 
 def suite_lemma_edgesetF(n_max=12, min_degree=5, **_kw):
@@ -240,11 +241,12 @@ def suite_lemma_edgesetF(n_max=12, min_degree=5, **_kw):
             return len(fam) >= floor, {"n": g.n, "set_size": len(cert),
                                        "families": family_count(g, cert),
                                        "distinct": len(fam), "floor": floor}
-        yield _row("lemma-edgesetF", g, "families", families)
-        yield _row("lemma-edgesetF", g, "max_certificates",
+        yield _row("lemma-edgesetF", g, graph_id(g), "families", families)
+        yield _row("lemma-edgesetF", g, graph_id(g), "max_certificates",
                    lambda: _max_certificates_check(g))
     if not found:
-        yield _row("lemma-edgesetF", double_wheel(6), "corpus", lambda: (
+        dw = double_wheel(6)
+        yield _row("lemma-edgesetF", dw, graph_id(dw), "corpus", lambda: (
             True, {"note": f"no graphs with n<={n_max}, min degree {min_degree}"}))
 
 
@@ -291,6 +293,7 @@ def _max_certificates_check(g: PlaneGraph):
 def _dichotomy_reports(suite, kind, n_max, budget):
     for nt in dichotomy_regions(n_max):
         g = nt.graph
+        gid = graph_id(g)
         base = nt.outer_cycle.vertices
         for rot in range(4):
             for refl in (False, True):
@@ -309,17 +312,14 @@ def _dichotomy_reports(suite, kind, n_max, budget):
                     else:
                         drop, a, b = {w, x}, u, v
                         res = two_ham_paths_uv(nt2, budget=budget)
-                    sub, origin = g.delete_vertices(drop)
-                    fwd = {old: new for new, old in enumerate(origin)}
-                    cnt = (count_ham_paths(sub, fwd[a], fwd[b], budget=budget)
-                           if sub.connected else 0)
+                    cnt = count_ham_paths(g, a, b, exclude=drop, budget=budget)
                     if isinstance(res, PathPair):
                         ok = cnt >= 2
                     else:
                         ok = cnt == 1 if kind == "uw" else cnt <= 1
                     return ok, {"n": g.n, "outer": vs, "count": cnt,
                                 "branch": type(res).__name__}
-                yield _row(suite, g, f"dichotomy_{kind}", dichotomy, outer=vs)
+                yield _row(suite, g, gid, f"dichotomy_{kind}", dichotomy, outer=vs)
 
 
 def suite_lemma_uwpath(n_max=10, budget=None, **_kw):
@@ -369,7 +369,7 @@ def suite_lemma_diamond4(budget=None, **_kw):
             table = diamond_region_paths(nt, z, cert, budget=budget)
             return table.branch == want, {"branch": table.branch,
                                           "counts": list(table.counts)}
-        yield _row("lemma-diamond4", g, name, region_paths)
+        yield _row("lemma-diamond4", g, graph_id(g), name, region_paths)
 
 
 def triangle_edge_cycles(g: PlaneGraph, rng: random.Random, samples: int,
@@ -401,7 +401,7 @@ def triangle_edge_cycles(g: PlaneGraph, rng: random.Random, samples: int,
             except HamforgeError as exc:
                 failures.append((t, t1, t2, str(exc)))
         return not failures, {"n": g.n, "samples": len(triples), "failures": failures[:5]}
-    return _row("lemma-4edges", g, "sampled_triples", sampled_triples)
+    return _row("lemma-4edges", g, graph_id(g), "sampled_triples", sampled_triples)
 
 
 def suite_lemma_4edges(n_max=10, samples=100, seed=0, budget=None, **_kw):
@@ -425,7 +425,8 @@ def suite_lemma_2edge(n_max=10, budget=None, **_kw):
                       and all(is_ham_cycle(g, c) for c in fam.cycles))
                 return ok, {"n": n, "family": len(fam), "exact": exact,
                             "log": fam.log}
-            yield _row("lemma-2edge", g, f"double_wheel_t_{t}", replay, e=e, f=f, t=t)
+            yield _row("lemma-2edge", g, graph_id(g), f"double_wheel_t_{t}",
+                       replay, e=e, f=f, t=t)
 
 
 def suite_conjecture(n_max=11, budget=None, **_kw):
@@ -441,7 +442,7 @@ def suite_conjecture(n_max=11, budget=None, **_kw):
             ok = count >= bound and ((count == bound) == is_dw)
             return ok, {"n": g.n, "count": count, "bound": bound,
                         "double_wheel": is_dw}
-        yield _row("conjecture", g, "lower_bound", lower_bound)
+        yield _row("conjecture", g, graph_id(g), "lower_bound", lower_bound)
 
 
 def suite_theorem1(n_max=12, budget=None, **_kw):
@@ -455,7 +456,7 @@ def suite_theorem1(n_max=12, budget=None, **_kw):
                 ok = (1 <= len(fam) <= exact
                       and all(is_ham_cycle(g, c) for c in fam.cycles))
                 return ok, {"n": n, "family": len(fam), "exact": exact}
-            yield _row("theorem1", g, f"double_wheel_t_{t}", replay, t=t)
+            yield _row("theorem1", g, graph_id(g), f"double_wheel_t_{t}", replay, t=t)
 
 
 def suite_theorem2(budget=2000, **_kw):
@@ -470,7 +471,7 @@ def suite_theorem2(budget=2000, **_kw):
               and all(is_ham_cycle(g, leaf) for leaf in tree.leaves))
         return ok, {"t": chain.t, "leaves": tree.leaf_count(),
                     "min_branching": min_branch, "partial": tree.partial}
-    yield _row("theorem2", g, "tower_tree", tower_tree, star=star)
+    yield _row("theorem2", g, graph_id(g), "tower_tree", tower_tree, star=star)
 
     gw, starw, _sq = two_pocket_worm()
 
@@ -481,7 +482,7 @@ def suite_theorem2(budget=2000, **_kw):
         ok = chainw.t == 1 and len(chainw.disjoint_roots) == 2 and len(fam) >= 4
         return ok, {"t": chainw.t, "roots": len(chainw.disjoint_roots),
                     "family": len(fam)}
-    yield _row("theorem2", gw, "worm_pockets", worm_pockets, star=starw)
+    yield _row("theorem2", gw, graph_id(gw), "worm_pockets", worm_pockets, star=starw)
 
 
 SUITE_RUNNERS = {

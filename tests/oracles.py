@@ -383,7 +383,7 @@ def reference_tutte_path_two_edges(g, c, u, v, e, f, hamiltonian=False):
     raise SearchExhausted(f"no {u}-{v} uCv-Tutte path through {e}, {f} (n={g.n})")
 
 
-def region_paths_loop(g, drop, a, b, cap=None):
+def region_paths_loop(g, drop, a, b, cap=None, budget=None):
     """Hamiltonian a-b paths of g minus ``drop`` in g's ids, None when that
     is disconnected: the delete-relabel-enumerate-lift loop, inline."""
     from hamforge.ham_enum import enumerate_ham_paths
@@ -393,7 +393,8 @@ def region_paths_loop(g, drop, a, b, cap=None):
         return None
     rf = {origin[i]: i for i in range(region.n)}
     return [tuple(origin[z] for z in p)
-            for _e, p in enumerate_ham_paths(region, rf[a], rf[b], cap=cap)]
+            for _e, p in enumerate_ham_paths(region, rf[a], rf[b], cap=cap,
+                                             budget=budget)]
 
 
 def two_edge_family_loop(g, cert, e, f, cap=10 ** 6):

@@ -3,8 +3,9 @@ pass/fail line printed per criterion.
 
 Criteria 2-7 are assertions over the verification suites, the same code
 ``hamforge verify`` runs; each pins its row counts, so a suite that
-silently yields fewer rows fails.  Every check is an exact integer
-comparison or an exhaustive structural verification.
+silently yields fewer rows fails, and the digest of its rows, so a report
+that changes in any field but ``seconds`` fails.  Every check is an exact
+integer comparison or an exhaustive structural verification.
 """
 
 import random
@@ -21,6 +22,8 @@ from hamforge.verification import (
     triangle_edge_cycles,
 )
 
+from .golden import assert_golden, suite_key
+
 pytestmark = pytest.mark.acceptance
 
 
@@ -30,7 +33,9 @@ def _line(idx, name, ok, detail):
 
 
 def _suite_rows(suite, n_max):
-    return list(SUITE_RUNNERS[suite](n_max=n_max))
+    rows = list(SUITE_RUNNERS[suite](n_max=n_max))
+    assert_golden(suite_key(suite, n_max=n_max), rows)
+    return rows
 
 
 def _check(idx, name, rows, want_rows, t0):
@@ -108,6 +113,7 @@ def test_criterion_6_triangle_edge_cycles():
     rows = [triangle_edge_cycles(g, random.Random(1234 + g.n), 100, None)
             for g in corpus_triangulations(10, n_min=6, flt=flt)]
     _check(6, "triangle-edge cycles", rows, {"lemma-4edges": 18}, t0)
+    assert_golden("criterion 6", rows)
     assert all(r.payload["samples"] == 100 for r in rows)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,8 +19,8 @@ from hamforge.ham_enum import (
     count_ham_paths,
     enumerate_ham_cycles,
     enumerate_ham_cycles_raw,
+    enumerate_ham_paths,
     first_ham_cycle,
-    ham_paths_without,
     is_ham_cycle,
     search_budget,
 )
@@ -167,24 +168,102 @@ def test_family_dedupes():
     assert len(fam) == 1
 
 
-def test_ham_paths_without_matches_region_loop():
-    """The shared region-path enumerator equals the inline delete-relabel-
-    enumerate-lift loop, order included, for every ordered outer pair of
-    every square region with n <= 9 (None exactly when disconnected)."""
+def _excluding_cases(triangulations_by_n):
+    """(graph, drop, a, b): every ordered outer pair of every square region
+    with n <= 9 minus the other two outer vertices, and every corpus graph
+    with n <= 8 minus each vertex pair, between every pair of the rest."""
     from hamforge.verification import square_boundary_regions
 
-    disconnected = paths = 0
     for nt in square_boundary_regions(9):
         cvs = nt.outer_cycle.vertices
         for a, b in itertools.permutations(cvs, 2):
-            drop = set(cvs) - {a, b}
-            got = ham_paths_without(nt.graph, drop, a, b)
-            assert got == region_paths_loop(nt.graph, drop, a, b), (nt, a, b)
-            assert ham_paths_without(nt.graph, drop, a, b, cap=1) == \
-                region_paths_loop(nt.graph, drop, a, b, cap=1)
-            disconnected += got is None
-            paths += len(got or ())
+            yield nt.graph, set(cvs) - {a, b}, a, b
+    for n in range(4, 9):
+        for g in triangulations_by_n(n):
+            for drop in itertools.combinations(range(g.n), 2):
+                rest = [v for v in range(g.n) if v not in drop]
+                for a, b in itertools.combinations(rest, 2):
+                    yield g, set(drop), a, b
+
+
+def test_excluding_search_matches_region_loop(triangulations_by_n):
+    """Searching g with ``exclude`` equals the delete-relabel-enumerate-lift
+    loop, order included, with and without a cap; a disconnected remainder
+    (None from the loop) has no paths."""
+    disconnected = paths = 0
+    for g, drop, a, b in _excluding_cases(triangulations_by_n):
+        want = region_paths_loop(g, drop, a, b)
+        got = [p for _e, p in enumerate_ham_paths(g, a, b, exclude=drop)]
+        assert got == (want or []), (g, drop, a, b)
+        assert count_ham_paths(g, a, b, exclude=drop) == len(got)
+        assert [p for _e, p in enumerate_ham_paths(g, a, b, cap=1,
+                                                   exclude=drop)] == \
+            (region_paths_loop(g, drop, a, b, cap=1) or [])
+        disconnected += want is None
+        paths += len(got)
     assert disconnected and paths
+
+
+def _least_budget(search):
+    """The smallest node budget under which ``search(budget)`` completes."""
+    lo, hi = 1, 1
+    while True:
+        try:
+            search(hi)
+            break
+        except SearchTimeout:
+            lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            search(mid)
+            hi = mid
+        except SearchTimeout:
+            lo = mid + 1
+    return hi
+
+
+def test_excluding_search_takes_the_loops_node_count():
+    """The in-place search needs exactly the budget the relabeled search
+    needs: the same nodes, not just the same paths."""
+    from hamforge.verification import square_boundary_regions
+
+    checked = 0
+    for nt in list(square_boundary_regions(9))[::40]:
+        cvs = nt.outer_cycle.vertices
+        a, b = cvs[0], cvs[2]
+        drop = set(cvs) - {a, b}
+        need = _least_budget(
+            lambda budget: region_paths_loop(nt.graph, drop, a, b,
+                                             budget=budget))
+        if need == 1:
+            continue
+        for search in (enumerate_ham_paths, count_ham_paths):
+            search(nt.graph, a, b, exclude=drop, budget=need)
+            with pytest.raises(SearchTimeout):
+                search(nt.graph, a, b, exclude=drop, budget=need - 1)
+        checked += 1
+    assert checked >= 5
+
+
+def test_excluded_endpoint_rejected():
+    o = octahedron()
+    with pytest.raises(ValueError, match="endpoint 2 is excluded"):
+        enumerate_ham_paths(o, 0, 2, exclude={2, 3})
+    with pytest.raises(ValueError, match="endpoint 0 is excluded"):
+        count_ham_paths(o, 0, 2, exclude={0})
+    with pytest.raises(ValueError, match="vertex 9 not in graph"):
+        count_ham_paths(o, 0, 2, exclude={9})
+
+
+def test_required_edge_with_excluded_end_rejected():
+    o = octahedron()
+    e = sorted(o.edge_set)[-1]
+    a, b = [z for z in range(o.n) if z not in e][:2]
+    message = re.escape(f"required edge {e} has an excluded end")
+    for search in (enumerate_ham_paths, count_ham_paths):
+        with pytest.raises(ValueError, match=message):
+            search(o, a, b, required_edges=[e], exclude={e[1]})
 
 
 def test_search_budget_takes_only_positive_integers(monkeypatch):
