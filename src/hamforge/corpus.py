@@ -22,8 +22,12 @@ from .plane_graph import (
     edge_key,
     is_k_connected,
     plane_graph_from_faces,
+    triangulation_from_code,
 )
-from .structures import has_separating_triangle
+from .structures import (
+    has_separating_triangle,
+    link_region_has_separating_triangle,
+)
 
 PLANAR_CODE_HEADER = b">>planar_code<<"
 
@@ -260,20 +264,67 @@ def _all_splits(g: PlaneGraph):
                 yield v, i, j
 
 
+def _contraction_rank(g, x: int, y: int):
+    """The rank of edge xy of a triangulation with n >= 5 among the
+    contractible edges, those whose ends have exactly two common neighbors
+    a and b: (deg x + deg y, -|deg x - deg y|, deg a + deg b).  It is the
+    same on isomorphic and mirrored graphs.  None when xy is not
+    contractible."""
+    common = set(g.rotation[x]).intersection(g.rotation[y])
+    if len(common) != 2:
+        return None
+    degs = g.degrees
+    a, b = common
+    return degs[x] + degs[y], -abs(degs[x] - degs[y]), degs[a] + degs[b]
+
+
+def _split_edge_wins(child: _RotationView, v: int) -> bool:
+    """Whether no contractible edge of a split child outranks its split
+    edge (v, new) by ``_contraction_rank``.  Edges whose degree sum is below
+    the split edge's cannot, and are skipped."""
+    rotation, degs = child.rotation, child.degrees
+    best = _contraction_rank(child, v, child.n - 1)
+    low = best[0]
+    for x, around in enumerate(rotation):
+        reach = low - degs[x]
+        for y in around:
+            if y > x and degs[y] >= reach:
+                rank = _contraction_rank(child, x, y)
+                if rank is not None and rank > best:
+                    return False
+    return True
+
+
 @functools.lru_cache(maxsize=None)
 def _triangulation_level(n: int) -> tuple[PlaneGraph, ...]:
-    """All planar triangulations on n vertices up to isomorphism."""
+    """All planar triangulations on n vertices up to isomorphism, sorted by
+    canonical code, each numbered by the traversal that gives its code
+    (``triangulation_from_code``), so a class's graph does not depend on
+    which split child reached it.
+
+    A split child of level n - 1 is kept only when its split edge has the
+    highest ``_contraction_rank`` of its contractible edges, and only kept
+    children are keyed by ``canonical_code``.  No class is lost: contract a
+    highest-ranked edge e of a triangulation T on n >= 5 vertices.  Its ends
+    have exactly two common neighbors, so T/e is a triangulation on n - 1
+    vertices, and level n - 1 holds a graph R isomorphic to it or to its
+    mirror.  Splitting R's merged vertex at the two common neighbors (one
+    of ``_all_splits(R)``) gives T or its mirror back, with the split edge
+    where e was.  The rank is invariant under isomorphism and reflection,
+    so that child is kept.
+    """
     if n < 4:
         raise TooSmall("triangulations start at n = 4")
     if n == 4:
-        return (k4(),)
-    out = {}
-    for parent in _triangulation_level(n - 1):
-        for v, i, j in _all_splits(parent):
-            key = canonical_code(_split_rotation(parent, v, i, j))
-            if key not in out:
-                out[key] = split_vertex(parent, v, i, j)
-    return tuple(out[k] for k in sorted(out))
+        codes = {canonical_code(k4())}
+    else:
+        codes = set()
+        for parent in _triangulation_level(n - 1):
+            for v, i, j in _all_splits(parent):
+                child = _split_rotation(parent, v, i, j)
+                if _split_edge_wins(child, v):
+                    codes.add(canonical_code(child))
+    return tuple(triangulation_from_code(c) for c in sorted(codes))
 
 
 def _link_rooted_code(g: PlaneGraph, v: int) -> tuple[int, ...]:
@@ -294,17 +345,25 @@ def _link_rooted_code(g: PlaneGraph, v: int) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _square_region_level(n: int) -> tuple[tuple[PlaneGraph, int], ...]:
+def _square_region_level(n: int, separating: bool = True
+                         ) -> tuple[tuple[PlaneGraph, int], ...]:
     """The square regions on n - 1 vertices, as the pairs (g, v) they are
     cut from: g on n vertices, v of degree 4, g minus v bounded by the link
     of v the first of its class in corpus and vertex order.  Regions from
     different levels differ in size, so deduplicating per level is exact.
     Only the pairs are kept: held, the 3,674 regions with n <= 10 would
-    take more memory than the n <= 11 corpus they are cut from."""
+    take more memory than the n <= 11 corpus they are cut from.
+
+    With ``separating=False`` regions with a separating triangle are left
+    out before they are keyed.  Isomorphic regions agree on that, so the
+    pairs kept are those of the full level without them, in the same order.
+    """
     out = {}
     for g in enumerate_triangulations(n):
         for v in range(g.n):
-            if g.degrees[v] == 4:
+            if g.degrees[v] != 4:
+                continue
+            if separating or not link_region_has_separating_triangle(g, v):
                 out.setdefault(_link_rooted_code(g, v), (g, v))
     return tuple(out.values())
 
@@ -318,9 +377,10 @@ def _four_connected_level(n: int) -> tuple[PlaneGraph, ...]:
     the split children of level n - 1 without a separating triangle.  Splits
     that leave v or the new vertex with degree < 4 are skipped; the others
     make no separating triangle, so the test on each child is a guard (it
-    rejects none through n = 13).  Children are keyed as in
-    ``_triangulation_level``; a rejected key is remembered, so no child is
-    built twice.  Sorted by canonical code.
+    rejects none through n = 13).  Every child is keyed by the canonical
+    code of its edited rotation (``_split_rotation``) and only a new key is
+    built; a rejected key is remembered, so no child is built twice.  Sorted
+    by canonical code.
     """
     if n < 6:
         raise TooSmall("4-connected triangulations start at n = 6")
@@ -343,17 +403,17 @@ def _four_connected_level(n: int) -> tuple[PlaneGraph, ...]:
 def enumerate_triangulations(n: int, flt: CorpusFilter | None = None):
     """All planar triangulations on n vertices up to isomorphism, filtered.
 
-    Exhaustive by repeated vertex splitting from K4.  Each split child is
-    keyed by the canonical code of its rotation system, edited from the
-    parent's, and only the first child with a new key is built (by
-    ``split_vertex``).  Deterministic order: sorted by canonical code.
+    Exhaustive by repeated vertex splitting from K4, keeping a split child
+    only when its split edge is a top-ranked contractible edge, and building
+    each class once from its canonical code (``_triangulation_level``).
+    Deterministic order: sorted by canonical code.
 
     A filter asking for 4- or 5-connectivity reads the 4-connected level
     instead (``_four_connected_level``, grown from the octahedron by the
     same splits), which is empty below n = 6; the filter is still applied
     to each of its graphs.  That level holds the codes of the full level's
     4-connected graphs, in the same order, so both routes yield the same
-    classes.
+    classes; its graphs keep the labels of the split child first met.
     """
     if n > MAX_N:
         raise BudgetExceeded(f"n={n} exceeds max_n={MAX_N}")

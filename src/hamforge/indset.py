@@ -9,6 +9,7 @@ nothing trusts incremental bookkeeping.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -98,15 +99,21 @@ class IndSetCert:
 # verification (fresh scans, no bookkeeping)
 # ---------------------------------------------------------------------------
 
-def sat_pairs(g: PlaneGraph, length: int) -> set[tuple[int, int]]:
+@functools.lru_cache(maxsize=16)
+def sat_pairs(g: PlaneGraph, length: int) -> frozenset[tuple[int, int]]:
     """Non-adjacent pairs lying together on some cycle of ``length``: the
-    pairs of an independent set that would saturate it."""
+    pairs of an independent set that would saturate it.
+
+    Kept for the last few graphs (equal rotation systems have equal pairs),
+    so a certificate's filter, its verification and its families' hypotheses
+    share one scan per length.
+    """
     out = set()
     for c in enumerate_cycles(g, length):
         for u, v in itertools.combinations(sorted(c.vertices), 2):
             if not g.has_edge(u, v):
                 out.add((u, v))
-    return out
+    return frozenset(out)
 
 
 _SAT_CYCLE_LENGTH = {FLAG_NO_SAT_4CYCLE: 4, FLAG_NO_SAT_5CYCLE: 5}

@@ -944,6 +944,36 @@ def canonical_code(g: PlaneGraph, roots=None) -> tuple[int, ...]:
     return best
 
 
+def triangulation_from_code(code) -> PlaneGraph:
+    """The triangulation whose ``canonical_code`` is ``code``, numbered by
+    the traversal that wrote it: vertex label - 1, each rotation in the
+    traversal's turning direction (so reversed when it turned the other way),
+    starting at the neighbor it was entered from.
+
+    The code lists the turn of every vertex but label 2, which is labeled
+    before the traversal and never queued.  Its rotation follows from the
+    others: in a triangulation the neighbor after x around it is the one
+    before it around x.  ``build`` validates the result.
+    """
+    blocks, block = [], []
+    for c in code:
+        if c:
+            block.append(c - 1)
+        else:
+            blocks.append(tuple(block))
+            block = []
+    rotation = [blocks[0], ()] + blocks[1:]
+    link = [0]
+    for _ in range(len(rotation)):
+        around = rotation[link[-1]]
+        after = around[around.index(1) - 1]
+        if after == 0:
+            break
+        link.append(after)
+    rotation[1] = tuple(link)
+    return build(rotation)
+
+
 def outer_rooted_code(g: PlaneGraph) -> tuple[int, ...]:
     """Canonical form that additionally fixes the designated outer face."""
     f = g.outer_face

@@ -51,7 +51,6 @@ from .plane_graph import (
     vertex_connectivity_flow,
 )
 from .replay import lemma_2edge_family, nested_chain, theorem1_family, theorem2_tree
-from .structures import link_region_has_separating_triangle
 from .tutte import (
     PathPair,
     diamond_region_paths,
@@ -153,11 +152,10 @@ def square_boundary_regions(n_max: int):
 
 def dichotomy_regions(n_max: int):
     """The ``square_boundary_regions(n_max)`` without a separating triangle,
-    in the same order; the others are skipped before they are built."""
+    in the same order; the others are skipped before they are keyed."""
     for n in range(5, n_max + 2):
-        for g, v in _square_region_level(n):
-            if not link_region_has_separating_triangle(g, v):
-                yield link_region(g, v)
+        for g, v in _square_region_level(n, separating=False):
+            yield link_region(g, v)
 
 
 # ---------------------------------------------------------------------------

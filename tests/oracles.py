@@ -9,11 +9,12 @@ exceptions are slow routes a fast path must reproduce exactly:
 split child, ``filtered_level_codes``, the full level filtered,
 ``square_regions_loop``, the region loop that builds every candidate,
 ``full_traversal_canonical_code``, every traversal run to the end,
-``scan_face_index``, the scan over every face, and the earlier copies of
-searches now folded into one: ``reference_tutte_path`` and
-``reference_tutte_path_two_edges``, ``region_paths_loop``,
-``two_edge_family_loop`` and ``reference_special_set`` /
-``reference_special_set_mindeg5``.
+``traversal_relabel``, the canonical numbering taken from such a traversal
+instead of read off the code, ``scan_face_index``, the scan over every
+face, and the earlier copies of searches now folded into one:
+``reference_tutte_path`` and ``reference_tutte_path_two_edges``,
+``region_paths_loop``, ``two_edge_family_loop`` and
+``reference_special_set`` / ``reference_special_set_mindeg5``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import itertools
 
 import networkx as nx
 
-from hamforge.plane_graph import PlaneGraph, canonical_cycle, edge_key
+from hamforge.plane_graph import PlaneGraph, build, canonical_cycle, edge_key
 
 
 def to_nx(g: PlaneGraph) -> nx.Graph:
@@ -274,24 +275,22 @@ def square_regions_loop(n_max: int):
                 yield nt
 
 
-def full_traversal_canonical_code(g: PlaneGraph, roots=None) -> tuple[int, ...]:
-    """The minimum BFS code over every root of minimum (deg u, deg v) in
-    both directions, each traversal run to the end: the route
-    ``canonical_code`` cuts short."""
-    if g.n == 1:
-        return (0,)
+def _full_traversals(g: PlaneGraph, roots=None):
+    """(code, label, entry, direction) of every BFS traversal from a root of
+    minimum (deg u, deg v) in both directions, each run to the end.  The
+    code lists the turn of every queued vertex; v gets label 2 before the
+    traversal, is never queued, and counts as entered from u."""
     degs = g.degrees
     if roots is None:
         roots = [(u, v) for u in range(g.n) for v in g.rotation[u]]
     best_key = min((degs[u], degs[v]) for u, v in roots)
-    codes = []
     for u, v in roots:
         if (degs[u], degs[v]) != best_key:
             continue
         for direction in (1, -1):
             label = [0] * g.n
             label[u], label[v] = 1, 2
-            order, entry, code = [u], {u: v}, []
+            order, entry, code = [u], {u: v, v: u}, []
             qi = 0
             while qi < len(order):
                 w = order[qi]
@@ -307,8 +306,32 @@ def full_traversal_canonical_code(g: PlaneGraph, roots=None) -> tuple[int, ...]:
                         entry[nb] = w
                     code.append(label[nb])
                 code.append(0)
-            codes.append(tuple(code))
-    return min(codes)
+            yield tuple(code), label, entry, direction
+
+
+def full_traversal_canonical_code(g: PlaneGraph, roots=None) -> tuple[int, ...]:
+    """The minimum BFS code over every root of minimum (deg u, deg v) in
+    both directions, each traversal run to the end: the route
+    ``canonical_code`` cuts short."""
+    if g.n == 1:
+        return (0,)
+    return min(code for code, _label, _entry, _dir in _full_traversals(g, roots))
+
+
+def traversal_relabel(g: PlaneGraph) -> PlaneGraph:
+    """g renumbered by a traversal with the minimum code: vertex label - 1,
+    each rotation turned that traversal's way from the neighbor it entered
+    by.  The relabel the exhaustive generator reads off the code instead."""
+    _code, label, entry, direction = min(_full_traversals(g),
+                                         key=lambda t: t[0])
+    rotation = [None] * g.n
+    for w in range(g.n):
+        rot = g.rotation[w]
+        d = len(rot)
+        start = rot.index(entry[w])
+        rotation[label[w] - 1] = tuple(
+            label[rot[(start + direction * i) % d]] - 1 for i in range(d))
+    return build(rotation)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ from hamforge import corpus
 from hamforge.corpus import (
     CorpusFilter,
     _all_splits,
+    _contraction_rank,
     _four_connected_level,
+    _split_edge_wins,
     _split_rotation,
     _triangulation_level,
     double_wheel,
@@ -36,6 +38,7 @@ from hamforge.plane_graph import (
     canonical_code,
     is_isomorphic,
     is_k_connected,
+    triangulation_from_code,
     vertex_connectivity_flow,
 )
 
@@ -44,6 +47,7 @@ from .oracles import (
     flip_bfs_triangulations,
     nx_isomorphic,
     split_dedupe_levels,
+    traversal_relabel,
 )
 
 # published enumeration of planar triangulations up to isomorphism (OEIS
@@ -188,9 +192,9 @@ def test_four_connected_level_matches_filtered_corpus_large(n, want):
     assert mine == filtered_level_codes(n, CorpusFilter(min_connectivity=4))
 
 
-@pytest.mark.slow
 def test_enumerate_count_n12_matches_published():
-    assert len(_triangulation_level(12)) == 7595
+    # uncached: held, the 7,595 graphs would add about 170 MB to the run
+    assert len(_triangulation_level.__wrapped__(12)) == 7595
 
 
 def _cyclic_start_at_min(seq):
@@ -214,14 +218,19 @@ def test_split_rotation_matches_split_vertex(triangulations_by_n):
 
 
 def _assert_same_as_split_dedupe(n_max):
+    """The same classes in the same order as generate-then-dedupe, each
+    numbered as the oracle's representative is by its minimum traversal."""
     levels = split_dedupe_levels(n_max)
     for n in range(4, n_max + 1):
         mine = _triangulation_level(n)
         want = levels[n]
-        assert [g.rotation for g in mine] == [g.rotation for g in want]
-        assert [g.faces for g in mine] == [g.faces for g in want]
+        assert ([canonical_code(g) for g in mine]
+                == [canonical_code(g) for g in want])
+        relabeled = [traversal_relabel(g) for g in want]
+        assert [g.rotation for g in mine] == [g.rotation for g in relabeled]
+        assert [g.faces for g in mine] == [g.faces for g in relabeled]
         assert ([g.outer_face_index for g in mine]
-                == [g.outer_face_index for g in want])
+                == [g.outer_face_index for g in relabeled])
 
 
 def test_generator_matches_split_dedupe_oracle():
@@ -231,6 +240,46 @@ def test_generator_matches_split_dedupe_oracle():
 @pytest.mark.slow
 def test_generator_matches_split_dedupe_oracle_n11():
     _assert_same_as_split_dedupe(11)
+
+
+def test_representatives_are_their_own_canonical_relabel(triangulations_by_n):
+    """Relabeling a representative by its canonical traversal, from the code
+    or from a full traversal, gives the same graph back."""
+    for n in range(4, 10):
+        for g in triangulations_by_n(n):
+            assert triangulation_from_code(canonical_code(g)).rotation == g.rotation
+            assert traversal_relabel(g).rotation == g.rotation
+
+
+def test_contraction_rank_is_mirror_invariant(triangulations_by_n):
+    for n in range(5, 10):
+        for g in triangulations_by_n(n):
+            m = g.mirror()
+            for x, y in g.edge_set:
+                assert _contraction_rank(g, x, y) == _contraction_rank(m, x, y)
+
+
+def test_split_acceptance_is_the_top_ranked_contractible_edge(triangulations_by_n):
+    """A child is kept exactly when its split edge (v, new) ranks highest
+    among the edges whose ends have two common neighbors, found here on the
+    built child."""
+    kept = 0
+    for n in range(4, 9):
+        for parent in triangulations_by_n(n):
+            for v, i, j in _all_splits(parent):
+                child = split_vertex(parent, v, i, j)
+                ranks = {}
+                for x, y in child.edge_set:
+                    common = child.common_neighbors(x, y)
+                    if len(common) == 2:
+                        dx, dy = child.degrees[x], child.degrees[y]
+                        ranks[(x, y)] = (dx + dy, -abs(dx - dy),
+                                         sum(child.degrees[w] for w in common))
+                want = ranks[(v, child.n - 1)] == max(ranks.values())
+                got = _split_edge_wins(_split_rotation(parent, v, i, j), v)
+                assert got == want
+                kept += got
+    assert kept == 12 + 6 + 16 + 34 + 104
 
 
 def test_four_connected_filter_matches_exhaustive_cut_search(triangulations_by_n):

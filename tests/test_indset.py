@@ -289,3 +289,21 @@ def test_flag_holds_matches_cycle_scans(triangulations_by_n):
                         want = all(len(set(s) & set(c.vertices)) != 2
                                    for c in cycles[length])
                         assert flag_holds(g, s, flag) == want, (g, s, flag)
+
+
+def test_one_cycle_scan_per_length_for_a_certificate_and_its_families(monkeypatch):
+    """``special_set`` and the edge families of its certificate scan the 4-
+    and 5-cycles of the graph once each: the saturation filters, the fresh
+    verification and the family hypotheses share the pair sets."""
+    from hamforge import indset
+
+    scans = []
+    original = indset.enumerate_cycles
+    monkeypatch.setattr(indset, "enumerate_cycles",
+                        lambda g, length: scans.append(length) or original(g, length))
+    indset.sat_pairs.cache_clear()
+    ico = icosahedron()
+    cert = special_set(ico)
+    assert isinstance(cert, IndSetCert) and len(cert)
+    ham_family_from_edge_families(ico, cert)
+    assert sorted(scans) == [4, 5]

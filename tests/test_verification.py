@@ -8,7 +8,7 @@ import pytest
 
 from hamforge import corpus, verification
 from hamforge.corpus import CorpusFilter, read_planar_code
-from hamforge.structures import separating_cycles
+from hamforge.structures import link_region_has_separating_triangle, separating_cycles
 from hamforge.verification import SUITE_RUNNERS, SUITES, square_boundary_regions
 
 from .oracles import square_regions_loop
@@ -173,3 +173,15 @@ def test_dichotomy_regions_are_the_loop_without_separating_triangles(monkeypatch
                         lambda g, v: built.append(v) or original(g, v))
     assert len(list(verification.suite_lemma_uwpath(n_max=10))) == 772
     assert len(built) == 97
+
+
+def test_dichotomy_level_keys_no_region_with_a_separating_triangle(monkeypatch):
+    keyed = []
+    original = corpus._link_rooted_code
+    monkeypatch.setattr(corpus, "_link_rooted_code",
+                        lambda g, v: keyed.append((g, v)) or original(g, v))
+    levels = [corpus._square_region_level.__wrapped__(n, separating=False)
+              for n in range(5, 12)]
+    assert sum(map(len, levels)) == 97
+    assert keyed and not any(link_region_has_separating_triangle(g, v)
+                             for g, v in keyed)
