@@ -1,10 +1,16 @@
 """Exact enumeration and counting of Hamiltonian cycles and paths.
 
-Backtracking with degree-availability pruning.  Cycles are undirected edge
-sets; directed or rooted counts are never exposed.  Every search takes a node
-budget (default 10^9, overridable via HAMFORGE_BUDGET) and raises
-SearchTimeout when it is exhausted: a timeout is an operational result to
-record, never to silently skip.
+One backtracking kernel, ``_Search``, runs every count and enumeration.  It
+grows a path over vertex bitmasks and prunes by degree availability: an
+unvisited neighbour of the path's end that the next step would leave with
+too few ways in and out is *critical*.  A node with two critical neighbours
+has no child, and one with a single critical neighbour tries only that
+vertex.  Children are tried in increasing vertex order, so enumeration is
+deterministic.  Cycles are undirected edge sets; directed or rooted counts
+are never exposed.  Every search takes a node budget (default 10^9,
+overridable via HAMFORGE_BUDGET) that counts each node the search enters,
+and raises SearchTimeout when it is exhausted: a timeout is an operational
+result to record, never to silently skip.
 """
 
 from __future__ import annotations
@@ -35,6 +41,8 @@ def search_budget(budget=None) -> int:
 
 
 def _prepare(g: PlaneGraph, required_edges, forbidden_edges, exclude=frozenset()):
+    """The neighbour masks the search may use and each vertex's required
+    neighbours, or None when some vertex has more than two of those."""
     req = frozenset(edge_key(*e) for e in required_edges)
     forb = frozenset(edge_key(*e) for e in forbidden_edges)
     if req & forb:
@@ -44,174 +52,151 @@ def _prepare(g: PlaneGraph, required_edges, forbidden_edges, exclude=frozenset()
             raise ValueError(f"required edge {e} not in graph")
         if not exclude.isdisjoint(e):
             raise ValueError(f"required edge {e} has an excluded end")
-    adj = [sorted(w for w in g.adj[v] if edge_key(v, w) not in forb)
-           for v in range(g.n)]
+    nb = []
+    for a in g.adj:
+        m = 0
+        for w in a:
+            m |= 1 << w
+        nb.append(m)
+    for u, w in forb:
+        if (u, w) in g.edge_set:
+            nb[u] ^= 1 << w
+            nb[w] ^= 1 << u
     if exclude:
-        adj = [[] if v in exclude else [w for w in a if w not in exclude]
-               for v, a in enumerate(adj)]
+        keep = ~sum(1 << z for z in exclude)
+        nb = [0 if v in exclude else m & keep for v, m in enumerate(nb)]
     req_at = [[] for _ in range(g.n)]
     for u, v in req:
         req_at[u].append(v)
         req_at[v].append(u)
     if any(len(r) > 2 for r in req_at):
         return None
-    return adj, req_at
+    return nb, req_at
 
 
 class _Search:
     """Shared engine for Hamiltonian cycle/path backtracking.
 
-    ``free[z]`` tracks z's unvisited neighbors.  When the endpoint moves off
-    v, each unvisited z adjacent to v loses direct access to the path there;
-    the w terms cancel (z loses w as a free neighbor but gains it as the new
-    endpoint), so the admissible prune is ``free[z] + closure_bonus < need``.
+    The path grows from one end.  Vertices are bits: ``nb[z]`` is z's
+    neighbour mask and ``unvisited`` the mask of vertices off the path, so
+    z has ``(nb[z] & unvisited).bit_count()`` free neighbours.  When the end
+    moves off v to w, each unvisited neighbour z of v other than w loses v
+    for good; z loses w as a free neighbour but gains it as the new end, so
+    z stays passable only while it keeps ``need[z]`` free neighbours: 2,
+    or 1 for the far end of a path (no way out needed) and for a neighbour
+    of the cycle's start (the closing edge is a way out).  The neighbours
+    of v below that are its *critical* ones, found once per node.  Every
+    node entered counts against the budget, and ``nodes`` and ``count``
+    stay readable after the search, also after a timeout.
     """
 
-    __slots__ = ("g", "adj", "adjset", "req_at", "budget", "nodes", "count",
-                 "emit", "cap", "n")
+    __slots__ = ("nb", "req_at", "n", "budget", "emit", "cap", "nodes",
+                 "count")
 
-    def __init__(self, g, adj, req_at, budget, emit, cap, excluded=0):
-        self.g = g
-        self.n = g.n - excluded  # vertices to cover; arrays keep g's ids
-        self.adj = adj
-        self.adjset = [frozenset(a) for a in adj]
+    def __init__(self, nb, req_at, n, budget, emit=None, cap=None):
+        self.nb = nb
         self.req_at = req_at
+        self.n = n  # vertices to cover; the masks keep the graph's ids
         self.budget = budget
-        self.nodes = 0
-        self.count = 0
         self.emit = emit
         self.cap = cap
-
-    def _tick(self):
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise SearchTimeout(self.budget, partial=self.count)
-
-    # -- cycles --
+        self.nodes = 0
+        self.count = 0
 
     def run_cycles(self):
-        n = self.n
-        if n < 3 or any(len(a) < 2 for a in self.adj):
+        if self.n < 3 or any(m.bit_count() < 2 for m in self.nb):
             return 0
-        start = 0
-        visited = [False] * n
-        visited[start] = True
-        path = [start]
-        free = [len(a) for a in self.adj]
-        for z in self.adj[start]:
-            free[z] -= 1
-        self._cycle_extend(path, visited, free, start)
-        return self.count
-
-    def _cycle_extend(self, path, visited, free, start):
-        self._tick()
-        v = path[-1]
-        if len(path) == self.n:
-            if start in self.adjset[v] and path[1] < path[-1]:
-                # required edges at the two closure vertices resolve only here
-                if all(x in (path[1], v) for x in self.req_at[start]) and \
-                   all(x in (path[-2], start) for x in self.req_at[v]):
-                    self._found_cycle(path)
-            return
-        prev = path[-2] if len(path) > 1 else None
-        req_v = self.req_at[v]
-        for w in self.adj[v]:
-            if visited[w]:
-                continue
-            if req_v and v != start and not all(x == w or x == prev for x in req_v):
-                continue
-            if v == start and len(req_v) == 2 and w not in req_v:
-                continue
-            ok = True
-            for z in self.adj[v]:
-                if z == w or visited[z]:
-                    continue
-                if free[z] + (1 if start in self.adjset[z] else 0) < 2:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            visited[w] = True
-            path.append(w)
-            for z in self.adj[w]:
-                free[z] -= 1
-            self._cycle_extend(path, visited, free, start)
-            for z in self.adj[w]:
-                free[z] += 1
-            path.pop()
-            visited[w] = False
-            if self.cap is not None and self.count >= self.cap:
-                return
-
-    def _found_cycle(self, path):
-        self.count += 1
-        if self.emit is not None:
-            n = self.n
-            edges = frozenset(edge_key(path[i], path[(i + 1) % n]) for i in range(n))
-            self.emit(edges, tuple(path))
-
-    # -- paths --
+        return self._run(0, None)
 
     def run_paths(self, a, b):
         if a == b:
             raise ValueError("path endpoints must differ")
         if len(self.req_at[a]) > 1 or len(self.req_at[b]) > 1:
             return 0
-        visited = [False] * self.g.n
-        visited[a] = True
-        path = [a]
-        free = [len(x) for x in self.adj]
-        for z in self.adj[a]:
-            free[z] -= 1
-        self._path_extend(path, visited, free, a, b)
-        return self.count
+        return self._run(a, b)
 
-    def _path_extend(self, path, visited, free, a, b):
-        self._tick()
-        v = path[-1]
-        if len(path) == self.n:
-            if v == b and all(x == path[-2] for x in self.req_at[v]) and \
-               all(x == path[1] for x in self.req_at[a]):
-                self._found_path(path)
-            return
-        prev = path[-2] if len(path) > 1 else None
-        req_v = self.req_at[v]
-        for w in self.adj[v]:
-            if visited[w]:
-                continue
-            if w == b and len(path) != self.n - 1:
-                continue
-            if v == a:
-                if req_v and not all(x == w for x in req_v):
-                    continue
-            elif req_v and not all(x == w or x == prev for x in req_v):
-                continue
-            ok = True
-            for z in self.adj[v]:
-                if z == w or visited[z]:
-                    continue
-                if free[z] < (1 if z == b else 2):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            visited[w] = True
-            path.append(w)
-            for z in self.adj[w]:
-                free[z] -= 1
-            self._path_extend(path, visited, free, a, b)
-            for z in self.adj[w]:
-                free[z] += 1
-            path.pop()
-            visited[w] = False
-            if self.cap is not None and self.count >= self.cap:
+    def _run(self, start, end):
+        """Count (and emit) the Hamiltonian start-end paths, or with ``end``
+        None the Hamiltonian cycles, each cycle once: in the direction whose
+        second vertex is smaller than its last."""
+        n, nb, req_at = self.n, self.nb, self.req_at
+        budget, emit, cap = self.budget, self.emit, self.cap
+        if end is None:
+            need = [1 if m >> start & 1 else 2 for m in nb]
+            not_end = -1
+            # one required edge at the start may be either end of the cycle
+            start_req = 2
+        else:
+            need = [2] * len(nb)
+            need[end] = 1
+            not_end = ~(1 << end)
+            start_req = 1
+        path = [start] * n
+        nodes = count = 0
+
+        def extend(v, depth, unvisited):
+            nonlocal nodes, count
+            nodes += 1
+            if nodes > budget:
+                raise SearchTimeout(budget, partial=count)
+            if depth == n:
+                if end is None:
+                    # required edges at the two closure vertices resolve here
+                    done = nb[v] >> start & 1 and path[1] < v and \
+                        all(x in (path[1], v) for x in req_at[start]) and \
+                        all(x in (path[-2], start) for x in req_at[v])
+                else:
+                    done = v == end and \
+                        all(x == path[-2] for x in req_at[v]) and \
+                        all(x == path[1] for x in req_at[start])
+                if done:
+                    count += 1
+                    if emit is not None:
+                        walk = path if end is not None else path + [start]
+                        emit(frozenset(edge_key(u, w)
+                                       for u, w in zip(walk, walk[1:])),
+                             tuple(path))
                 return
+            free = cand = nb[v] & unvisited
+            if depth != n - 1:
+                cand &= not_end
+            req_v = req_at[v]
+            if req_v:
+                if depth > 1:
+                    prev = path[depth - 2]
+                    for x in req_v:
+                        if x != prev:
+                            cand &= 1 << x
+                elif len(req_v) == start_req:
+                    cand &= sum(1 << x for x in req_v)
+            if not cand:
+                return
+            critical = 0
+            while free:
+                bit = free & -free
+                free ^= bit
+                z = bit.bit_length() - 1
+                if (nb[z] & unvisited).bit_count() < need[z]:
+                    if critical:
+                        return  # no single step keeps both passable
+                    critical = bit
+            if critical:
+                cand &= critical
+            while cand:
+                bit = cand & -cand
+                cand ^= bit
+                w = bit.bit_length() - 1
+                path[depth] = w
+                extend(w, depth + 1, unvisited ^ bit)
+                if cap is not None and count >= cap:
+                    return
 
-    def _found_path(self, path):
-        self.count += 1
-        if self.emit is not None:
-            edges = frozenset(edge_key(u, v) for u, v in zip(path, path[1:]))
-            self.emit(edges, tuple(path))
+        try:
+            extend(start, 1, ((1 << len(nb)) - 1) ^ (1 << start))
+        finally:
+            self.nodes, self.count = nodes, count
+            del extend  # the closure refers to itself: break the cycle
+        return count
 
 
 def count_ham_cycles(g: PlaneGraph, required_edges=(), forbidden_edges=(),
@@ -221,9 +206,7 @@ def count_ham_cycles(g: PlaneGraph, required_edges=(), forbidden_edges=(),
     prep = _prepare(g, required_edges, forbidden_edges)
     if prep is None:
         return 0
-    adj, req_at = prep
-    s = _Search(g, adj, req_at, search_budget(budget), None, None)
-    return s.run_cycles()
+    return _Search(*prep, g.n, search_budget(budget)).run_cycles()
 
 
 def enumerate_ham_cycles_raw(g: PlaneGraph, required_edges=(), forbidden_edges=(),
@@ -232,11 +215,9 @@ def enumerate_ham_cycles_raw(g: PlaneGraph, required_edges=(), forbidden_edges=(
     prep = _prepare(g, required_edges, forbidden_edges)
     if prep is None:
         return []
-    adj, req_at = prep
     found = []
-    s = _Search(g, adj, req_at, search_budget(budget),
-                lambda e, p: found.append((e, p)), cap)
-    s.run_cycles()
+    _Search(*prep, g.n, search_budget(budget),
+            lambda e, p: found.append((e, p)), cap).run_cycles()
     return found
 
 
@@ -259,8 +240,8 @@ def _run_paths(g, a, b, required_edges, forbidden_edges, exclude, budget,
     prep = _prepare(g, required_edges, forbidden_edges, exclude)
     if prep is None:
         return 0
-    return _Search(g, *prep, search_budget(budget), emit, cap,
-                   len(exclude)).run_paths(a, b)
+    return _Search(*prep, g.n - len(exclude), search_budget(budget), emit,
+                   cap).run_paths(a, b)
 
 
 def count_ham_paths(g: PlaneGraph, a: int, b: int, required_edges=(),

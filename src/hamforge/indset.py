@@ -192,7 +192,11 @@ def four_color(g: PlaneGraph, vertices, budget: int = 2_000_000) -> dict[int, in
             del color[v]
         return False
 
-    if not solve():
+    try:
+        solved = solve()
+    finally:
+        del solve  # the closure refers to itself: break the cycle
+    if not solved:
         raise StructureViolation("planar subgraph refused a 4-coloring")
     return color
 

@@ -110,8 +110,11 @@ def enumerate_cycles(g: PlaneGraph, length: int) -> list[Cycle]:
                 continue
             extend(path + [w])
 
-    for v in range(g.n):
-        extend([v])
+    try:
+        for v in range(g.n):
+            extend([v])
+    finally:
+        del extend  # the closure refers to itself: break the cycle
     return out
 
 

@@ -138,7 +138,10 @@ def _simple_paths_lex(g: PlaneGraph, x: int, y: int):
             path.pop()
             onpath.remove(w)
 
-    yield from extend()
+    try:
+        yield from extend()
+    finally:
+        del extend  # the closure refers to itself: break the cycle
 
 
 def _graph_and_cycle(g_or_nt, c: Cycle | None):

@@ -14,7 +14,9 @@ instead of read off the code, ``scan_face_index``, the scan over every
 face, and the earlier copies of searches now folded into one:
 ``reference_tutte_path`` and ``reference_tutte_path_two_edges``,
 ``region_paths_loop``, ``two_edge_family_loop`` and
-``reference_special_set`` / ``reference_special_set_mindeg5``.
+``reference_special_set`` / ``reference_special_set_mindeg5``, and the
+Hamiltonian backtracker before its bitmask kernel: ``reference_prepare``
+and ``ReferenceSearch``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import itertools
 
 import networkx as nx
 
+from hamforge.errors import SearchTimeout
 from hamforge.plane_graph import PlaneGraph, build, canonical_cycle, edge_key
 
 
@@ -546,3 +549,187 @@ def reference_special_set_mindeg5(g, t):
     cert = _reference_filters(g, low_degree_independent_set(g))
     _reference_verify_cert(g, cert)
     return cert
+
+
+# ---------------------------------------------------------------------------
+# the Hamiltonian backtracker the bitmask kernel replaces, kept verbatim
+# ---------------------------------------------------------------------------
+
+def reference_prepare(g: PlaneGraph, required_edges, forbidden_edges, exclude=frozenset()):
+    req = frozenset(edge_key(*e) for e in required_edges)
+    forb = frozenset(edge_key(*e) for e in forbidden_edges)
+    if req & forb:
+        raise ValueError("required and forbidden edge sets intersect")
+    for e in req:
+        if e not in g.edge_set:
+            raise ValueError(f"required edge {e} not in graph")
+        if not exclude.isdisjoint(e):
+            raise ValueError(f"required edge {e} has an excluded end")
+    adj = [sorted(w for w in g.adj[v] if edge_key(v, w) not in forb)
+           for v in range(g.n)]
+    if exclude:
+        adj = [[] if v in exclude else [w for w in a if w not in exclude]
+               for v, a in enumerate(adj)]
+    req_at = [[] for _ in range(g.n)]
+    for u, v in req:
+        req_at[u].append(v)
+        req_at[v].append(u)
+    if any(len(r) > 2 for r in req_at):
+        return None
+    return adj, req_at
+
+
+class ReferenceSearch:
+    """Shared engine for Hamiltonian cycle/path backtracking.
+
+    ``free[z]`` tracks z's unvisited neighbors.  When the endpoint moves off
+    v, each unvisited z adjacent to v loses direct access to the path there;
+    the w terms cancel (z loses w as a free neighbor but gains it as the new
+    endpoint), so the admissible prune is ``free[z] + closure_bonus < need``.
+    """
+
+    __slots__ = ("g", "adj", "adjset", "req_at", "budget", "nodes", "count",
+                 "emit", "cap", "n")
+
+    def __init__(self, g, adj, req_at, budget, emit, cap, excluded=0):
+        self.g = g
+        self.n = g.n - excluded  # vertices to cover; arrays keep g's ids
+        self.adj = adj
+        self.adjset = [frozenset(a) for a in adj]
+        self.req_at = req_at
+        self.budget = budget
+        self.nodes = 0
+        self.count = 0
+        self.emit = emit
+        self.cap = cap
+
+    def _tick(self):
+        self.nodes += 1
+        if self.nodes > self.budget:
+            raise SearchTimeout(self.budget, partial=self.count)
+
+    # -- cycles --
+
+    def run_cycles(self):
+        n = self.n
+        if n < 3 or any(len(a) < 2 for a in self.adj):
+            return 0
+        start = 0
+        visited = [False] * n
+        visited[start] = True
+        path = [start]
+        free = [len(a) for a in self.adj]
+        for z in self.adj[start]:
+            free[z] -= 1
+        self._cycle_extend(path, visited, free, start)
+        return self.count
+
+    def _cycle_extend(self, path, visited, free, start):
+        self._tick()
+        v = path[-1]
+        if len(path) == self.n:
+            if start in self.adjset[v] and path[1] < path[-1]:
+                # required edges at the two closure vertices resolve only here
+                if all(x in (path[1], v) for x in self.req_at[start]) and \
+                   all(x in (path[-2], start) for x in self.req_at[v]):
+                    self._found_cycle(path)
+            return
+        prev = path[-2] if len(path) > 1 else None
+        req_v = self.req_at[v]
+        for w in self.adj[v]:
+            if visited[w]:
+                continue
+            if req_v and v != start and not all(x == w or x == prev for x in req_v):
+                continue
+            if v == start and len(req_v) == 2 and w not in req_v:
+                continue
+            ok = True
+            for z in self.adj[v]:
+                if z == w or visited[z]:
+                    continue
+                if free[z] + (1 if start in self.adjset[z] else 0) < 2:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            visited[w] = True
+            path.append(w)
+            for z in self.adj[w]:
+                free[z] -= 1
+            self._cycle_extend(path, visited, free, start)
+            for z in self.adj[w]:
+                free[z] += 1
+            path.pop()
+            visited[w] = False
+            if self.cap is not None and self.count >= self.cap:
+                return
+
+    def _found_cycle(self, path):
+        self.count += 1
+        if self.emit is not None:
+            n = self.n
+            edges = frozenset(edge_key(path[i], path[(i + 1) % n]) for i in range(n))
+            self.emit(edges, tuple(path))
+
+    # -- paths --
+
+    def run_paths(self, a, b):
+        if a == b:
+            raise ValueError("path endpoints must differ")
+        if len(self.req_at[a]) > 1 or len(self.req_at[b]) > 1:
+            return 0
+        visited = [False] * self.g.n
+        visited[a] = True
+        path = [a]
+        free = [len(x) for x in self.adj]
+        for z in self.adj[a]:
+            free[z] -= 1
+        self._path_extend(path, visited, free, a, b)
+        return self.count
+
+    def _path_extend(self, path, visited, free, a, b):
+        self._tick()
+        v = path[-1]
+        if len(path) == self.n:
+            if v == b and all(x == path[-2] for x in self.req_at[v]) and \
+               all(x == path[1] for x in self.req_at[a]):
+                self._found_path(path)
+            return
+        prev = path[-2] if len(path) > 1 else None
+        req_v = self.req_at[v]
+        for w in self.adj[v]:
+            if visited[w]:
+                continue
+            if w == b and len(path) != self.n - 1:
+                continue
+            if v == a:
+                if req_v and not all(x == w for x in req_v):
+                    continue
+            elif req_v and not all(x == w or x == prev for x in req_v):
+                continue
+            ok = True
+            for z in self.adj[v]:
+                if z == w or visited[z]:
+                    continue
+                if free[z] < (1 if z == b else 2):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            visited[w] = True
+            path.append(w)
+            for z in self.adj[w]:
+                free[z] -= 1
+            self._path_extend(path, visited, free, a, b)
+            for z in self.adj[w]:
+                free[z] += 1
+            path.pop()
+            visited[w] = False
+            if self.cap is not None and self.count >= self.cap:
+                return
+
+    def _found_path(self, path):
+        self.count += 1
+        if self.emit is not None:
+            edges = frozenset(edge_key(u, v) for u, v in zip(path, path[1:]))
+            self.emit(edges, tuple(path))

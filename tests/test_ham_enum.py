@@ -1,12 +1,16 @@
+import gc
 import itertools
+import random
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hamforge.corpus import (
+    CorpusFilter,
     cycle_graph,
     double_wheel,
+    enumerate_triangulations,
     icosahedron,
     k4,
     octahedron,
@@ -15,6 +19,8 @@ from hamforge.corpus import (
 from hamforge.errors import SearchTimeout
 from hamforge.ham_enum import (
     HamFamily,
+    _prepare,
+    _Search,
     count_ham_cycles,
     count_ham_paths,
     enumerate_ham_cycles,
@@ -27,9 +33,11 @@ from hamforge.ham_enum import (
 from hamforge.plane_graph import build, edge_key
 
 from .oracles import (
+    ReferenceSearch,
     naive_count_ham_cycles,
     naive_count_ham_paths,
     permutation_count_ham_cycles,
+    reference_prepare,
     region_paths_loop,
 )
 
@@ -279,3 +287,114 @@ def test_search_budget_takes_only_positive_integers(monkeypatch):
         monkeypatch.setenv("HAMFORGE_BUDGET", bad)
         with pytest.raises(ValueError, match="HAMFORGE_BUDGET"):
             search_budget()
+
+
+# -- the kernel against the backtracker it replaced -----------------------------
+
+def _search_outcome(make, ends, collect):
+    """Return value, (budget, partial) of a timeout, emitted sequence and
+    nodes of the search ``make(emit)``, emitting only when ``collect``."""
+    found = []
+    search = make((lambda e, p: found.append((e, p))) if collect else None)
+    try:
+        value = search.run_cycles() if ends is None else search.run_paths(*ends)
+        timeout = None
+    except SearchTimeout as exc:
+        value, timeout = None, (exc.budget, exc.partial)
+    return value, timeout, found, search.nodes
+
+
+def _assert_same_searches(graphs, seed, per_graph=16):
+    """Seeded random cycle and path searches (required, forbidden and
+    excluded vertices, caps, emitting or counting) give the same value,
+    emitted sequence, nodes and timeout under both engines: once with the
+    default budget and once with a budget drawn below the nodes it took."""
+    rng = random.Random(seed)
+    searches = timeouts = partial = 0
+    for g in graphs:
+        edges = sorted(g.edge_set)
+        for _ in range(per_graph):
+            ends, exclude = None, frozenset()
+            if rng.random() < 0.5:
+                ends = tuple(rng.sample(range(g.n), 2))
+                rest = [v for v in range(g.n) if v not in ends]
+                exclude = frozenset(rng.sample(rest, rng.choice((0, 0, 1, 2))))
+            required = [e for e in rng.sample(edges, rng.choice((0, 0, 1, 2, 3)))
+                        if exclude.isdisjoint(e)]
+            forbidden = [e for e in rng.sample(edges, rng.choice((0, 0, 1, 2, 4)))
+                         if e not in required]
+            cap = rng.choice((None, None, 1, 2, rng.randint(0, 5)))
+            collect = rng.random() < 0.6
+            want_prep = reference_prepare(g, required, forbidden, exclude)
+            prep = _prepare(g, required, forbidden, exclude)
+            assert (prep is None) == (want_prep is None)
+            if prep is None:
+                continue
+            budget = 10 ** 9
+            for _round in range(2):
+                want = _search_outcome(
+                    lambda emit: ReferenceSearch(g, *want_prep, budget, emit,
+                                                 cap, len(exclude)),
+                    ends, collect)
+                got = _search_outcome(
+                    lambda emit: _Search(*prep, g.n - len(exclude), budget,
+                                         emit, cap),
+                    ends, collect)
+                assert got == want, (g, ends, required, forbidden, exclude,
+                                     cap, budget)
+                searches += 1
+                timeouts += want[1] is not None
+                partial += bool(want[1] and want[1][1])
+                if not want[3]:
+                    break
+                budget = rng.randint(1, want[3])
+    assert searches and timeouts and partial
+
+
+def test_kernel_matches_reference_search(triangulations_by_n):
+    """The full levels n <= 9 and the 4-connected levels n <= 11."""
+    four = CorpusFilter(min_connectivity=4)
+    graphs = [g for n in range(4, 10) for g in triangulations_by_n(n)]
+    graphs += [g for n in range(10, 12)
+               for g in enumerate_triangulations(n, four)]
+    _assert_same_searches(graphs, seed=14)
+
+
+@pytest.mark.slow
+def test_kernel_matches_reference_search_n10(triangulations_by_n):
+    _assert_same_searches(triangulations_by_n(10), seed=10)
+
+
+def test_searches_leave_no_reference_cycles():
+    """The recursive searches break their closures' self-references, so
+    a call leaves nothing for the cycle collector, on success and on a
+    timeout alike."""
+    from hamforge.indset import four_color
+    from hamforge.structures import enumerate_cycles
+    from hamforge.tutte import _simple_paths_lex
+
+    g = icosahedron()
+
+    def timed_out():
+        with pytest.raises(SearchTimeout):
+            count_ham_paths(g, 0, 5, budget=20)
+
+    calls = [
+        lambda: enumerate_cycles(g, 4),
+        lambda: four_color(g, range(g.n)),
+        lambda: next(_simple_paths_lex(g, 0, 5)),
+        lambda: count_ham_cycles(g),
+        lambda: enumerate_ham_cycles_raw(g, cap=3),
+        lambda: first_ham_cycle(g),
+        lambda: count_ham_paths(g, 0, 5, exclude={1}),
+        lambda: enumerate_ham_paths(g, 0, 5, cap=2),
+        timed_out,
+    ]
+    for call in calls:
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            assert gc.collect() == 0, call
+        finally:
+            gc.enable()
