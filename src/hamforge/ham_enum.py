@@ -42,7 +42,9 @@ def search_budget(budget=None) -> int:
 
 def _prepare(g: PlaneGraph, required_edges, forbidden_edges, exclude=frozenset()):
     """The neighbour masks the search may use and each vertex's required
-    neighbours, or None when some vertex has more than two of those."""
+    neighbours, or None when some vertex has more than two of those.  The
+    masks start as a copy of ``g.nbr_masks``, built once per graph, so
+    forbidden edges and excluded vertices never reach the graph's own."""
     req = frozenset(edge_key(*e) for e in required_edges)
     forb = frozenset(edge_key(*e) for e in forbidden_edges)
     if req & forb:
@@ -52,12 +54,7 @@ def _prepare(g: PlaneGraph, required_edges, forbidden_edges, exclude=frozenset()
             raise ValueError(f"required edge {e} not in graph")
         if not exclude.isdisjoint(e):
             raise ValueError(f"required edge {e} has an excluded end")
-    nb = []
-    for a in g.adj:
-        m = 0
-        for w in a:
-            m |= 1 << w
-        nb.append(m)
+    nb = list(g.nbr_masks)
     for u, w in forb:
         if (u, w) in g.edge_set:
             nb[u] ^= 1 << w

@@ -107,14 +107,24 @@ class Cycle:
 class PlaneGraph:
     """A simple plane graph with a designated outer face.
 
-    ``rotation[v]`` is the clockwise neighbor sequence of ``v``.  The face
-    census, adjacency sets and edge set are precomputed; instances are
-    immutable.  ``is_triangulation`` is set iff every face is a triangle.
-    Use :func:`build` to construct from untrusted rotation tables.
+    ``rotation[v]`` is the clockwise neighbor sequence of ``v``.  Building
+    one keeps what every caller needs: ``rotation``, the adjacency sets
+    ``adj``, ``degrees`` and the faces, traced at construction so that the
+    Euler check runs there.  The other tables are built on first read and
+    then kept on the instance: ``edge_set``, ``nbr_masks`` (``nbr_masks[v]``
+    has bit w set iff vw is an edge), and the private ``_pos`` (position of
+    each neighbor in a rotation) and ``_face_at`` (face of each directed
+    edge).  They are properties over slots: a ``__getattr__`` would make
+    every other attribute read slower.  ``with_outer_face`` copies share
+    whatever their parent has built.  Instances are immutable.
+    ``is_triangulation`` is set iff every face is a triangle.  Use
+    :func:`build` to construct from untrusted rotation tables.
     """
 
-    __slots__ = ("n", "rotation", "outer_face_index", "faces", "adj", "edge_set",
-                 "degrees", "is_triangulation", "connected", "_pos", "_face_at")
+    __slots__ = ("n", "rotation", "outer_face_index", "faces", "adj", "degrees",
+                 "is_triangulation", "connected",
+                 # the tables built on first read; None until then
+                 "_built_edge_set", "_built_nbr_masks", "_built_pos", "_built_face_at")
 
     def __init__(self, rotation, outer_face_index=0, require_connected=True):
         rotation = tuple(tuple(nbrs) for nbrs in rotation)
@@ -138,24 +148,50 @@ class PlaneGraph:
         self.rotation = rotation
         self.adj = tuple(adj)
         self.degrees = tuple(len(r) for r in rotation)
-        self.edge_set = frozenset(edge_key(v, w) for v in range(n) for w in rotation[v])
-        self._pos = tuple({w: i for i, w in enumerate(nbrs)} for nbrs in rotation)
+        self._built_edge_set = self._built_nbr_masks = None
+        self._built_pos = self._built_face_at = None
 
         self.connected = self._bfs_connected()
         if require_connected and not self.connected:
             raise DisconnectedGraph("graph is not connected")
 
-        self.faces, self._face_at = self._trace_faces()
+        self.faces = self._trace_faces()
         if self.connected:
             # Euler's formula on the sphere; fails iff the rotation has genus > 0.
-            if n - len(self.edge_set) + len(self.faces) != 2:
-                raise NonPlanarTrace(
-                    f"V-E+F = {n}-{len(self.edge_set)}+{len(self.faces)} != 2")
+            m = sum(self.degrees) // 2
+            if n - m + len(self.faces) != 2:
+                raise NonPlanarTrace(f"V-E+F = {n}-{m}+{len(self.faces)} != 2")
         self.is_triangulation = (
             self.connected and n >= 3 and all(len(f) == 3 for f in self.faces))
         if not 0 <= outer_face_index < max(1, len(self.faces)):
             raise ValueError("outer face index out of range")
         self.outer_face_index = outer_face_index
+
+    # -- tables built on first read --
+
+    @property
+    def edge_set(self) -> frozenset[Edge]:
+        if self._built_edge_set is None:
+            self._built_edge_set = _edge_set(self)
+        return self._built_edge_set
+
+    @property
+    def nbr_masks(self) -> tuple[int, ...]:
+        if self._built_nbr_masks is None:
+            self._built_nbr_masks = _nbr_masks(self)
+        return self._built_nbr_masks
+
+    @property
+    def _pos(self) -> tuple[dict[int, int], ...]:
+        if self._built_pos is None:
+            self._built_pos = _positions(self)
+        return self._built_pos
+
+    @property
+    def _face_at(self) -> dict[tuple[int, int], int]:
+        if self._built_face_at is None:
+            self._built_face_at = _face_table(self)
+        return self._built_face_at
 
     # -- construction helpers --
 
@@ -176,22 +212,32 @@ class PlaneGraph:
         return count == self.n
 
     def _trace_faces(self):
-        """Orbits of (u,v) -> (v, successor of u in rotation[v])."""
+        """Orbits of (u,v) -> (v, successor of u in rotation[v]).
+
+        A face lists the heads of its directed edges in walk order, from the
+        first edge in vertex and rotation order that it holds; ``seen[u][i]``
+        marks directed edge (u, rotation[u][i]) as traced.
+        """
+        rotation = self.rotation
+        seen = [[False] * len(nbrs) for nbrs in rotation]
         faces = []
-        face_at = {}
-        for u0 in range(self.n):
-            for v0 in self.rotation[u0]:
-                if (u0, v0) in face_at:
+        for u0, nbrs0 in enumerate(rotation):
+            for i0 in range(len(nbrs0)):
+                if seen[u0][i0]:
                     continue
                 walk = []
-                u, v = u0, v0
-                while (u, v) not in face_at:
-                    face_at[(u, v)] = len(faces)
+                u, i = u0, i0
+                while not seen[u][i]:
+                    seen[u][i] = True
+                    v = rotation[u][i]
                     walk.append(v)
-                    nbrs = self.rotation[v]
-                    u, v = v, nbrs[(self._pos[v][u] + 1) % len(nbrs)]
+                    nbrs = rotation[v]
+                    i = nbrs.index(u) + 1
+                    if i == len(nbrs):
+                        i = 0
+                    u = v
                 faces.append(tuple(walk))
-        return tuple(faces), face_at
+        return tuple(faces)
 
     # -- basic queries --
 
@@ -223,10 +269,11 @@ class PlaneGraph:
         directions, so only the faces on that edge are compared.
         """
         vs = tuple(vertices)
-        if len(vs) < 2 or (vs[0], vs[1]) not in self._face_at:
+        face_at = self._face_at
+        if len(vs) < 2 or (vs[0], vs[1]) not in face_at:
             return None
         want = canonical_cycle(vs)
-        hits = [i for i in (self._face_at[(vs[0], vs[1])], self._face_at[(vs[1], vs[0])])
+        hits = [i for i in (face_at[(vs[0], vs[1])], face_at[(vs[1], vs[0])])
                 if canonical_cycle(self.faces[i]) == want]
         return min(hits, default=None)
 
@@ -254,7 +301,7 @@ class PlaneGraph:
 
     def __repr__(self):
         kind = "triangulation" if self.is_triangulation else "plane graph"
-        return f"<{kind} n={self.n} m={len(self.edge_set)}>"
+        return f"<{kind} n={self.n} m={sum(self.degrees) // 2}>"
 
     # -- derived graphs --
 
@@ -273,7 +320,8 @@ class PlaneGraph:
     def with_outer_face(self, index: int) -> PlaneGraph:
         """Same embedding with face ``index`` as the outer face.
 
-        The copy shares the parent's embedding and every table derived from it.
+        The copy shares the parent's embedding and every table the parent
+        has built so far; it builds the others itself when they are read.
         """
         if not 0 <= index < max(1, len(self.faces)):
             raise ValueError("outer face index out of range")
@@ -305,6 +353,24 @@ class PlaneGraph:
 
     def induced(self, vertices) -> tuple[PlaneGraph, list[int]]:
         return self.delete_vertices(set(range(self.n)) - set(vertices))
+
+
+def _edge_set(g: PlaneGraph) -> frozenset[Edge]:
+    return frozenset(edge_key(v, w) for v in range(g.n) for w in g.rotation[v])
+
+
+def _nbr_masks(g: PlaneGraph) -> tuple[int, ...]:
+    return tuple(sum(1 << w for w in a) for a in g.adj)
+
+
+def _positions(g: PlaneGraph) -> tuple[dict[int, int], ...]:
+    return tuple({w: i for i, w in enumerate(nbrs)} for nbrs in g.rotation)
+
+
+def _face_table(g: PlaneGraph) -> dict[tuple[int, int], int]:
+    # face f holds the directed edges (f[j - 1], f[j]), from j = 0 in the
+    # order they were traced
+    return {(f[j - 1], f[j]): i for i, f in enumerate(g.faces) for j in range(len(f))}
 
 
 def build(rotation_table) -> PlaneGraph:
@@ -520,11 +586,12 @@ def _side_faces(g: PlaneGraph, c: Cycle) -> tuple[set[int], set[int]]:
     """Partition face indices into (side containing the outer face, other side)."""
     ce = c.edges()
     adj_faces: dict[int, set[int]] = {i: set() for i in range(len(g.faces))}
-    for (u, v), i in g._face_at.items():
+    face_at = g._face_at
+    for (u, v), i in face_at.items():
         e = edge_key(u, v)
         if e in ce:
             continue
-        j = g._face_at[(v, u)]
+        j = face_at[(v, u)]
         adj_faces[i].add(j)
         adj_faces[j].add(i)
     start = g.outer_face_index
@@ -555,8 +622,9 @@ def closure(g: PlaneGraph, c: Cycle) -> NearTriangulation:
     for i in inside:
         vertices.update(g.faces[i])
     keep_edges = set(c.edges())
+    face_at = g._face_at
     for u, v in g.edge_set:
-        if g._face_at[(u, v)] in inside and g._face_at[(v, u)] in inside:
+        if face_at[(u, v)] in inside and face_at[(v, u)] in inside:
             keep_edges.add((u, v))
     keep_sorted = sorted(vertices)
     relabel = {old: new for new, old in enumerate(keep_sorted)}
@@ -985,8 +1053,7 @@ def outer_rooted_code(g: PlaneGraph) -> tuple[int, ...]:
 
 def is_isomorphic(g1: PlaneGraph, g2: PlaneGraph) -> bool:
     """Embedding isomorphism (= graph isomorphism for 3-connected inputs)."""
-    if g1.n != g2.n or len(g1.edge_set) != len(g2.edge_set):
-        return False
+    # equal degree sequences mean equal vertex and edge counts
     if sorted(g1.degrees) != sorted(g2.degrees):
         return False
     return canonical_code(g1) == canonical_code(g2)

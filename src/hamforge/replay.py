@@ -871,7 +871,9 @@ def theorem2_tree(g: PlaneGraph, chain: NestedChain, budget=None) -> CycleTree:
     if base is None:
         raise ChainBroken(0, "outermost contraction has no Hamiltonian cycle")
     lab = h1.labels
-    frontier = [frozenset(_labeled_edge(lab[a], lab[b]) for a, b in base)]
+    # one tuple per labeled edge, shared by every cycle that holds it
+    pool = {}
+    frontier = [_interned(pool, (_labeled_edge(lab[a], lab[b]) for a, b in base))]
     branching: list[list[int]] = []
     partial = False
     log = []
@@ -893,7 +895,7 @@ def theorem2_tree(g: PlaneGraph, chain: NestedChain, budget=None) -> CycleTree:
                 raise ChainBroken(level, f"no completion between {a} and {b}")
             level_branching.append(len(paths))
             for pathseq in paths:
-                child = frozenset(rest | set(_labeled_path_edges(pathseq)))
+                child = frozenset(rest | _interned(pool, _labeled_path_edges(pathseq)))
                 nxt.append(child)
                 if len(nxt) >= cap:
                     # truncate breadth only; every level still completes so
@@ -910,8 +912,10 @@ def theorem2_tree(g: PlaneGraph, chain: NestedChain, budget=None) -> CycleTree:
 
     leaves = []
     seen = set()
+    # leaves hold the graph's own edge tuples
+    own = {e: e for e in g.edge_set}
     for cyc in frontier:
-        edges = frozenset(edge_key(a, b) for a, b in cyc)
+        edges = _interned(own, (edge_key(a, b) for a, b in cyc))
         if not is_ham_cycle(g, edges):
             raise ChainBroken(t, "leaf is not a Hamiltonian cycle")
         if edges not in seen:
@@ -925,6 +929,11 @@ def theorem2_tree(g: PlaneGraph, chain: NestedChain, budget=None) -> CycleTree:
 
 def _label_sort_key(lab):
     return (1, lab, 0) if isinstance(lab, tuple) else (0, (), lab)
+
+
+def _interned(pool, edges) -> frozenset:
+    """``edges`` as the equal tuples ``pool`` holds, adding those it lacks."""
+    return frozenset(pool.setdefault(e, e) for e in edges)
 
 
 def _labeled_edge(a, b):

@@ -165,7 +165,7 @@ def dichotomy_regions(n_max: int):
 def suite_euler(n_max=9, **_kw):
     for g in corpus_triangulations(n_max):
         def face_census():
-            m = len(g.edge_set)
+            m = sum(g.degrees) // 2
             ok = (g.n - m + len(g.faces) == 2) and m == 3 * g.n - 6 and g.is_triangulation
             return ok, {"n": g.n, "m": m, "faces": len(g.faces)}
         yield _row("euler", g, graph_id(g), "face_census", face_census)

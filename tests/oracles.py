@@ -11,7 +11,8 @@ split child, ``filtered_level_codes``, the full level filtered,
 ``full_traversal_canonical_code``, every traversal run to the end,
 ``traversal_relabel``, the canonical numbering taken from such a traversal
 instead of read off the code, ``scan_face_index``, the scan over every
-face, and the earlier copies of searches now folded into one:
+face, ``eager_tables``, the tables ``PlaneGraph`` built at construction
+before it built them on first read, and the earlier copies of searches now folded into one:
 ``reference_tutte_path`` and ``reference_tutte_path_two_edges``,
 ``region_paths_loop``, ``two_edge_family_loop`` and
 ``reference_special_set`` / ``reference_special_set_mindeg5``, and the
@@ -229,6 +230,38 @@ def scan_face_index(g: PlaneGraph, vertices):
         if canonical_cycle(f) == want:
             return i
     return None
+
+
+def eager_tables(g: PlaneGraph) -> dict:
+    """``faces``, ``edge_set``, ``nbr_masks``, ``_pos`` and ``_face_at`` of g
+    by the formulas ``PlaneGraph.__init__`` ran on every graph before its
+    tables were built on first read (the masks by ``ham_enum._prepare``'s
+    loop), each face traced through the position table."""
+    n, rotation = g.n, g.rotation
+    edge_set = frozenset(edge_key(v, w) for v in range(n) for w in rotation[v])
+    pos = tuple({w: i for i, w in enumerate(nbrs)} for nbrs in rotation)
+    faces = []
+    face_at = {}
+    for u0 in range(n):
+        for v0 in rotation[u0]:
+            if (u0, v0) in face_at:
+                continue
+            walk = []
+            u, v = u0, v0
+            while (u, v) not in face_at:
+                face_at[(u, v)] = len(faces)
+                walk.append(v)
+                nbrs = rotation[v]
+                u, v = v, nbrs[(pos[v][u] + 1) % len(nbrs)]
+            faces.append(tuple(walk))
+    masks = []
+    for a in g.adj:
+        m = 0
+        for w in a:
+            m |= 1 << w
+        masks.append(m)
+    return {"faces": tuple(faces), "edge_set": edge_set, "nbr_masks": tuple(masks),
+            "_pos": pos, "_face_at": face_at}
 
 
 def filtered_level_codes(n: int, flt) -> list[tuple[int, ...]]:

@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -193,8 +197,30 @@ def test_four_connected_level_matches_filtered_corpus_large(n, want):
 
 
 def test_enumerate_count_n12_matches_published():
-    # uncached: held, the 7,595 graphs would add about 170 MB to the run
+    # uncached: held, the 7,595 graphs would add about 70 MB to the run
     assert len(_triangulation_level.__wrapped__(12)) == 7595
+
+
+def test_levels_through_12_fit_in_memory():
+    """A fresh process holding every full level n <= 12 (9,150 graphs)
+    peaks at 130 MB at most: graphs keep no table they were not asked for.
+
+    Linux carries a parent's peak RSS into a child's ``ru_maxrss`` across
+    exec, so the measured process is started by a bare interpreter, not by
+    the test process."""
+    code = ("import resource\n"
+            "from hamforge.corpus import _triangulation_level\n"
+            "held = [_triangulation_level(n) for n in range(4, 13)]\n"
+            "print(sum(map(len, held)), "
+            "resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    launch = ("import subprocess, sys\n"
+              "sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)\n")
+    src = str(Path(corpus.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", launch, code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert int(out[0]) == 9150
+    assert int(out[1]) <= 130 * 1024          # ru_maxrss is in KiB on Linux
 
 
 def _cyclic_start_at_min(seq):

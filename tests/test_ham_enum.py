@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,10 +31,11 @@ from hamforge.ham_enum import (
     is_ham_cycle,
     search_budget,
 )
-from hamforge.plane_graph import build, edge_key
+from hamforge.plane_graph import PlaneGraph, build, edge_key
 
 from .oracles import (
     ReferenceSearch,
+    eager_tables,
     naive_count_ham_cycles,
     naive_count_ham_paths,
     permutation_count_ham_cycles,
@@ -349,6 +351,36 @@ def _assert_same_searches(graphs, seed, per_graph=16):
                     break
                 budget = rng.randint(1, want[3])
     assert searches and timeouts and partial
+
+
+def test_neighbour_masks_built_once_per_graph(monkeypatch, triangulations_by_n):
+    """Repeated searches on one graph build its neighbour masks once, and
+    forbidden edges and excluded vertices leave those masks as they were;
+    the searches give the reference engine's results."""
+    from hamforge import plane_graph
+
+    builds = Counter()
+    make = plane_graph._nbr_masks
+
+    def spy(g):
+        builds[id(g)] += 1
+        return make(g)
+
+    monkeypatch.setattr(plane_graph, "_nbr_masks", spy)
+    graphs = [PlaneGraph(g.rotation) for n in range(5, 9) for g in triangulations_by_n(n)]
+    _assert_same_searches(graphs, seed=15)
+    for g in graphs:
+        e = min(g.edge_set)
+        rounds = [(count_ham_cycles(g), count_ham_cycles(g, forbidden_edges=[e]),
+                   count_ham_paths(g, 0, 1, exclude={2}),
+                   enumerate_ham_paths(g, 0, 2, forbidden_edges=[e]))
+                  for _ in range(2)]
+        assert rounds[0] == rounds[1]
+        assert rounds[0][:2] == (naive_count_ham_cycles(g),
+                                 naive_count_ham_cycles(g, forbidden=[e]))
+    assert sorted(builds) == sorted(id(g) for g in graphs)
+    assert set(builds.values()) == {1}
+    assert all(g.nbr_masks == eager_tables(g)["nbr_masks"] for g in graphs)
 
 
 def test_kernel_matches_reference_search(triangulations_by_n):

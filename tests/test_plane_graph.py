@@ -42,11 +42,15 @@ from hamforge.plane_graph import (
 from hamforge.structures import enumerate_cycles
 
 from .oracles import (
+    eager_tables,
     full_traversal_canonical_code,
     nx_connectivity,
     nx_isomorphic,
     scan_face_index,
 )
+
+# the tables a PlaneGraph builds on first read
+LAZY = ("edge_set", "nbr_masks", "_pos", "_face_at")
 
 
 def test_build_octahedron_census():
@@ -388,6 +392,8 @@ def test_with_outer_face_matches_full_build(triangulations_by_n):
         for i in range(len(g.faces)):
             fast = g.with_outer_face(i)
             full = PlaneGraph(g.rotation, i, require_connected=False)
+            for table in LAZY:      # build them all, so their slots compare too
+                getattr(fast, table), getattr(full, table)
             for name in PlaneGraph.__slots__:
                 assert getattr(fast, name) == getattr(full, name), name
         assert g.outer_face_index == outer
@@ -413,3 +419,76 @@ def test_face_lookup_errors():
             o.rooted_at_face(bad)
     with pytest.raises(NotACycle):
         NearTriangulation(o, Cycle((0, 1, 2, 3)))
+
+
+# -- tables built on first read --------------------------------------------------
+
+def _built(g):
+    """The tables g holds, read without building any."""
+    return {name for name in LAZY
+            if getattr(g, "_built_" + name.lstrip("_")) is not None}
+
+
+def _assert_tables(g, want):
+    assert g.faces == want["faces"]
+    for name in LAZY:
+        table = getattr(g, name)
+        assert table == want[name], name
+        if isinstance(table, dict):             # same insertion order too
+            assert list(table.items()) == list(want[name].items()), name
+        else:
+            assert list(table) == list(want[name]), name
+
+
+def _check_lazy_tables(g):
+    """g is fresh: it holds no table until one is read; copies taken before
+    and after each first read share what g had built then, and every table
+    of g and its copies is the eager one."""
+    want = eager_tables(g)
+    assert _built(g) == set()
+    last = len(g.faces) - 1 if g.faces else 0
+    copies = [g.with_outer_face(last)]
+    for k, name in enumerate(LAZY):
+        getattr(g, name)
+        done = set(LAZY[:k + 1])
+        assert _built(g) == done
+        copy = g.with_outer_face(last)
+        assert _built(copy) == done
+        assert all(getattr(copy, t) is getattr(g, t) for t in done)
+        copies.append(copy)
+    assert _built(copies[0]) == set()
+    for h in [g] + copies:
+        _assert_tables(h, want)
+
+
+def test_lazy_tables_match_eager_formulas(triangulations_by_n):
+    """Every graph of the full levels n <= 9, rebuilt fresh, and its
+    subgraphs without one vertex and without one vertex's neighbors (which
+    leaves that vertex isolated, so the subgraph is disconnected)."""
+    disconnected = 0
+    for n in range(4, 10):
+        for g in triangulations_by_n(n):
+            _check_lazy_tables(PlaneGraph(g.rotation))
+            for v in range(g.n):
+                for drop in ({v}, set(g.rotation[v])):
+                    if g.n - len(drop) < 2:
+                        continue  # one vertex alone fails the Euler check
+                    sub, _origin = g.delete_vertices(drop)
+                    disconnected += not sub.connected
+                    _check_lazy_tables(sub)
+    assert disconnected > 0
+
+
+def test_lazy_tables_on_small_graphs():
+    for g in (build([(1,), (0, 2), (1,)]),
+              PlaneGraph([(1,), (0,), (3,), (2,)], require_connected=False),
+              cycle_graph(5), wheel(6)):
+        _check_lazy_tables(PlaneGraph(g.rotation, require_connected=False))
+
+
+def test_graph_size_reads_no_table():
+    g = PlaneGraph(icosahedron().rotation)
+    h = PlaneGraph(tuple(reversed(r)) for r in g.rotation)
+    assert repr(g) == "<triangulation n=12 m=30>"
+    assert is_isomorphic(g, h)
+    assert _built(g) == _built(h) == set()

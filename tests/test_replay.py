@@ -178,6 +178,15 @@ def test_theorem2_tree_tower():
     assert all(is_ham_cycle(g, leaf) for leaf in tree.leaves)
 
 
+def test_theorem2_leaves_hold_the_graph_edges():
+    """Leaves share the graph's own edge tuples instead of holding copies."""
+    g, star, _squares = telescope_tower(3)
+    tree = theorem2_tree(g, nested_chain(g, star), budget=2000)
+    own = {id(e) for e in g.edge_set}
+    assert tree.leaf_count() >= 8
+    assert all(id(e) in own for leaf in tree.leaves for e in leaf)
+
+
 def test_theorem2_tree_budget_truncation():
     g, star, _squares = telescope_tower(2)
     chain = nested_chain(g, star)
