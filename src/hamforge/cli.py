@@ -26,7 +26,7 @@ from .structures import (
     max_common_neighborhood_pair,
     separating_cycles,
 )
-from .verification import SUITE_RUNNERS, SUITES, graph_id
+from .verification import SUITE_RUNNERS, SUITES, TUTTE_N_MAX, graph_id
 
 EX_USAGE = 64
 EX_DATA = 65
@@ -90,6 +90,10 @@ def cmd_verify(args) -> int:
     if refused:
         print(f"error: suite {args.suite!r} does not take {', '.join(refused)}",
               file=sys.stderr)
+        return EX_USAGE
+    if args.suite == "tutte" and args.n_max is not None and args.n_max > TUTTE_N_MAX:
+        print(f"error: suite 'tutte' supports --n-max up to {TUTTE_N_MAX}, "
+              f"got {args.n_max}", file=sys.stderr)
         return EX_USAGE
     kwargs = {kw: getattr(args, dest) for dest, kw in given.items()}
     out = _open_out(args.out)

@@ -43,7 +43,7 @@ def search_budget(budget=None) -> int:
 def _prepare(g: PlaneGraph, required_edges, forbidden_edges, exclude=frozenset()):
     """The neighbour masks the search may use and each vertex's required
     neighbours, or None when some vertex has more than two of those.  The
-    masks start as a copy of ``g.nbr_masks``, built once per graph, so
+    masks start as a copy of ``g.nbr_masks``, built with the graph, so
     forbidden edges and excluded vertices never reach the graph's own."""
     req = frozenset(edge_key(*e) for e in required_edges)
     forb = frozenset(edge_key(*e) for e in forbidden_edges)

@@ -25,7 +25,7 @@ from .errors import (
     StructureViolation,
 )
 from .ham_enum import HamFamily, first_ham_cycle, search_budget
-from .plane_graph import PlaneGraph, edge_key, is_k_connected
+from .plane_graph import PlaneGraph, edge_key, is_k_connected, mask_bits, vertex_mask
 from .structures import (
     Cycle,
     DiamondCert,
@@ -131,9 +131,12 @@ def flag_holds(g: PlaneGraph, s, flag: str) -> bool:
     if flag == FLAG_NO_VERTEX_ON_SEP4:
         return all(not (s & set(c.vertices)) for c in separating_cycles(g, 4))
     if flag == FLAG_NO_VERTEX_3ADJ_SEP4:
-        return all(
-            all(len(g.adj[v] & set(c.vertices)) < 3 for v in s - set(c.vertices))
-            for c in separating_cycles(g, 4))
+        for c in separating_cycles(g, 4):
+            on_c = vertex_mask(c.vertices)
+            if any((g.nbr_masks[v] & on_c).bit_count() >= 3
+                   for v in s - set(c.vertices)):
+                return False
+        return True
     raise ValueError(f"unknown flag {flag!r}")
 
 
@@ -158,8 +161,8 @@ def four_color(g: PlaneGraph, vertices, budget: int = 2_000_000) -> dict[int, in
     operational failure (ColoringTimeout), never a certification.
     """
     verts = sorted(vertices)
-    vset = set(verts)
-    nbrs = {v: sorted(g.adj[v] & vset) for v in verts}
+    vmask = vertex_mask(verts)
+    nbrs = {v: mask_bits(g.nbr_masks[v] & vmask) for v in verts}
     color: dict[int, int] = {}
     nodes = 0
 
@@ -275,10 +278,10 @@ def _strip_separating_4cycles(g: PlaneGraph, cert: IndSetCert) -> IndSetCert:
     seps = separating_cycles(g, 4)
     bad = set()
     for c in seps:
-        cv = set(c.vertices)
+        cv, cmask = set(c.vertices), vertex_mask(c.vertices)
         bad |= set(cert.vertices) & cv
         bad |= {v for v in cert.vertices
-                if v not in cv and len(g.adj[v] & cv) >= 3}
+                if v not in cv and (g.nbr_masks[v] & cmask).bit_count() >= 3}
     kept = [v for v in cert.vertices if v not in bad]
     out = cert.with_stage(kept, FLAG_NO_VERTEX_ON_SEP4, "strip_sep4",
                           f"{len(kept)}/{len(cert.vertices)}" if cert.vertices else "1/1")

@@ -108,59 +108,65 @@ class PlaneGraph:
     """A simple plane graph with a designated outer face.
 
     ``rotation[v]`` is the clockwise neighbor sequence of ``v``.  Building
-    one keeps what every caller needs: ``rotation``, the adjacency sets
-    ``adj``, ``degrees`` and the faces, traced at construction so that the
-    Euler check runs there.  The other tables are built on first read and
-    then kept on the instance: ``edge_set``, ``nbr_masks`` (``nbr_masks[v]``
-    has bit w set iff vw is an edge), and the private ``_pos`` (position of
-    each neighbor in a rotation) and ``_face_at`` (face of each directed
-    edge).  They are properties over slots: a ``__getattr__`` would make
-    every other attribute read slower.  ``with_outer_face`` copies share
-    whatever their parent has built.  Instances are immutable.
+    one keeps what every caller needs: ``rotation``, ``nbr_masks``
+    (``nbr_masks[v]`` has bit w set iff vw is an edge), ``degrees`` and the
+    faces, traced at construction so that the Euler check runs there.  Every
+    adjacency question is answered from ``rotation`` and ``nbr_masks``;
+    :func:`mask_bits` lists a mask's vertices in ascending order.  The other
+    tables are built on first read and then kept on the instance:
+    ``edge_set``, and the private ``_pos`` (position of each neighbor in a
+    rotation) and ``_face_at`` (face of each directed edge).  They are
+    properties over slots: a ``__getattr__`` would make every other
+    attribute read slower.  ``with_outer_face`` copies share whatever their
+    parent has built.  Instances are immutable.
     ``is_triangulation`` is set iff every face is a triangle.  Use
     :func:`build` to construct from untrusted rotation tables.
     """
 
-    __slots__ = ("n", "rotation", "outer_face_index", "faces", "adj", "degrees",
-                 "is_triangulation", "connected",
+    __slots__ = ("n", "rotation", "outer_face_index", "faces", "nbr_masks",
+                 "degrees", "is_triangulation", "connected",
                  # the tables built on first read; None until then
-                 "_built_edge_set", "_built_nbr_masks", "_built_pos", "_built_face_at")
+                 "_built_edge_set", "_built_pos", "_built_face_at")
 
     def __init__(self, rotation, outer_face_index=0, require_connected=True):
         rotation = tuple(tuple(nbrs) for nbrs in rotation)
         n = len(rotation)
-        adj = []
+        masks = []
         for v, nbrs in enumerate(rotation):
+            m = 0
             for w in nbrs:
                 if w == v:
                     raise MultiEdge(f"loop at {v}")
                 if not 0 <= w < n:
                     raise InconsistentRotation(f"vertex {w} out of range at {v}")
-            if len(set(nbrs)) != len(nbrs):
+                m |= 1 << w
+            if m.bit_count() != len(nbrs):
                 raise MultiEdge(f"repeated neighbor at {v}")
-            adj.append(frozenset(nbrs))
+            masks.append(m)
         for v in range(n):
             for w in rotation[v]:
-                if v not in adj[w]:
+                if not masks[w] >> v & 1:
                     raise InconsistentRotation(f"edge ({v},{w}) listed only at {v}")
 
         self.n = n
         self.rotation = rotation
-        self.adj = tuple(adj)
+        self.nbr_masks = tuple(masks)
         self.degrees = tuple(len(r) for r in rotation)
-        self._built_edge_set = self._built_nbr_masks = None
-        self._built_pos = self._built_face_at = None
+        self._built_edge_set = self._built_pos = self._built_face_at = None
 
-        self.connected = self._bfs_connected()
+        full = (1 << n) - 1
+        self.connected = _reach(self.nbr_masks, full & 1, full) == full
         if require_connected and not self.connected:
             raise DisconnectedGraph("graph is not connected")
 
         self.faces = self._trace_faces()
         if self.connected:
             # Euler's formula on the sphere; fails iff the rotation has genus > 0.
+            # A lone vertex bounds one face that no directed edge traces.
             m = sum(self.degrees) // 2
-            if n - m + len(self.faces) != 2:
-                raise NonPlanarTrace(f"V-E+F = {n}-{m}+{len(self.faces)} != 2")
+            f = len(self.faces) or 1
+            if n - m + f != 2:
+                raise NonPlanarTrace(f"V-E+F = {n}-{m}+{f} != 2")
         self.is_triangulation = (
             self.connected and n >= 3 and all(len(f) == 3 for f in self.faces))
         if not 0 <= outer_face_index < max(1, len(self.faces)):
@@ -176,12 +182,6 @@ class PlaneGraph:
         return self._built_edge_set
 
     @property
-    def nbr_masks(self) -> tuple[int, ...]:
-        if self._built_nbr_masks is None:
-            self._built_nbr_masks = _nbr_masks(self)
-        return self._built_nbr_masks
-
-    @property
     def _pos(self) -> tuple[dict[int, int], ...]:
         if self._built_pos is None:
             self._built_pos = _positions(self)
@@ -194,22 +194,6 @@ class PlaneGraph:
         return self._built_face_at
 
     # -- construction helpers --
-
-    def _bfs_connected(self):
-        if self.n == 0:
-            return True
-        seen = [False] * self.n
-        seen[0] = True
-        queue = deque([0])
-        count = 1
-        while queue:
-            v = queue.popleft()
-            for w in self.adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    queue.append(w)
-        return count == self.n
 
     def _trace_faces(self):
         """Orbits of (u,v) -> (v, successor of u in rotation[v]).
@@ -248,7 +232,7 @@ class PlaneGraph:
         return self.degrees[v]
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
+        return self.nbr_masks[u] >> v & 1 == 1
 
     @property
     def outer_face(self) -> tuple[int, ...]:
@@ -278,18 +262,21 @@ class PlaneGraph:
         return min(hits, default=None)
 
     def common_neighbors(self, u: int, v: int) -> frozenset[int]:
-        return self.adj[u] & self.adj[v]
+        return frozenset(mask_bits(self.nbr_masks[u] & self.nbr_masks[v]))
 
     def triangles(self) -> list[tuple[int, int, int]]:
-        """All 3-cycles, as sorted vertex triples."""
+        """All 3-cycles, as sorted vertex triples in ascending order."""
+        masks = self.nbr_masks
         out = []
-        for u in range(self.n):
-            for v in self.adj[u]:
-                if v <= u:
-                    continue
-                for w in self.adj[u] & self.adj[v]:
-                    if w > v:
-                        out.append((u, v, w))
+        for u, nbrs in enumerate(self.rotation):
+            for v in sorted(nbrs):
+                if v > u:
+                    # the common neighbours above v, lowest first
+                    above = masks[u] & masks[v] >> (v + 1) << (v + 1)
+                    while above:
+                        low = above & -above
+                        out.append((u, v, low.bit_length() - 1))
+                        above ^= low
         return out
 
     def __eq__(self, other):
@@ -355,12 +342,41 @@ class PlaneGraph:
         return self.delete_vertices(set(range(self.n)) - set(vertices))
 
 
+def mask_bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, in ascending order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def vertex_mask(vertices) -> int:
+    """The bitmask with bit v set for each v in ``vertices``."""
+    m = 0
+    for v in vertices:
+        m |= 1 << v
+    return m
+
+
+def _reach(masks, start: int, within: int) -> int:
+    """The vertices (as a mask) that paths inside ``within`` join to those
+    of ``start``, a submask of ``within``: breadth first, a layer at a time."""
+    seen = frontier = start
+    while frontier:
+        layer = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            layer |= masks[low.bit_length() - 1]
+        frontier = layer & within & ~seen
+        seen |= frontier
+    return seen
+
+
 def _edge_set(g: PlaneGraph) -> frozenset[Edge]:
     return frozenset(edge_key(v, w) for v in range(g.n) for w in g.rotation[v])
-
-
-def _nbr_masks(g: PlaneGraph) -> tuple[int, ...]:
-    return tuple(sum(1 << w for w in a) for a in g.adj)
 
 
 def _positions(g: PlaneGraph) -> tuple[dict[int, int], ...]:
@@ -461,18 +477,8 @@ def plane_graph_from_faces(faces, outer=None) -> PlaneGraph:
 # ---------------------------------------------------------------------------
 
 def _connected_after_removal(g: PlaneGraph, removed: set[int]) -> bool:
-    rest = [v for v in range(g.n) if v not in removed]
-    if not rest:
-        return True
-    seen = {rest[0]}
-    queue = deque([rest[0]])
-    while queue:
-        v = queue.popleft()
-        for w in g.adj[v]:
-            if w not in removed and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == len(rest)
+    rest = ((1 << g.n) - 1) & ~vertex_mask(removed)
+    return _reach(g.nbr_masks, rest & -rest, rest) == rest
 
 
 def is_k_connected(g: PlaneGraph, k: int) -> bool:
@@ -499,7 +505,7 @@ def vertex_connectivity_flow(g: PlaneGraph) -> int:
     n = g.n
     if n <= 1:
         return 0
-    if all(len(g.adj[v]) == n - 1 for v in range(n)):
+    if all(d == n - 1 for d in g.degrees):
         return n - 1
     if not g.connected:
         return 0
@@ -536,7 +542,7 @@ def vertex_connectivity_flow(g: PlaneGraph) -> int:
     best = n
     for s in range(n):
         for t in range(s + 1, n):
-            if t in g.adj[s]:
+            if g.has_edge(s, t):
                 continue
             best = min(best, max_disjoint_paths(s, t))
     return best
@@ -666,7 +672,8 @@ def contract_interior(g: PlaneGraph, c: Cycle):
     if not _induced_connected(g, inner):
         raise DisconnectedInterior(f"interior of {c.vertices} is disconnected")
 
-    attachments = [v for v in c.vertices if g.adj[v] & inner]
+    inner_mask = vertex_mask(inner)
+    attachments = [v for v in c.vertices if g.nbr_masks[v] & inner_mask]
     if len(attachments) < 2:
         raise DisconnectedInterior("interior attaches to fewer than 2 cycle vertices")
 
@@ -696,18 +703,8 @@ def contract_interior(g: PlaneGraph, c: Cycle):
 
 
 def _induced_connected(g: PlaneGraph, vertices: set[int]) -> bool:
-    if not vertices:
-        return False
-    start = next(iter(vertices))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for w in g.adj[v]:
-            if w in vertices and w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == len(vertices)
+    inside = vertex_mask(vertices)
+    return inside != 0 and _reach(g.nbr_masks, inside & -inside, inside) == inside
 
 
 def contract_edge(g: PlaneGraph, u: int, v: int):
@@ -795,7 +792,7 @@ def bridges(g: PlaneGraph, h_vertices, h_edges) -> BridgeDecomposition:
         queue = deque([v0])
         while queue:
             v = queue.popleft()
-            for w in g.adj[v]:
+            for w in g.rotation[v]:
                 if w not in hv and w not in comp:
                     comp.add(w)
                     queue.append(w)
@@ -803,7 +800,7 @@ def bridges(g: PlaneGraph, h_vertices, h_edges) -> BridgeDecomposition:
         legs = set()
         edges = set()
         for v in comp:
-            for w in g.adj[v]:
+            for w in g.rotation[v]:
                 if w in hv:
                     legs.add(w)
                     edges.add(edge_key(v, w))
@@ -824,7 +821,7 @@ def _blocks_and_cuts(g: PlaneGraph):
     cuts: set[int] = set()
 
     def dfs(root):
-        work = [(root, None, iter(g.adj[root]))]
+        work = [(root, None, iter(g.rotation[root]))]
         disc[root] = low[root] = timer[0]
         timer[0] += 1
         children = {root: 0}
@@ -840,7 +837,7 @@ def _blocks_and_cuts(g: PlaneGraph):
                     timer[0] += 1
                     children[v] = children.get(v, 0) + 1
                     children[w] = 0
-                    work.append((w, v, iter(g.adj[w])))
+                    work.append((w, v, iter(g.rotation[w])))
                     advanced = True
                     break
                 elif disc[w] < disc[v]:

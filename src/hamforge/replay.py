@@ -53,6 +53,8 @@ from .plane_graph import (
     contract_interior,
     edge_key,
     is_k_connected,
+    mask_bits,
+    vertex_mask,
 )
 from .structures import DiamondCert, separating_cycles
 from .tutte import (
@@ -75,7 +77,7 @@ def _enclosing_square(g: PlaneGraph, v: int, x: int):
     Returns (cycle, closure) or (None, None); deterministic over ordered
     common-neighbor pairs.
     """
-    common = sorted(g.adj[v] & g.adj[x])
+    common = mask_bits(g.nbr_masks[v] & g.nbr_masks[x])
     for u, w in itertools.permutations(common, 2):
         c = Cycle((u, v, w, x))
         try:
@@ -715,13 +717,13 @@ def _grow_diamond(g: PlaneGraph, v: int, seps) -> DiamondCert:
     closure on the seed's side, ties by lexicographic outer cycle."""
     best = None
     for c in seps:
-        cv = set(c.vertices)
-        if v in cv or len(g.adj[v] & cv) != 3:
+        nbrs_on_c = g.nbr_masks[v] & vertex_mask(c.vertices)
+        if v in c.vertices or nbrs_on_c.bit_count() != 3:
             continue
         cl = closure_containing(g, c, v)
         size = cl.graph.n
         vs = c.vertices
-        k = next(i for i in range(4) if vs[i] not in g.adj[v])
+        k = next(i for i in range(4) if not g.has_edge(v, vs[i]))
         outer = (vs[(k + 2) % 4], vs[(k + 1) % 4], vs[k], vs[(k + 3) % 4])
         key = (-size, canonical_cycle(outer))
         if best is None or key < best[0]:

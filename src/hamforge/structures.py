@@ -19,6 +19,8 @@ from .plane_graph import (
     _connected_after_removal,
     canonical_cycle,
     edge_key,
+    mask_bits,
+    vertex_mask,
 )
 
 # Diamond-4-cycle: outer 4-cycle (y, v, w, x) plus a center adjacent to
@@ -95,17 +97,18 @@ def enumerate_cycles(g: PlaneGraph, length: int) -> list[Cycle]:
     """All cycles of the given length, each once, deterministic order."""
     found = set()
     out = []
+    masks = g.nbr_masks
 
     def extend(path):
         last = path[-1]
         if len(path) == length:
-            if path[0] in g.adj[last]:
+            if masks[last] >> path[0] & 1:
                 key = canonical_cycle(path)
                 if key not in found:
                     found.add(key)
                     out.append(Cycle(tuple(path)))
             return
-        for w in sorted(g.adj[last]):
+        for w in sorted(g.rotation[last]):
             if w <= path[0] or w in path:
                 continue
             extend(path + [w])
@@ -198,12 +201,14 @@ def find_diamonds(g: PlaneGraph, kind: str) -> list[DiamondCert]:
 
 def _find_diamond4(g: PlaneGraph) -> list[DiamondCert]:
     certs = {}
+    masks = g.nbr_masks
     for cyc in enumerate_cycles(g, 4):
         vs = cyc.vertices
+        off_cycle = ~vertex_mask(vs)
         for p in range(4):
             w = vs[p]
             y, v, x = vs[(p + 2) % 4], vs[(p + 1) % 4], vs[(p + 3) % 4]
-            for center in sorted((g.adj[y] & g.adj[v] & g.adj[x]) - set(vs)):
+            for center in mask_bits(masks[y] & masks[v] & masks[x] & off_cycle):
                 cert = _diamond4_cert(center, y, v, w, x)
                 certs.setdefault(cert.edges(), cert)
     return [certs[k] for k in sorted(certs)]
@@ -213,7 +218,7 @@ def _find_diamond6(g: PlaneGraph) -> list[DiamondCert]:
     # units[(h1,h2)] = edges st with both ends adjacent to both hubs
     units: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for s, t in sorted(g.edge_set):
-        commons = sorted(g.adj[s] & g.adj[t])
+        commons = mask_bits(g.nbr_masks[s] & g.nbr_masks[t])
         for h1, h2 in itertools.combinations(commons, 2):
             units.setdefault((h1, h2), []).append((s, t))
     certs = {}
@@ -287,7 +292,7 @@ def max_common_neighborhood_pair(g: PlaneGraph) -> PairCert | None:
         for x in range(v + 1, g.n):
             if g.has_edge(v, x):
                 continue
-            common = tuple(sorted(g.adj[v] & g.adj[x]))
+            common = tuple(mask_bits(g.nbr_masks[v] & g.nbr_masks[x]))
             if best is None or len(common) > len(best.common):
                 best = PairCert(v, x, common)
     return best

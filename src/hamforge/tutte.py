@@ -35,7 +35,9 @@ from .plane_graph import (
     bridges,
     canonical_cycle,
     edge_key,
+    mask_bits,
     path_edges,
+    vertex_mask,
 )
 from .structures import DiamondCert, has_separating_triangle
 
@@ -129,7 +131,7 @@ def _simple_paths_lex(g: PlaneGraph, x: int, y: int):
         v = path[-1]
         if v == y:
             yield tuple(path)
-        for w in sorted(g.adj[v]):
+        for w in sorted(g.rotation[v]):
             if w in onpath or (v == y):
                 continue
             path.append(w)
@@ -270,7 +272,7 @@ def _require_square_region(r: NearTriangulation):
 
 def _is_path_between(g: PlaneGraph, keep, a, b):
     """The vertex order if g restricted to ``keep`` is a bare a-b path."""
-    sub = {v: [w for w in g.adj[v] if w in keep] for v in keep}
+    sub = {v: [w for w in g.rotation[v] if w in keep] for v in keep}
     if any(len(ws) > 2 for ws in sub.values()):
         return None
     if len(sub.get(a, [])) != 1 or len(sub.get(b, [])) != 1:
@@ -422,9 +424,10 @@ def two_ham_paths_uv(r: NearTriangulation, budget=None):
         raise HypothesisViolated("no_separating_triangles", "outer chord present")
 
     keep = set(range(g.n)) - {w, x}
+    square = vertex_mask((u, v, w, x))
 
     def interior_nbrs(z):
-        return sorted(g.adj[z] - set((u, v, w, x)))
+        return mask_bits(g.nbr_masks[z] & ~square)
 
     iu, iv = interior_nbrs(u), interior_nbrs(v)
     if len(iu) == 1 or len(iv) == 1:
@@ -503,10 +506,11 @@ def _uv_two_connected_case(g, sub, origin, fwd, d, apex, other, u, v, w, x, budg
     apex = v case is the u<->v, x<->w mirror.
     """
     side_back, side_fwd = (x, v) if apex == u else (w, u)
-    interior = set(range(g.n)) - {u, v, w, x}
-    n1 = [z for z in sorted(g.adj[apex] & interior) if side_back in g.adj[z]]
-    n2 = [z for z in sorted(g.adj[apex] & interior) if side_fwd in g.adj[z]]
-    ys = sorted((g.adj[w] & g.adj[x]) - {u, v})
+    masks = g.nbr_masks
+    inner_nbrs = mask_bits(masks[apex] & ~vertex_mask((u, v, w, x)))
+    n1 = [z for z in inner_nbrs if g.has_edge(z, side_back)]
+    n2 = [z for z in inner_nbrs if g.has_edge(z, side_fwd)]
+    ys = mask_bits(masks[w] & masks[x] & ~vertex_mask((u, v)))
     if len(n1) != 1 or len(n2) != 1 or len(ys) != 1:
         return None
     a1, a2, y = n1[0], n2[0], ys[0]

@@ -180,13 +180,18 @@ def suite_connectivity(n_max=9, **_kw):
         yield _row("connectivity", g, graph_id(g), "dual_route", dual_route)
 
 
+# The largest n_max the tutte suite runs: its path search is exponential, and
+# at n_max = 10 the suite already takes the longest of all of them.
+TUTTE_N_MAX = 10
+
+
 def _tutte_corpus(n_max):
     from .corpus import cycle_graph, wheel
-    for g in corpus_triangulations(min(n_max, 10)):
+    for g in corpus_triangulations(n_max):
         yield g.with_outer_face(g.outer_face_index), Cycle(g.outer_face)
-    for nt in square_boundary_regions(min(n_max - 1, 9)):
+    for nt in square_boundary_regions(n_max - 1):
         yield nt.graph, nt.outer_cycle
-    for k in range(5, min(n_max, 10) + 1):
+    for k in range(5, n_max + 1):
         c = cycle_graph(k)
         yield c, Cycle(tuple(range(k)))
         w = wheel(k - 1)
@@ -194,6 +199,8 @@ def _tutte_corpus(n_max):
 
 
 def suite_tutte(n_max=10, **_kw):
+    if n_max > TUTTE_N_MAX:
+        raise ValueError(f"the tutte suite runs n_max <= {TUTTE_N_MAX}, got {n_max}")
     for g, c in _tutte_corpus(n_max):
         if g.n > n_max or not is_k_connected(g, 2):
             continue

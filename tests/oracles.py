@@ -12,7 +12,9 @@ split child, ``filtered_level_codes``, the full level filtered,
 ``traversal_relabel``, the canonical numbering taken from such a traversal
 instead of read off the code, ``scan_face_index``, the scan over every
 face, ``eager_tables``, the tables ``PlaneGraph`` built at construction
-before it built them on first read, and the earlier copies of searches now folded into one:
+before it built them on first read, ``adjacency_sets`` and
+``neighbour_answers``, each vertex's neighbours and the neighbour queries
+read off the rotation, and the earlier copies of searches now folded into one:
 ``reference_tutte_path`` and ``reference_tutte_path_two_edges``,
 ``region_paths_loop``, ``two_edge_family_loop`` and
 ``reference_special_set`` / ``reference_special_set_mindeg5``, and the
@@ -30,6 +32,11 @@ from hamforge.errors import SearchTimeout
 from hamforge.plane_graph import PlaneGraph, build, canonical_cycle, edge_key
 
 
+def adjacency_sets(g: PlaneGraph) -> tuple[frozenset[int], ...]:
+    """Each vertex's neighbour set, read off its rotation."""
+    return tuple(frozenset(nbrs) for nbrs in g.rotation)
+
+
 def to_nx(g: PlaneGraph) -> nx.Graph:
     G = nx.Graph()
     G.add_nodes_from(range(g.n))
@@ -43,18 +50,19 @@ def naive_count_ham_cycles(g: PlaneGraph, required=(), forbidden=()) -> int:
     required = {edge_key(*e) for e in required}
     forbidden = {edge_key(*e) for e in forbidden}
     n = g.n
+    adj = adjacency_sets(g)
     count = 0
 
     def extend(path, onpath):
         nonlocal count
         v = path[-1]
         if len(path) == n:
-            if 0 in g.adj[v] and path[1] < path[-1]:
+            if 0 in adj[v] and path[1] < path[-1]:
                 edges = {edge_key(path[i], path[(i + 1) % n]) for i in range(n)}
                 if required <= edges and not (forbidden & edges):
                     count += 1
             return
-        for w in g.adj[v]:
+        for w in adj[v]:
             if w not in onpath:
                 path.append(w)
                 onpath.add(w)
@@ -81,6 +89,7 @@ def permutation_count_ham_cycles(g: PlaneGraph) -> int:
 
 def naive_count_ham_paths(g: PlaneGraph, a: int, b: int) -> int:
     n = g.n
+    adj = adjacency_sets(g)
     count = 0
 
     def extend(path, onpath):
@@ -89,7 +98,7 @@ def naive_count_ham_paths(g: PlaneGraph, a: int, b: int) -> int:
         if len(path) == n:
             count += v == b
             return
-        for w in g.adj[v]:
+        for w in adj[v]:
             if w not in onpath:
                 path.append(w)
                 onpath.add(w)
@@ -236,7 +245,7 @@ def eager_tables(g: PlaneGraph) -> dict:
     """``faces``, ``edge_set``, ``nbr_masks``, ``_pos`` and ``_face_at`` of g
     by the formulas ``PlaneGraph.__init__`` ran on every graph before its
     tables were built on first read (the masks by ``ham_enum._prepare``'s
-    loop), each face traced through the position table."""
+    loop, over each rotation), each face traced through the position table."""
     n, rotation = g.n, g.rotation
     edge_set = frozenset(edge_key(v, w) for v in range(n) for w in rotation[v])
     pos = tuple({w: i for i, w in enumerate(nbrs)} for nbrs in rotation)
@@ -255,13 +264,29 @@ def eager_tables(g: PlaneGraph) -> dict:
                 u, v = v, nbrs[(pos[v][u] + 1) % len(nbrs)]
             faces.append(tuple(walk))
     masks = []
-    for a in g.adj:
+    for nbrs in rotation:
         m = 0
-        for w in a:
+        for w in nbrs:
             m |= 1 << w
         masks.append(m)
     return {"faces": tuple(faces), "edge_set": edge_set, "nbr_masks": tuple(masks),
             "_pos": pos, "_face_at": face_at}
+
+
+def neighbour_answers(g: PlaneGraph) -> dict:
+    """What ``PlaneGraph``'s neighbour queries must answer, from the rotation
+    alone: each vertex's degree and ascending neighbour list, whether each
+    ordered pair is an edge, each ordered pair's common neighbours, and the
+    3-cycles as ascending triples in ascending order."""
+    n, adj = g.n, adjacency_sets(g)
+    return {
+        "degrees": tuple(len(nbrs) for nbrs in g.rotation),
+        "neighbours": [sorted(a) for a in adj],
+        "has_edge": [[v in adj[u] for v in range(n)] for u in range(n)],
+        "common": [[adj[u] & adj[v] for v in range(n)] for u in range(n)],
+        "triangles": [(u, v, w) for u, v, w in itertools.combinations(range(n), 3)
+                      if v in adj[u] and w in adj[u] and w in adj[v]],
+    }
 
 
 def filtered_level_codes(n: int, flt) -> list[tuple[int, ...]]:
@@ -598,8 +623,8 @@ def reference_prepare(g: PlaneGraph, required_edges, forbidden_edges, exclude=fr
             raise ValueError(f"required edge {e} not in graph")
         if not exclude.isdisjoint(e):
             raise ValueError(f"required edge {e} has an excluded end")
-    adj = [sorted(w for w in g.adj[v] if edge_key(v, w) not in forb)
-           for v in range(g.n)]
+    adj = [sorted(w for w in nbrs if edge_key(v, w) not in forb)
+           for v, nbrs in enumerate(adjacency_sets(g))]
     if exclude:
         adj = [[] if v in exclude else [w for w in a if w not in exclude]
                for v, a in enumerate(adj)]

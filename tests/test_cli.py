@@ -72,6 +72,19 @@ def test_verify_diamond4_refuses_n_max(capsys):
     assert code == 64 and out == "" and "--n-max" in err
 
 
+def test_verify_tutte_rejects_n_max_above_its_maximum(capsys):
+    code, out, err = run(capsys, "verify", "tutte", "--n-max", "11")
+    assert code == 64 and out == ""
+    assert "--n-max" in err and "up to 10" in err
+
+
+def test_verify_tutte_acts_on_small_n_max(capsys):
+    code, out, _err = run(capsys, "verify", "tutte", "--n-max", "5")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert code == 0 and rows
+    assert all(r["payload"]["n"] <= 5 for r in rows)
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "euler", "--bogus"),
     ("verify", "euler", "--n-max", "x"),

@@ -203,7 +203,7 @@ def test_enumerate_count_n12_matches_published():
 
 def test_levels_through_12_fit_in_memory():
     """A fresh process holding every full level n <= 12 (9,150 graphs)
-    peaks at 130 MB at most: graphs keep no table they were not asked for.
+    peaks at 70 MB at most: graphs keep no table they were not asked for.
 
     Linux carries a parent's peak RSS into a child's ``ru_maxrss`` across
     exec, so the measured process is started by a bare interpreter, not by
@@ -220,7 +220,7 @@ def test_levels_through_12_fit_in_memory():
     out = subprocess.run([sys.executable, "-c", launch, code], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
     assert int(out[0]) == 9150
-    assert int(out[1]) <= 130 * 1024          # ru_maxrss is in KiB on Linux
+    assert int(out[1]) <= 70 * 1024           # ru_maxrss is in KiB on Linux
 
 
 def _cyclic_start_at_min(seq):
@@ -261,6 +261,15 @@ def _assert_same_as_split_dedupe(n_max):
 
 def test_generator_matches_split_dedupe_oracle():
     _assert_same_as_split_dedupe(10)
+
+
+@pytest.mark.slow
+def test_four_connected_level_14_matches_published():
+    """``corpus.MAX_N`` is 14, and the 4-connected level there has the
+    1,357 graphs of OEIS A007021."""
+    assert corpus.MAX_N == 14
+    level = list(enumerate_triangulations(14, CorpusFilter(min_connectivity=4)))
+    assert len(level) == 1357
 
 
 @pytest.mark.slow

@@ -2,7 +2,6 @@ import gc
 import itertools
 import random
 import re
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -353,21 +352,12 @@ def _assert_same_searches(graphs, seed, per_graph=16):
     assert searches and timeouts and partial
 
 
-def test_neighbour_masks_built_once_per_graph(monkeypatch, triangulations_by_n):
-    """Repeated searches on one graph build its neighbour masks once, and
-    forbidden edges and excluded vertices leave those masks as they were;
-    the searches give the reference engine's results."""
-    from hamforge import plane_graph
-
-    builds = Counter()
-    make = plane_graph._nbr_masks
-
-    def spy(g):
-        builds[id(g)] += 1
-        return make(g)
-
-    monkeypatch.setattr(plane_graph, "_nbr_masks", spy)
+def test_neighbour_masks_built_once_per_graph(triangulations_by_n):
+    """A graph's neighbour masks are built with it, and repeated searches,
+    forbidden edges and excluded vertices leave them as they were (the same
+    object); the searches give the reference engine's results."""
     graphs = [PlaneGraph(g.rotation) for n in range(5, 9) for g in triangulations_by_n(n)]
+    masks = [g.nbr_masks for g in graphs]
     _assert_same_searches(graphs, seed=15)
     for g in graphs:
         e = min(g.edge_set)
@@ -378,8 +368,7 @@ def test_neighbour_masks_built_once_per_graph(monkeypatch, triangulations_by_n):
         assert rounds[0] == rounds[1]
         assert rounds[0][:2] == (naive_count_ham_cycles(g),
                                  naive_count_ham_cycles(g, forbidden=[e]))
-    assert sorted(builds) == sorted(id(g) for g in graphs)
-    assert set(builds.values()) == {1}
+    assert all(g.nbr_masks is m for g, m in zip(graphs, masks))
     assert all(g.nbr_masks == eager_tables(g)["nbr_masks"] for g in graphs)
 
 

@@ -35,6 +35,7 @@ from hamforge.plane_graph import (
     contract_interior,
     is_isomorphic,
     is_k_connected,
+    mask_bits,
     plane_graph_from_faces,
     vertex_connectivity_flow,
 )
@@ -44,13 +45,14 @@ from hamforge.structures import enumerate_cycles
 from .oracles import (
     eager_tables,
     full_traversal_canonical_code,
+    neighbour_answers,
     nx_connectivity,
     nx_isomorphic,
     scan_face_index,
 )
 
 # the tables a PlaneGraph builds on first read
-LAZY = ("edge_set", "nbr_masks", "_pos", "_face_at")
+LAZY = ("edge_set", "_pos", "_face_at")
 
 
 def test_build_octahedron_census():
@@ -431,6 +433,7 @@ def _built(g):
 
 def _assert_tables(g, want):
     assert g.faces == want["faces"]
+    assert g.nbr_masks == want["nbr_masks"]
     for name in LAZY:
         table = getattr(g, name)
         assert table == want[name], name
@@ -440,10 +443,25 @@ def _assert_tables(g, want):
             assert list(table) == list(want[name]), name
 
 
+def _check_neighbour_queries(g):
+    """Every neighbour query of g gives the answer read off its rotation."""
+    want = neighbour_answers(g)
+    n = g.n
+    assert g.degrees == want["degrees"]
+    assert [mask_bits(m) for m in g.nbr_masks] == want["neighbours"]
+    assert [[g.has_edge(u, v) for v in range(n)] for u in range(n)] == want["has_edge"]
+    common = [[g.common_neighbors(u, v) for v in range(n)] for u in range(n)]
+    assert common == want["common"]
+    assert all(type(c) is frozenset for row in common for c in row)
+    assert g.triangles() == want["triangles"]
+
+
 def _check_lazy_tables(g):
     """g is fresh: it holds no table until one is read; copies taken before
     and after each first read share what g had built then, and every table
-    of g and its copies is the eager one."""
+    of g and its copies is the eager one.  Its neighbour queries match the
+    rotation's answers."""
+    _check_neighbour_queries(g)
     want = eager_tables(g)
     assert _built(g) == set()
     last = len(g.faces) - 1 if g.faces else 0
@@ -464,19 +482,31 @@ def _check_lazy_tables(g):
 def test_lazy_tables_match_eager_formulas(triangulations_by_n):
     """Every graph of the full levels n <= 9, rebuilt fresh, and its
     subgraphs without one vertex and without one vertex's neighbors (which
-    leaves that vertex isolated, so the subgraph is disconnected)."""
-    disconnected = 0
+    leaves that vertex isolated, so the subgraph is disconnected, or alone)."""
+    disconnected = alone = 0
     for n in range(4, 10):
         for g in triangulations_by_n(n):
             _check_lazy_tables(PlaneGraph(g.rotation))
             for v in range(g.n):
                 for drop in ({v}, set(g.rotation[v])):
-                    if g.n - len(drop) < 2:
-                        continue  # one vertex alone fails the Euler check
                     sub, _origin = g.delete_vertices(drop)
                     disconnected += not sub.connected
+                    alone += sub.n == 1
                     _check_lazy_tables(sub)
-    assert disconnected > 0
+    assert disconnected > 0 and alone > 0
+
+
+def test_one_vertex_graph():
+    """A lone vertex bounds one face, which no directed edge traces."""
+    g = PlaneGraph(((),), 0)
+    assert g.connected and not g.is_triangulation
+    assert (g.faces, g.nbr_masks, g.triangles()) == ((), (0,), [])
+    assert canonical_code(g) == (0,)
+    sub, keep = k4().delete_vertices({1, 2, 3})
+    assert (sub, keep) == (g, [0])
+    assert build([()]) == g
+    with pytest.raises(NonPlanarTrace):
+        PlaneGraph(())
 
 
 def test_lazy_tables_on_small_graphs():

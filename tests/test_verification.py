@@ -122,6 +122,11 @@ def test_tutte_row_fails_on_reversed_path(monkeypatch):
     assert rows and not any(r.ok for r in rows)
 
 
+def test_tutte_suite_refuses_n_max_above_its_maximum():
+    with pytest.raises(ValueError, match="n_max <= 10"):
+        next(verification.suite_tutte(n_max=11))
+
+
 def _rows_without_seconds(suite, **kwargs):
     rows = []
     for r in SUITE_RUNNERS[suite](**kwargs):
