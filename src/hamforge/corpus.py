@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import functools
+import io
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -142,7 +144,6 @@ def write_planar_code(graphs, stream, header: bool = True) -> None:
 
 
 def graph_to_planar_code(g: PlaneGraph) -> bytes:
-    import io
     buf = io.BytesIO()
     write_planar_code([g], buf)
     return buf.getvalue()
@@ -209,16 +210,12 @@ def split_vertex(g: PlaneGraph, v: int, i: int, j: int) -> PlaneGraph:
         raise ValueError("need 0 <= i < j < deg(v)")
     w_i, w_j = rot[i], rot[j]
     new = g.n
-    old_faces = [f for f in g.faces if v not in f]
     arc_a = [rot[k] for k in range(i, j + 1)]              # v keeps these
     arc_b = [rot[k % d] for k in range(j, i + d + 1)]      # new vertex gets these
-    new_faces = list(old_faces)
-    for a, b in zip(arc_a, arc_a[1:]):
-        new_faces.append((v, a, b))
-    for a, b in zip(arc_b, arc_b[1:]):
-        new_faces.append((new, a, b))
-    new_faces.append((v, new, w_i))
-    new_faces.append((new, v, w_j))
+    new_faces = [f for f in g.faces if v not in f]
+    new_faces += [(v, a, b) for a, b in zip(arc_a, arc_a[1:])]
+    new_faces += [(new, a, b) for a, b in zip(arc_b, arc_b[1:])]
+    new_faces += [(v, new, w_i), (new, v, w_j)]
     return plane_graph_from_faces(new_faces)
 
 
@@ -256,11 +253,13 @@ def _split_rotation(g: PlaneGraph, v: int, i: int, j: int) -> _RotationView:
     return _RotationView(rotation)
 
 
-def _all_splits(g: PlaneGraph):
+def _all_splits(g: PlaneGraph, k: int = 3):
+    """The splits (v, i, j) of g that leave v (j - i + 2 neighbors) and the
+    new vertex (deg v - j + i + 2) at least k neighbors each."""
     for v in range(g.n):
         d = g.degrees[v]
         for i in range(d):
-            for j in range(i + 1, d):
+            for j in range(i + k - 2, min(d, i + d - k + 3)):
                 yield v, i, j
 
 
@@ -278,21 +277,45 @@ def _contraction_rank(g, x: int, y: int):
     return degs[x] + degs[y], -abs(degs[x] - degs[y]), degs[a] + degs[b]
 
 
-def _split_edge_wins(child: _RotationView, v: int) -> bool:
-    """Whether no contractible edge of a split child outranks its split
-    edge (v, new) by ``_contraction_rank``.  Edges whose degree sum is below
-    the split edge's cannot, and are skipped."""
+def _contraction_separates(g, x: int, y: int) -> bool:
+    """Whether contracting the contractible edge xy of a triangulation makes
+    a new triangle, one joining a neighbor of x only to a neighbor of y only.
+    It bounds no face, so it separates.  Every other triangle of g/xy is one
+    of g, so xy of a 4-connected g is 4-contractible (g/xy is 4-connected)
+    exactly when this is False."""
+    rotation = g.rotation
+    only_x = set(rotation[x]).difference(rotation[y], (y,))
+    only_y = set(rotation[y]).difference(rotation[x], (x,))
+    return any(not only_y.isdisjoint(rotation[p]) for p in only_x)
+
+
+def _split_edge_wins(child: _RotationView, v: int, k: int = 3) -> bool:
+    """Whether no k-contractible edge of a split child (k = 3: contractible)
+    outranks its split edge (v, new) by ``_contraction_rank``.  Edges whose
+    degree sum is below the split edge's cannot, and are skipped."""
     rotation, degs = child.rotation, child.degrees
     best = _contraction_rank(child, v, child.n - 1)
-    low = best[0]
     for x, around in enumerate(rotation):
-        reach = low - degs[x]
+        reach = best[0] - degs[x]
         for y in around:
             if y > x and degs[y] >= reach:
                 rank = _contraction_rank(child, x, y)
-                if rank is not None and rank > best:
+                if (rank is not None and rank > best
+                        and (k == 3 or not _contraction_separates(child, x, y))):
                     return False
     return True
+
+
+def _split_codes(parents, k: int) -> set:
+    """The one step both exhaustive levels grow by: the canonical codes of
+    the children ``_all_splits(parent, k)`` that ``_split_edge_wins``."""
+    codes = set()
+    for parent in parents:
+        for v, i, j in _all_splits(parent, k):
+            child = _split_rotation(parent, v, i, j)
+            if _split_edge_wins(child, v, k):
+                codes.add(canonical_code(child))
+    return codes
 
 
 @functools.lru_cache(maxsize=None)
@@ -315,15 +338,8 @@ def _triangulation_level(n: int) -> tuple[PlaneGraph, ...]:
     """
     if n < 4:
         raise TooSmall("triangulations start at n = 4")
-    if n == 4:
-        codes = {canonical_code(k4())}
-    else:
-        codes = set()
-        for parent in _triangulation_level(n - 1):
-            for v, i, j in _all_splits(parent):
-                child = _split_rotation(parent, v, i, j)
-                if _split_edge_wins(child, v):
-                    codes.add(canonical_code(child))
+    codes = ({canonical_code(k4())} if n == 4
+             else _split_codes(_triangulation_level(n - 1), 3))
     return tuple(triangulation_from_code(c) for c in sorted(codes))
 
 
@@ -370,34 +386,28 @@ def _square_region_level(n: int, separating: bool = True
 
 @functools.lru_cache(maxsize=None)
 def _four_connected_level(n: int) -> tuple[PlaneGraph, ...]:
-    """All 4-connected planar triangulations on n vertices up to isomorphism.
+    """All 4-connected planar triangulations on n vertices up to isomorphism:
+    the full level filtered, graph for graph, grown the same way from the
+    octahedron plus ``double_wheel(n)`` by the splits that leave both ends
+    at least 4 neighbors, ranking only the 4-contractible edges.
 
-    Every one other than the double wheel is a vertex split of one on n - 1
-    vertices (Martinov, JGT 1982), so level n is ``double_wheel(n)`` plus
-    the split children of level n - 1 without a separating triangle.  Splits
-    that leave v or the new vertex with degree < 4 are skipped; the others
-    make no separating triangle, so the test on each child is a guard (it
-    rejects none through n = 13).  Every child is keyed by the canonical
-    code of its edited rotation (``_split_rotation``) and only a new key is
-    built; a rejected key is remembered, so no child is built twice.  Sorted
-    by canonical code.
+    No class is lost: a 4-connected triangulation T on n >= 7 vertices other
+    than a double wheel has a 4-contractible edge (Martinov, JGT 1982).
+    Contract a highest-ranked one, e.  T/e is 4-connected on n - 1
+    vertices, so level n - 1 holds a graph R isomorphic to it or to its
+    mirror.  Splitting R's merged vertex at the two common neighbors of e's
+    ends gives T or its mirror back, with the split edge where e was and
+    both its ends of degree >= 4.  Rank and 4-contractibility are invariant
+    under isomorphism and reflection, so that child is kept.  The
+    separating-triangle test on the built classes is a guard (it rejects
+    none through n = 14).
     """
     if n < 6:
         raise TooSmall("4-connected triangulations start at n = 6")
-    if n == 6:
-        return (octahedron(),)
-    dw = double_wheel(n)
-    out = {canonical_code(dw): dw}        # None marks a rejected key
-    for parent in _four_connected_level(n - 1):
-        for v, i, j in _all_splits(parent):
-            # v keeps j - i + 2 neighbors, the new vertex deg(v) - (j - i) + 2
-            if not 2 <= j - i <= parent.degrees[v] - 2:
-                continue
-            key = canonical_code(_split_rotation(parent, v, i, j))
-            if key not in out:
-                child = split_vertex(parent, v, i, j)
-                out[key] = None if has_separating_triangle(child) else child
-    return tuple(out[k] for k in sorted(out) if out[k] is not None)
+    parents = _four_connected_level(n - 1) if n > 6 else ()
+    codes = _split_codes(parents, 4) | {canonical_code(double_wheel(n))}
+    graphs = map(triangulation_from_code, sorted(codes))
+    return tuple(g for g in graphs if not has_separating_triangle(g))
 
 
 def enumerate_triangulations(n: int, flt: CorpusFilter | None = None):
@@ -410,10 +420,8 @@ def enumerate_triangulations(n: int, flt: CorpusFilter | None = None):
 
     A filter asking for 4- or 5-connectivity reads the 4-connected level
     instead (``_four_connected_level``, grown from the octahedron by the
-    same splits), which is empty below n = 6; the filter is still applied
-    to each of its graphs.  That level holds the codes of the full level's
-    4-connected graphs, in the same order, so both routes yield the same
-    classes; its graphs keep the labels of the split child first met.
+    same rule), empty below n = 6: the full level's 4-connected graphs in
+    the same order.  The filter is still applied to each of its graphs.
     """
     if n > MAX_N:
         raise BudgetExceeded(f"n={n} exceeds max_n={MAX_N}")
@@ -524,6 +532,12 @@ def _antiprism_faces(outer, inner):
     ]
 
 
+def _id_taker():
+    """take(k): the next k unused vertex ids, counting from 0."""
+    ids = itertools.count()
+    return lambda k: [next(ids) for _ in range(k)]
+
+
 def telescope_tower(levels: int = 3):
     """A minimum-degree-5 4-connected triangulation with ``levels`` nested
     separating 4-cycles, each with a vertex adjacent to exactly three of its
@@ -534,13 +548,7 @@ def telescope_tower(levels: int = 3):
     """
     if levels < 1:
         raise TooSmall("tower needs at least one level")
-    counter = [0]
-
-    def take(k):
-        out = list(range(counter[0], counter[0] + k))
-        counter[0] += k
-        return out
-
+    take = _id_taker()
     squares = [tuple(take(4))]
     faces = _banana_plug_faces(squares[0], take(8))
     star = []
@@ -561,13 +569,7 @@ def two_pocket_worm():
 
     Returns (graph, star, squares) with one seed vertex per pocket.
     """
-    counter = [0]
-
-    def take(k):
-        out = list(range(counter[0], counter[0] + k))
-        counter[0] += k
-        return out
-
+    take = _id_taker()
     q_a, q_b = tuple(take(4)), tuple(take(4))
     faces = list(_antiprism_faces(q_a, q_b))
     star = []

@@ -44,6 +44,7 @@ from .plane_graph import (
     NearTriangulation,
     PlaneGraph,
     _connected_after_removal,
+    _side_faces,
     add_edge_in_face,
     block_chain,
     canonical_cycle,
@@ -658,7 +659,6 @@ def _pocket_paths(g, cert, cl: NearTriangulation, a, b, cap=2):
 
 def contract_interior_containing(g: PlaneGraph, c: Cycle, marker: int):
     """contract_interior on the side of ``c`` holding ``marker``."""
-    from .plane_graph import _side_faces
     _outside, inside = _side_faces(g, c)
     inside_vertices = set()
     for i in inside:

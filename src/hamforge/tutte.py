@@ -26,7 +26,6 @@ from .ham_enum import (
     search_budget,
 )
 from .plane_graph import (
-    BridgeDecomposition,
     Cycle,
     NearTriangulation,
     PlaneGraph,
@@ -44,11 +43,10 @@ from .structures import DiamondCert, has_separating_triangle
 
 @dataclass(frozen=True)
 class TuttePathCert:
-    """A path plus the bridge decomposition proving the Tutte condition."""
+    """A path meeting the Tutte condition for its constraint edges."""
 
     path: tuple[int, ...]
     constraint_edges: frozenset[tuple[int, int]]
-    decomposition: BridgeDecomposition
     is_hamiltonian: bool
 
     def edges(self):
@@ -85,15 +83,16 @@ class OuterPlanarWitness:
 
 
 def _check_tutte(g: PlaneGraph, path, constraint_edges):
-    dec = bridges(g, path, path_edges(path))
+    """The first bridge of ``path`` breaking the Tutte condition, as
+    (bridge, attachments, limit), or None."""
     onpath = set(path)
-    for br in dec.bridges:
+    for br in bridges(g, path, path_edges(path)).bridges:
         att = len(br.attachments & onpath)
         if att > 3:
-            return None, (br, att, 3)
+            return br, att, 3
         if br.edges & constraint_edges and att > 2:
-            return None, (br, att, 2)
-    return dec, None
+            return br, att, 2
+    return None
 
 
 def verify_tutte(g: PlaneGraph, path, constraint) -> TuttePathCert:
@@ -114,11 +113,10 @@ def verify_tutte(g: PlaneGraph, path, constraint) -> TuttePathCert:
             raise ValueError(f"{a}-{b} is not an edge")
     if len(set(path)) != len(path):
         raise ValueError("path repeats a vertex")
-    dec, violation = _check_tutte(g, path, cedges)
+    violation = _check_tutte(g, path, cedges)
     if violation is not None:
-        br, att, limit = violation
-        raise TutteViolation(br, att, limit)
-    return TuttePathCert(path=path, constraint_edges=cedges, decomposition=dec,
+        raise TutteViolation(*violation)
+    return TuttePathCert(path=path, constraint_edges=cedges,
                          is_hamiltonian=len(path) == g.n)
 
 
@@ -167,11 +165,12 @@ def _tutte_search(g: PlaneGraph, x: int, y: int, required, constraint_edges,
     ``hamiltonian``) the lexicographically first valid path."""
     budget = search_budget(budget)
     # a Hamiltonian path is vacuously C-Tutte (every bridge is a chord), so
-    # prefer one; the pure lexicographic fallback covers graphs where the
-    # guarantee is only the Tutte condition
+    # prefer one and return it unchecked; the pure lexicographic fallback
+    # covers graphs where the guarantee is only the Tutte condition
     for _edges, p in enumerate_ham_paths(g, x, y, required_edges=required,
                                          budget=budget, cap=1):
-        return verify_tutte(g, p, constraint_edges)
+        return TuttePathCert(path=p, constraint_edges=constraint_edges,
+                             is_hamiltonian=True)
     if hamiltonian:
         through = " and ".join(map(str, required))
         raise SearchExhausted(
@@ -180,10 +179,8 @@ def _tutte_search(g: PlaneGraph, x: int, y: int, required, constraint_edges,
     for p in _simple_paths_lex(g, x, y):
         if not path_edges(p) >= set(required):
             continue
-        dec, violation = _check_tutte(g, p, constraint_edges)
-        if violation is None:
+        if _check_tutte(g, p, constraint_edges) is None:
             return TuttePathCert(path=p, constraint_edges=constraint_edges,
-                                 decomposition=dec,
                                  is_hamiltonian=len(p) == g.n)
     kind = "C-Tutte" if len(required) == 1 else "uCv-Tutte"
     raise SearchExhausted(f"no {x}-{y} {kind} path through "
@@ -194,11 +191,12 @@ def tutte_path(g_or_nt, c: Cycle | None = None, x: int = 0, y: int = 1,
                e=None, hamiltonian: bool = False, budget=None) -> TuttePathCert:
     """A C-Tutte path between x and y through edge e (e on the outer cycle).
 
-    Lexicographically first valid path.  With ``hamiltonian=True`` the search
-    is restricted to Hamiltonian paths (used where a proof guarantees the
-    Tutte path spans); such paths are vacuously C-Tutte but the certificate
-    is still checked.  SearchExhausted flags a counterexample to the
-    underlying theorem and must be treated as fatal.
+    A Hamiltonian path if there is one, returned unchecked since it is
+    vacuously C-Tutte, else the lexicographically first valid path;
+    ``hamiltonian=True`` (where a proof guarantees the Tutte path spans)
+    allows only the first.  Callers certify what they keep (``verify_tutte``,
+    ``is_ham_path_of``, ``is_ham_cycle``).  SearchExhausted flags a
+    counterexample to the underlying theorem and must be treated as fatal.
     """
     g, c = _graph_and_cycle(g_or_nt, c)
     if x not in c.vertices:

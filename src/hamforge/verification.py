@@ -18,11 +18,13 @@ from . import __version__
 from .corpus import (
     CorpusFilter,
     _square_region_level,
+    cycle_graph,
     double_wheel,
     enumerate_triangulations,
     graph_to_planar_code,
     telescope_tower,
     two_pocket_worm,
+    wheel,
 )
 from .errors import HamforgeError, OperationalError
 from .ham_enum import (
@@ -48,9 +50,12 @@ from .plane_graph import (
     edge_key,
     is_isomorphic,
     is_k_connected,
+    plane_graph_from_faces,
     vertex_connectivity_flow,
 )
-from .replay import lemma_2edge_family, nested_chain, theorem1_family, theorem2_tree
+from .replay import (disjoint_diamond_family, lemma_2edge_family, nested_chain,
+                     theorem1_family, theorem2_tree)
+from .structures import DiamondCert
 from .tutte import (
     PathPair,
     diamond_region_paths,
@@ -186,7 +191,6 @@ TUTTE_N_MAX = 10
 
 
 def _tutte_corpus(n_max):
-    from .corpus import cycle_graph, wheel
     for g in corpus_triangulations(n_max):
         yield g.with_outer_face(g.outer_face_index), Cycle(g.outer_face)
     for nt in square_boundary_regions(n_max - 1):
@@ -339,9 +343,6 @@ def suite_lemma_uvpath(n_max=10, budget=None, **_kw):
 
 def suite_lemma_diamond4(budget=None, **_kw):
     """Diamond-region dichotomy on the engineered fixtures."""
-    from .structures import DiamondCert
-    from .plane_graph import plane_graph_from_faces
-
     fixtures = []
     case3_faces = [(0, 1, 7), (1, 5, 7), (4, 5, 1), (4, 1, 2), (4, 2, 6),
                    (4, 6, 5), (5, 6, 7), (3, 6, 7), (2, 3, 6), (0, 7, 3),
@@ -482,7 +483,6 @@ def suite_theorem2(budget=2000, **_kw):
 
     def worm_pockets():
         chainw = nested_chain(gw, starw)
-        from .replay import disjoint_diamond_family
         fam = disjoint_diamond_family(gw, chainw.all_diamonds, budget=budget)
         ok = chainw.t == 1 and len(chainw.disjoint_roots) == 2 and len(fam) >= 4
         return ok, {"t": chainw.t, "roots": len(chainw.disjoint_roots),

@@ -421,10 +421,8 @@ def reference_tutte_path(g, c, x, y, e, hamiltonian=False):
     for p in _simple_paths_lex(g, x, y):
         if e not in path_edges(p):
             continue
-        dec, violation = _check_tutte(g, p, c.edges())
-        if violation is None:
+        if _check_tutte(g, p, c.edges()) is None:
             return TuttePathCert(path=p, constraint_edges=c.edges(),
-                                 decomposition=dec,
                                  is_hamiltonian=len(p) == g.n)
     raise SearchExhausted(f"no {x}-{y} C-Tutte path through {e} (n={g.n})")
 
@@ -459,10 +457,8 @@ def reference_tutte_path_two_edges(g, c, u, v, e, f, hamiltonian=False):
         pe = path_edges(p)
         if e not in pe or f not in pe:
             continue
-        dec, violation = _check_tutte(g, p, path_edges(constraint))
-        if violation is None:
+        if _check_tutte(g, p, path_edges(constraint)) is None:
             return TuttePathCert(path=p, constraint_edges=path_edges(constraint),
-                                 decomposition=dec,
                                  is_hamiltonian=len(p) == g.n)
     raise SearchExhausted(f"no {u}-{v} uCv-Tutte path through {e}, {f} (n={g.n})")
 

@@ -11,6 +11,7 @@ from hamforge.corpus import (
     CorpusFilter,
     _all_splits,
     _contraction_rank,
+    _contraction_separates,
     _four_connected_level,
     _split_edge_wins,
     _split_rotation,
@@ -40,11 +41,13 @@ from hamforge.errors import (
 from hamforge.plane_graph import (
     build,
     canonical_code,
+    contract_edge,
     is_isomorphic,
     is_k_connected,
     triangulation_from_code,
     vertex_connectivity_flow,
 )
+from hamforge.structures import has_separating_triangle
 
 from .oracles import (
     filtered_level_codes,
@@ -162,12 +165,17 @@ def test_enumerate_four_connected_counts(triangulations_by_n):
         assert sum(flt.matches(g) for g in triangulations_by_n(n)) == want
 
 
+def _whole(graphs):
+    return [(g.rotation, g.faces, g.outer_face_index) for g in graphs]
+
+
 def test_four_connected_level_matches_filtered_corpus(triangulations_by_n):
+    """The 4-connected level is the full level filtered, graph for graph."""
     flt = CorpusFilter(min_connectivity=4)
     for n, want in FOUR_CONNECTED_COUNTS.items():
-        mine = [canonical_code(g) for g in _four_connected_level(n)]
-        assert mine == [canonical_code(g) for g in triangulations_by_n(n)
-                        if flt.matches(g)]
+        mine = _four_connected_level(n)
+        assert _whole(mine) == _whole(g for g in triangulations_by_n(n)
+                                      if flt.matches(g))
         assert len(mine) == want
 
 
@@ -183,9 +191,9 @@ def test_four_connected_level_passes_flow_connectivity():
 ], ids=["4conn_mindeg5", "5conn"])
 def test_routed_filter_matches_filtering_full_level(flt, triangulations_by_n):
     for n in range(4, 12):
-        routed = [canonical_code(g) for g in enumerate_triangulations(n, flt)]
-        assert routed == [canonical_code(g) for g in triangulations_by_n(n)
-                          if flt.matches(g)]
+        routed = _whole(enumerate_triangulations(n, flt))
+        assert routed == _whole(g for g in triangulations_by_n(n)
+                                if flt.matches(g))
 
 
 @pytest.mark.slow
@@ -194,6 +202,14 @@ def test_four_connected_level_matches_filtered_corpus_large(n, want):
     mine = [canonical_code(g) for g in _four_connected_level(n)]
     assert len(mine) == want
     assert mine == filtered_level_codes(n, CorpusFilter(min_connectivity=4))
+
+
+@pytest.mark.slow
+def test_four_connected_level_12_is_the_filtered_full_level():
+    flt = CorpusFilter(min_connectivity=4)
+    full = _triangulation_level.__wrapped__(12)
+    assert _whole(_four_connected_level(12)) == _whole(g for g in full
+                                                       if flt.matches(g))
 
 
 def test_enumerate_count_n12_matches_published():
@@ -294,6 +310,19 @@ def test_contraction_rank_is_mirror_invariant(triangulations_by_n):
                 assert _contraction_rank(g, x, y) == _contraction_rank(m, x, y)
 
 
+def _built_ranks(child):
+    """The rank of every edge of a built graph whose ends have two common
+    neighbors, from its common neighbors and degrees."""
+    ranks = {}
+    for x, y in child.edge_set:
+        common = child.common_neighbors(x, y)
+        if len(common) == 2:
+            dx, dy = child.degrees[x], child.degrees[y]
+            ranks[(x, y)] = (dx + dy, -abs(dx - dy),
+                             sum(child.degrees[w] for w in common))
+    return ranks
+
+
 def test_split_acceptance_is_the_top_ranked_contractible_edge(triangulations_by_n):
     """A child is kept exactly when its split edge (v, new) ranks highest
     among the edges whose ends have two common neighbors, found here on the
@@ -303,18 +332,53 @@ def test_split_acceptance_is_the_top_ranked_contractible_edge(triangulations_by_
         for parent in triangulations_by_n(n):
             for v, i, j in _all_splits(parent):
                 child = split_vertex(parent, v, i, j)
-                ranks = {}
-                for x, y in child.edge_set:
-                    common = child.common_neighbors(x, y)
-                    if len(common) == 2:
-                        dx, dy = child.degrees[x], child.degrees[y]
-                        ranks[(x, y)] = (dx + dy, -abs(dx - dy),
-                                         sum(child.degrees[w] for w in common))
+                ranks = _built_ranks(child)
                 want = ranks[(v, child.n - 1)] == max(ranks.values())
                 got = _split_edge_wins(_split_rotation(parent, v, i, j), v)
                 assert got == want
                 kept += got
     assert kept == 12 + 6 + 16 + 34 + 104
+
+
+def test_contraction_separates_matches_contracting():
+    """An edge of a 4-connected triangulation is 4-contractible exactly when
+    contracting it leaves no separating triangle."""
+    edges = 0
+    for n in range(6, 12):
+        for g in _four_connected_level(n):
+            for x, y in g.edge_set:
+                contracted, _merged, _origin = contract_edge(g, x, y)
+                want = has_separating_triangle(contracted)
+                assert _contraction_separates(g, x, y) == want
+                assert _contraction_separates(g, y, x) == want
+                edges += 1
+    assert edges == 12 + 1050
+
+
+def test_four_connected_acceptance_is_the_top_ranked_4_contractible_edge():
+    """A split of a 4-connected parent that leaves both ends of degree >= 4
+    is kept exactly when its split edge ranks highest among the child's
+    edges whose contraction leaves no separating triangle, found here by
+    contracting every edge of the built child."""
+    kept = {}
+    for n in range(6, 11):
+        for parent in _four_connected_level(n):
+            assert list(_all_splits(parent, 4)) == [
+                (v, i, j) for v, i, j in _all_splits(parent)
+                if 2 <= j - i <= parent.degrees[v] - 2]
+            for v, i, j in _all_splits(parent, 4):
+                child = split_vertex(parent, v, i, j)
+                ranks = _built_ranks(child)
+                split = (v, child.n - 1)
+                want = not any(
+                    rank > ranks[split] and not has_separating_triangle(
+                        contract_edge(child, x, y)[0])
+                    for (x, y), rank in ranks.items())
+                assert not has_separating_triangle(contract_edge(child, *split)[0])
+                got = _split_edge_wins(_split_rotation(parent, v, i, j), v, 4)
+                assert got == want
+                kept[n + 1] = kept.get(n + 1, 0) + got
+    assert kept == {7: 12, 8: 15, 9: 32, 10: 54, 11: 106}
 
 
 def test_four_connected_filter_matches_exhaustive_cut_search(triangulations_by_n):

@@ -19,6 +19,16 @@ def test_default_reports_match_golden(suite):
     assert_golden(suite_key(suite), SUITE_RUNNERS[suite]())
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("n_max", [13, 14])
+def test_conjecture_scan_through_14_matches_golden(n_max):
+    """The conjecture scan over every 4-connected triangulation (OEIS
+    A007021) through n = 13 (443 graphs) and n = 14 (1,800), pinned row for
+    row."""
+    rows = SUITE_RUNNERS["conjecture"](n_max=n_max)
+    assert_golden(suite_key("conjecture", n_max=n_max), rows)
+
+
 def test_digest_is_the_benchmarks():
     """``run_pass`` on the tiny census workload digests its rows as
     ``report_digest`` does."""

@@ -20,6 +20,7 @@ from hamforge.ham_enum import count_ham_paths, is_ham_cycle
 from hamforge.plane_graph import (
     Cycle,
     NearTriangulation,
+    bridges,
     edge_key,
     path_edges,
     plane_graph_from_faces,
@@ -54,14 +55,16 @@ def test_hamiltonian_path_always_certifies():
     _e, p = enumerate_ham_paths(g, 0, 3, cap=1)[0]
     cert = verify_tutte(g, p, Cycle(g.outer_face))
     assert cert.is_hamiltonian
-    assert all(len(b.attachments) <= 2 for b in cert.decomposition.bridges)
+    assert all(len(b.attachments) <= 2
+               for b in bridges(g, p, path_edges(p)).bridges)
 
 
 def test_k4_interior_three_attachment_bridge():
     g = k4()
     f = g.outer_face
-    cert = verify_tutte(g, f, Cycle(f))       # the outer triangle as a path
-    bridge = next(b for b in cert.decomposition.bridges if not b.is_chord)
+    verify_tutte(g, f, Cycle(f))              # the outer triangle as a path
+    bridge = next(b for b in bridges(g, f, path_edges(f)).bridges
+                  if not b.is_chord)
     assert len(bridge.attachments) == 3
 
 
