@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import inspect
+import itertools
 import json
 import sys
 import time
@@ -58,19 +59,32 @@ def _emit(reports, out, fmt):
 
 
 def _load_graphs(args):
+    """The input graphs, decoded one at a time as they are iterated, and a
+    list holding the first (empty for an empty input).  The first is
+    decoded before this returns, so a bad first record exits before any
+    output; a bad later record exits 65 where the iteration meets it, after
+    the output of the graphs before it."""
+    graphs = _decode_graphs(args)
+    head = list(itertools.islice(graphs, 1))
+    return head, itertools.chain(head, graphs)
+
+
+def _decode_graphs(args):
     if args.double_wheel:
         try:
-            return [double_wheel(args.double_wheel)]
+            yield double_wheel(args.double_wheel)
         except TooSmall as exc:
             print(f"error: {exc}", file=sys.stderr)
             raise SystemExit(EX_DATA)
+        return
     if args.file:
         try:
             with open(args.file, "rb") as fh:
-                return list(read_planar_code(fh))
+                yield from read_planar_code(fh)
         except (OSError, HamforgeError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             raise SystemExit(EX_DATA)
+        return
     print("error: need --file or --double-wheel", file=sys.stderr)
     raise SystemExit(EX_USAGE)
 
@@ -108,8 +122,17 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+def _lacks_required_edge(g, required) -> bool:
+    """Whether g misses one of the ``required`` edges, reported on stderr."""
+    missing = [e for e in required if e not in g.edge_set]
+    if missing:
+        print(f"error: required edge {missing[0]} is not an edge of graph "
+              f"{graph_id(g)}", file=sys.stderr)
+    return bool(missing)
+
+
 def cmd_count(args) -> int:
-    graphs = _load_graphs(args)
+    head, graphs = _load_graphs(args)
     required = []
     for spec in args.required_edge or []:
         try:
@@ -118,18 +141,16 @@ def cmd_count(args) -> int:
             print(f"error: bad edge {spec!r}, expected u,v", file=sys.stderr)
             return EX_USAGE
         required.append(edge_key(u, v))
-    for g in graphs:
-        missing = [e for e in required if e not in g.edge_set]
-        if missing:
-            print(f"error: required edge {missing[0]} is not an edge of graph "
-                  f"{graph_id(g)}", file=sys.stderr)
-            return EX_USAGE
+    if any(_lacks_required_edge(g, required) for g in head):
+        return EX_USAGE
     out = _open_out(args.out)
     writer = csv.writer(out)
     writer.writerow(["graph_id", "n", "count", "seconds"])
     code = 0
     try:
         for g in graphs:
+            if _lacks_required_edge(g, required):
+                return EX_USAGE
             t0 = time.perf_counter()
             try:
                 count = count_ham_cycles(g, required_edges=required,
@@ -174,7 +195,7 @@ def _analysis_row(g) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    graphs = _load_graphs(args)
+    _head, graphs = _load_graphs(args)
     out = _open_out(args.out)
     code = 0
     try:

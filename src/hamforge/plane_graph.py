@@ -811,8 +811,10 @@ def bridges(g: PlaneGraph, h_vertices, h_edges) -> BridgeDecomposition:
     return BridgeDecomposition(hv, he, tuple(out))
 
 
-def _blocks_and_cuts(g: PlaneGraph):
-    """Biconnected components (as edge sets) and articulation vertices."""
+def _blocks_and_cuts(g: PlaneGraph, exclude=frozenset()):
+    """Biconnected components (as edge sets) and articulation vertices of
+    g minus the ``exclude`` vertices, in g's ids."""
+    gone = vertex_mask(exclude)
     disc = [0] * g.n
     low = [0] * g.n
     timer = [1]
@@ -829,7 +831,7 @@ def _blocks_and_cuts(g: PlaneGraph):
             v, parent, it = work[-1]
             advanced = False
             for w in it:
-                if w == parent:
+                if w == parent or gone >> w & 1:
                     continue
                 if disc[w] == 0:
                     stack.append(edge_key(v, w))
@@ -861,7 +863,7 @@ def _blocks_and_cuts(g: PlaneGraph):
                         cuts.add(p)
 
     for v in range(g.n):
-        if disc[v] == 0 and g.degrees[v] > 0:
+        if disc[v] == 0 and not gone >> v & 1 and g.nbr_masks[v] & ~gone:
             dfs(v)
     return blocks, cuts
 
@@ -876,7 +878,6 @@ class BlockChain:
     """
 
     blocks: tuple[frozenset[int], ...]
-    block_edges: tuple[frozenset[Edge], ...]
     cut_vertices: tuple[int, ...]
     endpoints: tuple[int, ...]
 
@@ -884,17 +885,19 @@ class BlockChain:
         return len(self.blocks)
 
 
-def block_chain(g: PlaneGraph, a: int, b: int) -> BlockChain:
-    """Order the blocks of ``g`` along the a-b path of the block tree.
+def block_chain(g: PlaneGraph, a: int, b: int,
+                exclude=frozenset()) -> BlockChain:
+    """Order the blocks of g minus the ``exclude`` vertices along the a-b
+    path of the block tree.
 
     Raises NotAChain if any block lies off that path, or if a or b sits in
     the middle of the chain.
     """
     if a == b:
         raise NotAChain("endpoints coincide")
-    if not g.connected:
+    if not _connected_after_removal(g, exclude):
         raise NotAChain("graph is not connected")
-    edge_blocks, _cuts = _blocks_and_cuts(g)
+    edge_blocks, _cuts = _blocks_and_cuts(g, exclude)
     if not edge_blocks:
         raise NotAChain("no edges")
     vertex_sets = [frozenset(itertools.chain.from_iterable(e)) for e in edge_blocks]
@@ -932,7 +935,6 @@ def block_chain(g: PlaneGraph, a: int, b: int) -> BlockChain:
     if ends[1] == a or ends[-2] == b:
         raise NotAChain("an endpoint is interior to the chain")
     return BlockChain(tuple(vertex_sets[i] for i in order),
-                      tuple(edge_blocks[i] for i in order),
                       tuple(ends[1:-1]), tuple(ends))
 
 

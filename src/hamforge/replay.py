@@ -94,17 +94,13 @@ def _enclosing_square(g: PlaneGraph, v: int, x: int):
 def _junction_chain(g: PlaneGraph, cl: NearTriangulation, c: Cycle, v: int, x: int):
     """Block chain of the closure minus {v, x}, with endpoints u, w.
 
-    Returns (chain, labels) where blocks/endpoints are in original graph ids.
+    Returns (blocks, endpoints) in original graph ids.
     """
     u, _v, w, _x = c.vertices
     fwd = {cl.to_origin(i): i for i in range(cl.graph.n)}
-    h, origin = cl.graph.delete_vertices({fwd[v], fwd[x]})
-    to_g = [cl.to_origin(z) for z in origin]
-    back = {i: to_g[i] for i in range(len(to_g))}
-    hfwd = {lab: i for i, lab in enumerate(to_g)}
-    chain = block_chain(h, hfwd[u], hfwd[w])
-    blocks = tuple(frozenset(back[z] for z in b) for b in chain.blocks)
-    endpoints = tuple(back[z] for z in chain.endpoints)
+    chain = block_chain(cl.graph, fwd[u], fwd[w], exclude={fwd[v], fwd[x]})
+    blocks = tuple(frozenset(cl.to_origin(z) for z in b) for b in chain.blocks)
+    endpoints = tuple(cl.to_origin(z) for z in chain.endpoints)
     return blocks, endpoints
 
 
@@ -173,7 +169,6 @@ def _lift_contracted_cycles(g, sub_family, origin, star, run: _Run):
     u3, u4 = run.mid
     p, q = run.inner
     v, x = run.v, run.x
-    back = {i: lab for i, lab in enumerate(origin) if lab is not None}
     inserts = {
         frozenset((p, v)): (p, u3, u4, v),
         frozenset((p, x)): (p, u3, u4, x),
@@ -187,14 +182,14 @@ def _lift_contracted_cycles(g, sub_family, origin, star, run: _Run):
         nbrs = _cycle_neighbors(cyc, star)
         if len(nbrs) != 2:
             raise StructureViolation("contracted vertex not on the cycle")
-        a, b = (back[z] for z in nbrs)
+        a, b = (origin[z] for z in nbrs)
         ins = inserts.get(frozenset((a, b)))
         if ins is None:
             raise StructureViolation(
                 f"cycle passes the contracted vertex via {a},{b}")
         edges = set()
         for e in _drop_vertex(cyc, star):
-            edges.add(edge_key(back[e[0]], back[e[1]]))
+            edges.add(edge_key(origin[e[0]], origin[e[1]]))
         edges.update(_path_edge_list(ins))
         out.append(frozenset(edges))
     return out
@@ -258,10 +253,9 @@ def _exchange_cycle(g, cprime_edges, run: _Run, lift_back):
 
 def _run_square_graph(g, gstar, star, origin, run: _Run):
     """(G/u3u4 - star) + pq, a triangulation again, plus its label map."""
-    back = {i: lab for i, lab in enumerate(origin) if lab is not None}
     sub, sub_origin = gstar.delete_vertices({star})
-    lift_back = {i: back[sub_origin[i]] for i in range(sub.n)}
-    fwd = {lab: i for i, lab in lift_back.items()}
+    lift_back = [origin[z] for z in sub_origin]
+    fwd = {lab: i for i, lab in enumerate(lift_back)}
     p, q = run.inner
     gprime = add_edge_in_face(sub, fwd[p], fwd[q])
     return gprime, lift_back, fwd
@@ -338,8 +332,7 @@ def _case1_splice(g, cyc: Cycle, fam: HamFamily, cap, required=(), tag="case1"):
     except (EmptyInterior, DisconnectedInterior) as exc:
         fam.log.append({"branch": tag, "skipped": str(exc)})
         return
-    back = {i: lab for i, lab in enumerate(origin) if lab is not None}
-    fwd = {lab: i for i, lab in back.items()}
+    fwd = {lab: i for i, lab in enumerate(origin) if lab is not None}
     req_local = [edge_key(fwd[p], fwd[q]) for p, q in required]
     cl = closure(g, cyc)
     cl_fwd = {cl.to_origin(i): i for i in range(cl.graph.n)}
@@ -347,9 +340,9 @@ def _case1_splice(g, cyc: Cycle, fam: HamFamily, cap, required=(), tag="case1"):
     for cyc_edges, _p in enumerate_ham_cycles_raw(gstar, required_edges=req_local,
                                                   cap=cap):
         p_loc, q_loc = _cycle_neighbors(cyc_edges, star)
-        p, q = back[p_loc], back[q_loc]
+        p, q = origin[p_loc], origin[q_loc]
         drop = [cl_fwd[z] for z in cyc.vertices if z not in (p, q)]
-        trunk = {edge_key(back[p2], back[q2])
+        trunk = {edge_key(origin[p2], origin[q2])
                  for p2, q2 in _drop_vertex(cyc_edges, star)}
         for _e, pathseq in enumerate_ham_paths(cl.graph, cl_fwd[p], cl_fwd[q],
                                                cap=cap, exclude=drop):

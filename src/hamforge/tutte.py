@@ -30,6 +30,7 @@ from .plane_graph import (
     NearTriangulation,
     PlaneGraph,
     _blocks_and_cuts,
+    _connected_after_removal,
     block_chain,
     bridges,
     canonical_cycle,
@@ -286,28 +287,6 @@ def _is_path_between(g: PlaneGraph, keep, a, b):
     return tuple(order) if len(order) == len(keep) else None
 
 
-def _block_outer_cycle(region_face_keys, block_graph: PlaneGraph,
-                       to_region, a: int, b: int) -> Cycle:
-    """Outer cycle of a chain block as embedded in the original region.
-
-    Block faces that are faces of the region are interior; with no
-    separating triangles exactly one face remains (the one holding the two
-    deleted outer vertices and the other blocks), and it is the boundary.
-    ``to_region`` maps block ids to region ids; a, b are block-local.
-    """
-    cands = []
-    for fc in block_graph.faces:
-        as_region = tuple(to_region[v] for v in fc)
-        if canonical_cycle(as_region) in region_face_keys:
-            continue
-        if a in fc and b in fc:
-            cands.append(fc)
-    if len(cands) != 1:
-        raise SearchExhausted(
-            f"block outer face not unique: {len(cands)} candidates")
-    return Cycle(cands[0])
-
-
 def two_ham_paths_uw(r: NearTriangulation, budget=None):
     """Dichotomy for an outer 4-cycle u v w x (G != C+vx, no separating
     triangles): two Hamiltonian u-w paths of G - {v, x}, or a witness that
@@ -315,7 +294,10 @@ def two_ham_paths_uw(r: NearTriangulation, budget=None):
 
     Construction: block chain of G - {v, x}; in the first block with >= 3
     vertices take Tutte paths through each of the two outer-cycle edges at
-    its entry cut vertex; elsewhere one Hamiltonian path per block.
+    its entry cut vertex; elsewhere one Hamiltonian path per block.  A
+    block's outer cycle is its one face through entry and exit that is not
+    a face of the region (with no separating triangles, the face holding v,
+    x and the other blocks).
     """
     u, v, w, x = _require_square_region(r)
     g = r.graph
@@ -329,12 +311,7 @@ def two_ham_paths_uw(r: NearTriangulation, budget=None):
     if witness is not None:
         return PathWitness(witness)
 
-    h, origin = g.delete_vertices({v, x})
-    back = {new: old for new, old in enumerate(origin)}
-    fwd = {old: new for new, old in enumerate(origin)}
-    chain = block_chain(h, fwd[u], fwd[w])
-    region_face_keys = {canonical_cycle(f) for f in g.faces}
-
+    chain = block_chain(g, u, w, exclude={v, x})
     s = next(i for i, bvs in enumerate(chain.blocks) if len(bvs) >= 3)
     pieces_before = []
     pieces_after = []
@@ -346,12 +323,15 @@ def two_ham_paths_uw(r: NearTriangulation, budget=None):
             seg = [(a_i, b_i)]
             segs = (seg, seg)
         else:
-            bg, borigin = h.induced(bvs)
-            bfwd = {old: new for new, old in enumerate(borigin)}
-            to_region = [back[z] for z in borigin]
-            entry = bfwd[a_i]
-            exit_ = bfwd[b_i]
-            c_i = _block_outer_cycle(region_face_keys, bg, to_region, entry, exit_)
+            bg, borigin = g.induced(bvs)
+            entry = borigin.index(a_i)
+            exit_ = borigin.index(b_i)
+            cands = [f for f in _faces_not_in_host(g, bg, borigin)
+                     if entry in f and exit_ in f]
+            if len(cands) != 1:
+                raise SearchExhausted(
+                    f"block outer face not unique: {len(cands)} candidates")
+            c_i = Cycle(cands[0])
             at_entry = [e for e in c_i.edges() if entry in e]
             if i == s:
                 certs = [tutte_path(bg, c_i, entry, exit_, e, hamiltonian=True,
@@ -372,10 +352,10 @@ def two_ham_paths_uw(r: NearTriangulation, budget=None):
             pieces_after.append(segs[0])
 
     def assemble(mid):
-        seq = [back[fwd[u]]]
+        seq = [u]
         for seg in pieces_before + [mid] + pieces_after:
             for p, q in seg:
-                seq.append(back[q])
+                seq.append(q)
         return tuple(seq)
 
     p1, p2 = assemble(big_first), assemble(big_second)
@@ -447,9 +427,8 @@ def two_ham_paths_uv(r: NearTriangulation, budget=None):
                 raise SearchExhausted("peel recursion claimed outer planarity "
                                       "but no covering face exists")
             return wit
-        lift = {new: old for new, old in enumerate(origin)}
-        first = tuple(lift[z] for z in res.first)
-        second = tuple(lift[z] for z in res.second)
+        first = tuple(origin[z] for z in res.first)
+        second = tuple(origin[z] for z in res.second)
         if peel == u:
             first, second = (u,) + first, (u,) + second
         else:
@@ -462,15 +441,17 @@ def two_ham_paths_uv(r: NearTriangulation, budget=None):
     # both u and v have >= 2 interior neighbors: one of the two apex
     # deletions is 2-connected
     for apex, other in ((u, v), (v, u)):
-        sub, origin = g.delete_vertices({w, x, apex})
-        if not sub.connected or sub.n < 3:
+        drop = {w, x, apex}
+        if (g.n - len(drop) < 3 or not _connected_after_removal(g, drop)
+                or _blocks_and_cuts(g, drop)[1]):
             continue
-        if _has_cut_vertex(sub):
-            continue
+        sub, origin = g.delete_vertices(drop)
         fwd = {old: new for new, old in enumerate(origin)}
-        d = _merged_outer_face(g, sub, origin)
-        if d is None:
+        # the face merging the deleted vertices' faces is the outer cycle
+        cands = _faces_not_in_host(g, sub, origin)
+        if len(cands) != 1 or len(set(cands[0])) != len(cands[0]):
             continue
+        d = Cycle(cands[0])
         res = _uv_two_connected_case(g, sub, origin, fwd, d, apex, other,
                                      u, v, w, x, budget)
         if res is not None:
@@ -479,19 +460,11 @@ def two_ham_paths_uv(r: NearTriangulation, budget=None):
                           f"(outer {u},{v},{w},{x}, n={g.n})")
 
 
-def _has_cut_vertex(g: PlaneGraph) -> bool:
-    """Whether the connected graph g has an articulation vertex (one DFS)."""
-    return bool(_blocks_and_cuts(g)[1])
-
-
-def _merged_outer_face(host: PlaneGraph, sub: PlaneGraph, origin) -> Cycle | None:
-    """The face of ``sub`` that is not a face of the host: its outer cycle."""
-    host_faces = {canonical_cycle(f) for f in host.faces}
-    cands = [f for f in sub.faces
-             if canonical_cycle(tuple(origin[z] for z in f)) not in host_faces]
-    if len(cands) != 1 or len(set(cands[0])) != len(cands[0]):
-        return None
-    return Cycle(cands[0])
+def _faces_not_in_host(host: PlaneGraph, sub: PlaneGraph, origin) -> list:
+    """The faces of ``sub``, a restriction of ``host`` whose vertex i is
+    host vertex ``origin[i]``, that are not faces of the host."""
+    return [f for f in sub.faces
+            if host.face_index([origin[z] for z in f]) is None]
 
 
 def _uv_two_connected_case(g, sub, origin, fwd, d, apex, other, u, v, w, x, budget):

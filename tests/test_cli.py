@@ -54,6 +54,21 @@ def test_count_malformed_file(capsys, tmp_path):
     assert err.value.code == 65
 
 
+def test_count_streams_rows_before_a_truncated_record(capsys, tmp_path):
+    """Records are decoded as they are counted: the first graph's row is out
+    when the truncated second record exits 65."""
+    path = tmp_path / "two.pc"
+    with open(path, "wb") as fh:
+        write_planar_code([octahedron(), k4()], fh)
+    path.write_bytes(path.read_bytes()[:-3])
+    with pytest.raises(SystemExit) as err:
+        main(["count", "--file", str(path)])
+    out = capsys.readouterr()
+    assert err.value.code == 65 and "ended mid-rotation" in out.err
+    rows = out.out.splitlines()
+    assert len(rows) == 2 and rows[1].split(",")[1:3] == ["6", "16"]
+
+
 def test_unknown_suite_usage_error(capsys):
     code, _out, err = run(capsys, "verify", "nosuch")
     assert code == 64 and "unknown suite" in err

@@ -26,6 +26,7 @@ from hamforge.plane_graph import (
     Cycle,
     NearTriangulation,
     PlaneGraph,
+    _blocks_and_cuts,
     block_chain,
     bridges,
     build,
@@ -280,6 +281,56 @@ def test_block_chain_rejects_pendant_block():
     g = build(rot)
     with pytest.raises(NotAChain):
         block_chain(g, 0, 1)
+
+
+def _chain_or_message(g, a, b, exclude=frozenset()):
+    try:
+        chain = block_chain(g, a, b, exclude=exclude)
+    except NotAChain as exc:
+        return str(exc)
+    return chain.blocks, chain.cut_vertices, chain.endpoints
+
+
+def test_block_code_with_exclude_matches_vertex_deletion(triangulations_by_n):
+    """``_blocks_and_cuts`` and ``block_chain`` skipping ``exclude`` in
+    place give the blocks, cut vertices, endpoints and NotAChain messages of
+    the same calls on the graph with those vertices deleted, mapped back:
+    every n <= 9 triangulation minus each vertex pair (every endpoint pair
+    when a cut vertex is left, else one, as all give the single block), and
+    every square region with n <= 9 minus each diagonal of its outer cycle
+    (the other diagonal as endpoints)."""
+    from hamforge.verification import square_boundary_regions
+    cases = []
+    for nt in square_boundary_regions(9):
+        u, v, w, x = nt.outer_cycle.vertices
+        cases += [(nt.graph, {v, x}, [(u, w)]), (nt.graph, {u, w}, [(v, x)])]
+    for n in range(4, 10):
+        for g in triangulations_by_n(n):
+            cases += [(g, set(pair), None)
+                      for pair in itertools.combinations(range(g.n), 2)]
+    outcomes = set()
+    for g, exclude, ends in cases:
+        h, origin = g.delete_vertices(exclude)
+        fwd = {old: new for new, old in enumerate(origin)}
+        blocks, cuts = _blocks_and_cuts(h)
+        assert _blocks_and_cuts(g, exclude) == (
+            [frozenset((origin[p], origin[q]) for p, q in blk) for blk in blocks],
+            {origin[z] for z in cuts})
+        if ends is None:
+            ends = list(itertools.combinations(origin, 2))[:None if cuts else 1]
+        for a, b in ends:
+            want = _chain_or_message(h, fwd[a], fwd[b])
+            if not isinstance(want, str):
+                blocks, cut_vertices, endpoints = want
+                want = (tuple(frozenset(origin[z] for z in blk) for blk in blocks),
+                        tuple(origin[z] for z in cut_vertices),
+                        tuple(origin[z] for z in endpoints))
+            got = _chain_or_message(g, a, b, exclude)
+            assert got == want, (g.rotation, exclude, a, b)
+            outcomes.add(got if isinstance(got, str) else "chain")
+    assert outcomes == {"chain", "graph is not connected",
+                        "an endpoint is a cut vertex", "block structure branches",
+                        "pendant blocks off the a-b path"}
 
 
 def test_bridges_k4_ham_path():

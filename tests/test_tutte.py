@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -12,6 +13,7 @@ from hamforge.corpus import (
 )
 from hamforge.errors import (
     BadOrder,
+    HamforgeError,
     HypothesisViolated,
     SearchExhausted,
     TutteViolation,
@@ -39,7 +41,9 @@ from hamforge.tutte import (
     two_ham_paths_uw,
     verify_tutte,
 )
+from hamforge.verification import dichotomy_regions
 
+from .golden import GOLDEN
 from .oracles import (
     nx_outerplanar,
     reference_tutte_path,
@@ -238,25 +242,50 @@ def test_uv_two_interior_pair_branch(triangulations_by_n):
 
 
 def test_has_cut_vertex_matches_vertex_deletion_search(triangulations_by_n):
-    """The one-DFS articulation test against a BFS per deleted vertex, on
-    every connected n <= 9 triangulation minus a vertex pair and every
-    square region with n <= 9."""
-    from hamforge.plane_graph import _connected_after_removal
-    from hamforge.tutte import _has_cut_vertex
+    """The one-DFS articulation vertices of g minus ``exclude`` against a
+    BFS per further deleted vertex, on every n <= 9 triangulation minus each
+    vertex pair it stays connected without, and every square region with
+    n <= 9."""
+    from hamforge.plane_graph import _blocks_and_cuts, _connected_after_removal
     from hamforge.verification import square_boundary_regions
-    graphs = [nt.graph for nt in square_boundary_regions(9)]
+    cases = [(nt.graph, set()) for nt in square_boundary_regions(9)]
     for n in range(5, 10):
         for g in triangulations_by_n(n):
             for pair in itertools.combinations(range(g.n), 2):
-                sub, _origin = g.delete_vertices(pair)
-                if sub.connected:
-                    graphs.append(sub)
+                if _connected_after_removal(g, set(pair)):
+                    cases.append((g, set(pair)))
     answers = set()
-    for g in graphs:
-        got = _has_cut_vertex(g)
-        assert got == any(not _connected_after_removal(g, {v}) for v in range(g.n))
-        answers.add(got)
+    for g, exclude in cases:
+        got = _blocks_and_cuts(g, exclude)[1]
+        assert got == {v for v in range(g.n) if v not in exclude
+                       and not _connected_after_removal(g, exclude | {v})}
+        answers.add(bool(got))
     assert answers == {True, False}
+
+
+def test_two_path_results_match_golden():
+    """The paths themselves, not only the branch and count the suites keep:
+    the repr of every ``two_ham_paths_uw`` / ``_uv`` result, or of its
+    error, over the 8 labelings of each ``dichotomy_regions(10)`` region
+    (1,552 results), pinned to one digest."""
+    digest = hashlib.sha256()
+    results = 0
+    for nt in dichotomy_regions(10):
+        base = nt.outer_cycle.vertices
+        for rot in range(4):
+            for refl in (False, True):
+                vs = base[rot:] + base[:rot]
+                if refl:
+                    vs = (vs[0],) + tuple(reversed(vs[1:]))
+                for lemma in (two_ham_paths_uw, two_ham_paths_uv):
+                    try:
+                        res = lemma(NearTriangulation(nt.graph, Cycle(vs)))
+                    except HamforgeError as exc:
+                        res = exc
+                    digest.update(repr(res).encode() + b"\n")
+                    results += 1
+    assert results == 1552
+    assert digest.hexdigest() == GOLDEN["two-path results n_max=10"]
 
 
 # -- cycles through triangle edges ---------------------------------------------------
