@@ -6,11 +6,12 @@ unvisited neighbour of the path's end that the next step would leave with
 too few ways in and out is *critical*.  A node with two critical neighbours
 has no child, and one with a single critical neighbour tries only that
 vertex.  Children are tried in increasing vertex order, so enumeration is
-deterministic.  Cycles are undirected edge sets; directed or rooted counts
-are never exposed.  Every search takes a node budget (default 10^9,
-overridable via HAMFORGE_BUDGET) that counts each node the search enters,
-and raises SearchTimeout when it is exhausted: a timeout is an operational
-result to record, never to silently skip.
+deterministic.  The kernel emits vertex sequences; cycles are returned as
+undirected edge sets too, paths as vertex tuples only, and directed or
+rooted counts are never exposed.  Every search takes a node budget
+(default 10^9, overridable via HAMFORGE_BUDGET) that counts each node the
+search enters, and raises SearchTimeout when it is exhausted: a timeout is
+an operational result to record, never to silently skip.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import os
 from dataclasses import dataclass, field
 
 from .errors import SearchTimeout
-from .plane_graph import Edge, PlaneGraph, edge_key
+from .plane_graph import Edge, PlaneGraph, cycle_edges, edge_key
 
 DEFAULT_BUDGET = 10 ** 9
 
@@ -84,7 +85,8 @@ class _Search:
     of the cycle's start (the closing edge is a way out).  The neighbours
     of v below that are its *critical* ones, found once per node.  Every
     node entered counts against the budget, and ``nodes`` and ``count``
-    stay readable after the search, also after a timeout.
+    stay readable after the search, also after a timeout.  ``emit`` gets
+    the vertex tuple of each path or cycle found.
     """
 
     __slots__ = ("nb", "req_at", "n", "budget", "emit", "cap", "nodes",
@@ -149,10 +151,7 @@ class _Search:
                 if done:
                     count += 1
                     if emit is not None:
-                        walk = path if end is not None else path + [start]
-                        emit(frozenset(edge_key(u, w)
-                                       for u, w in zip(walk, walk[1:])),
-                             tuple(path))
+                        emit(tuple(path))
                 return
             free = cand = nb[v] & unvisited
             if depth != n - 1:
@@ -214,7 +213,7 @@ def enumerate_ham_cycles_raw(g: PlaneGraph, required_edges=(), forbidden_edges=(
         return []
     found = []
     _Search(*prep, g.n, search_budget(budget),
-            lambda e, p: found.append((e, p)), cap).run_cycles()
+            lambda p: found.append((cycle_edges(p), p)), cap).run_cycles()
     return found
 
 
@@ -249,12 +248,13 @@ def count_ham_paths(g: PlaneGraph, a: int, b: int, required_edges=(),
 
 def enumerate_ham_paths(g: PlaneGraph, a: int, b: int, required_edges=(),
                         forbidden_edges=(), budget=None, cap=None, exclude=()):
-    """Deterministic list of (edge set, vertex tuple) Hamiltonian a-b paths
-    of g minus ``exclude``, in g's ids.  The search takes the steps it takes
-    on the relabeled subgraph: same paths, same order, same budget."""
+    """Deterministic list of the Hamiltonian a-b paths of g minus
+    ``exclude``, each a vertex tuple from a to b in g's ids (``path_edges``
+    gives its edge set).  The search takes the steps it takes on the
+    relabeled subgraph: same paths, same order, same budget."""
     found = []
     _run_paths(g, a, b, required_edges, forbidden_edges, exclude, budget,
-               lambda e, p: found.append((e, p)), cap)
+               found.append, cap)
     return found
 
 

@@ -344,8 +344,8 @@ def _case1_splice(g, cyc: Cycle, fam: HamFamily, cap, required=(), tag="case1"):
         drop = [cl_fwd[z] for z in cyc.vertices if z not in (p, q)]
         trunk = {edge_key(origin[p2], origin[q2])
                  for p2, q2 in _drop_vertex(cyc_edges, star)}
-        for _e, pathseq in enumerate_ham_paths(cl.graph, cl_fwd[p], cl_fwd[q],
-                                               cap=cap, exclude=drop):
+        for pathseq in enumerate_ham_paths(cl.graph, cl_fwd[p], cl_fwd[q],
+                                           cap=cap, exclude=drop):
             lifted = [cl.to_origin(z) for z in pathseq]
             edges = trunk | set(_path_edge_list(lifted))
             if is_ham_cycle(g, edges) and all(r in edges for r in
@@ -479,8 +479,8 @@ def _theorem1_trunk_splice(g, cyc: Cycle, cl, fam: HamFamily, cap) -> int:
         fam.log.append({"branch": "trunk_splice", "skipped": "region disconnected"})
         return 0
     added = 0
-    for _e, pathseq in enumerate_ham_paths(cl.graph, cl_fwd[u], cl_fwd[w],
-                                           cap=cap, exclude=drop):
+    for pathseq in enumerate_ham_paths(cl.graph, cl_fwd[u], cl_fwd[w],
+                                       cap=cap, exclude=drop):
         lifted = [cl.to_origin(z) for z in pathseq]
         edges = set(trunk) | set(_path_edge_list(lifted))
         if is_ham_cycle(g, edges) and fam.add(frozenset(edges), "trunk_splice"):
@@ -646,7 +646,7 @@ def _pocket_paths(g, cert, cl: NearTriangulation, a, b, cap=2):
     if not out:
         drop = [q for q in vs if cl.to_origin(q) not in (a, b)]
         paths = enumerate_ham_paths(cl.graph, fwd[a], fwd[b], cap=cap, exclude=drop)
-        out = [tuple(cl.to_origin(z) for z in p) for _e, p in paths]
+        out = [tuple(cl.to_origin(z) for z in p) for p in paths]
     return out[:cap]
 
 
@@ -843,32 +843,62 @@ def nested_chain(g: PlaneGraph, s_star) -> NestedChain:
 @dataclass
 class CycleTree:
     """Tree of cycles: level-s nodes are Hamiltonian cycles of the s-th
-    contraction, the leaves Hamiltonian cycles of the full graph."""
+    contraction, the leaves cycles of the full graph.
+
+    A leaf is an int over ``edges``: bit i is set when the cycle holds
+    ``edges[i]``.  ``cycles()`` decodes the leaves on demand."""
 
     levels: int
     branching: list[list[int]]
-    leaves: list[frozenset]
+    leaves: list[int]
+    edges: tuple
     partial: bool
     log: list[dict] = field(default_factory=list)
 
     def leaf_count(self):
         return len(self.leaves)
 
+    def cycles(self):
+        """Each leaf as a frozenset of ``edge_key`` tuples, in leaf order."""
+        for leaf in self.leaves:
+            yield frozenset(self.edges[i] for i in mask_bits(leaf))
+
 
 def theorem2_tree(g: PlaneGraph, chain: NestedChain, budget=None) -> CycleTree:
     """Expand a root cycle of the outermost contraction level by level,
     replacing each contracted pocket vertex with every Hamiltonian path of
-    its ladder region; leaves are verified distinct cycles of the graph."""
+    its ladder region; the leaves are distinct cycles of the graph, for the
+    caller to certify.
+
+    Every cycle is an int over one index of labeled edges, grown as edges
+    are met: bit i stands for ``edges[i]``, and ``zmask[s]`` holds the
+    edges at pocket vertex ("z", s)."""
     cap = budget if budget is not None else 10 ** 6
     t = chain.t
     h1 = chain.h_ladders[0]
     base = first_ham_cycle(h1.graph)
     if base is None:
         raise ChainBroken(0, "outermost contraction has no Hamiltonian cycle")
+    index = {}
+    edges = []
+    zmask = [0] * (t + 1)
+
+    def path_mask(pairs):
+        mask = 0
+        for a, b in pairs:
+            e = _labeled_edge(a, b)
+            i = index.get(e)
+            if i is None:
+                i = index[e] = len(edges)
+                edges.append(e)
+                for q in e:
+                    if isinstance(q, tuple):
+                        zmask[q[1]] |= 1 << i
+            mask |= 1 << i
+        return mask
+
     lab = h1.labels
-    # one tuple per labeled edge, shared by every cycle that holds it
-    pool = {}
-    frontier = [_interned(pool, (_labeled_edge(lab[a], lab[b]) for a, b in base))]
+    frontier = [path_mask((lab[a], lab[b]) for a, b in base)]
     branching: list[list[int]] = []
     partial = False
     log = []
@@ -880,18 +910,17 @@ def theorem2_tree(g: PlaneGraph, chain: NestedChain, budget=None) -> CycleTree:
         level_branching = []
         full = False
         for cyc in frontier:
-            zedges = [e for e in cyc if z in e]
-            if len(zedges) != 2:
+            zbits = cyc & zmask[level]
+            if zbits.bit_count() != 2:
                 raise ChainBroken(level, "pocket vertex not on the cycle")
-            a, b = sorted(q for e in zedges for q in e if q != z)
-            rest = set(cyc) - set(zedges)
+            a, b = sorted(q for i in mask_bits(zbits) for q in edges[i] if q != z)
+            rest = cyc ^ zbits
             paths = _ladder_paths(ladder, cvs, a, b, cap)
             if not paths:
                 raise ChainBroken(level, f"no completion between {a} and {b}")
             level_branching.append(len(paths))
             for pathseq in paths:
-                child = frozenset(rest | _interned(pool, _labeled_path_edges(pathseq)))
-                nxt.append(child)
+                nxt.append(rest | path_mask(zip(pathseq, pathseq[1:])))
                 if len(nxt) >= cap:
                     # truncate breadth only; every level still completes so
                     # leaf depth stays uniform
@@ -907,17 +936,12 @@ def theorem2_tree(g: PlaneGraph, chain: NestedChain, budget=None) -> CycleTree:
 
     leaves = []
     seen = set()
-    # leaves hold the graph's own edge tuples
-    own = {e: e for e in g.edge_set}
     for cyc in frontier:
-        edges = _interned(own, (edge_key(a, b) for a, b in cyc))
-        if not is_ham_cycle(g, edges):
-            raise ChainBroken(t, "leaf is not a Hamiltonian cycle")
-        if edges not in seen:
-            seen.add(edges)
-            leaves.append(edges)
+        if cyc not in seen:
+            seen.add(cyc)
+            leaves.append(cyc)
     tree = CycleTree(levels=t, branching=branching, leaves=leaves,
-                     partial=partial, log=log)
+                     edges=tuple(edges), partial=partial, log=log)
     tree.log.append({"leaves": len(leaves), "partial": partial})
     return tree
 
@@ -926,17 +950,8 @@ def _label_sort_key(lab):
     return (1, lab, 0) if isinstance(lab, tuple) else (0, (), lab)
 
 
-def _interned(pool, edges) -> frozenset:
-    """``edges`` as the equal tuples ``pool`` holds, adding those it lacks."""
-    return frozenset(pool.setdefault(e, e) for e in edges)
-
-
 def _labeled_edge(a, b):
     return (a, b) if _label_sort_key(a) <= _label_sort_key(b) else (b, a)
-
-
-def _labeled_path_edges(seq):
-    return [_labeled_edge(a, b) for a, b in zip(seq, seq[1:])]
 
 
 def _ladder_paths(ladder: Ladder, cycle_vertices, a, b, cap):
@@ -946,4 +961,4 @@ def _ladder_paths(ladder: Ladder, cycle_vertices, a, b, cap):
             if lab in cycle_vertices and lab not in (a, b)]
     paths = enumerate_ham_paths(ladder.graph, ladder.local(a), ladder.local(b),
                                 cap=cap, exclude=drop)
-    return [tuple(ladder.labels[z] for z in p) for _e, p in paths]
+    return [tuple(ladder.labels[z] for z in p) for p in paths]

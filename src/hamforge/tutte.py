@@ -168,8 +168,8 @@ def _tutte_search(g: PlaneGraph, x: int, y: int, required, constraint_edges,
     # a Hamiltonian path is vacuously C-Tutte (every bridge is a chord), so
     # prefer one and return it unchecked; the pure lexicographic fallback
     # covers graphs where the guarantee is only the Tutte condition
-    for _edges, p in enumerate_ham_paths(g, x, y, required_edges=required,
-                                         budget=budget, cap=1):
+    for p in enumerate_ham_paths(g, x, y, required_edges=required,
+                                 budget=budget, cap=1):
         return TuttePathCert(path=p, constraint_edges=constraint_edges,
                              is_hamiltonian=True)
     if hamiltonian:
@@ -530,13 +530,15 @@ def _uv_two_connected_case(g, sub, origin, fwd, d, apex, other, u, v, w, x, budg
 # ---------------------------------------------------------------------------
 
 def ham_cycle_through_triangle_edges(g: PlaneGraph, t: Cycle, t1: Cycle,
-                                     t2: Cycle, budget=None):
+                                     t2: Cycle, budget=None, separating=None):
     """A Hamiltonian cycle through uv, uw (u the first vertex of t) and one
     edge from each of t1, t2, all four distinct.
 
     Returns (cycle edge set, e1, e2).  Existence is the Jackson-Yu theorem
     for triangulations without separating triangles, so exhausting the
-    search raises SearchExhausted as a counterexample alarm.
+    search raises SearchExhausted as a counterexample alarm.  A caller
+    that asks about many triples of one graph passes that graph's
+    ``has_separating_triangle(g)`` as ``separating``; None asks here.
     """
     for tri in (t, t1, t2):
         tri.validate(g)
@@ -545,7 +547,9 @@ def ham_cycle_through_triangle_edges(g: PlaneGraph, t: Cycle, t1: Cycle,
     keys = {canonical_cycle(tri.vertices) for tri in (t, t1, t2)}
     if len(keys) != 3:
         raise HypothesisViolated("distinct_triangles")
-    if has_separating_triangle(g):
+    if separating is None:
+        separating = has_separating_triangle(g)
+    if separating:
         raise HypothesisViolated("no_separating_triangles")
     u, v, w = t.vertices
     base = [edge_key(u, v), edge_key(u, w)]
@@ -648,8 +652,8 @@ def diamond_region_paths(r: NearTriangulation, z: int, dprime: DiamondCert,
     counts = {}
     paths_by_pair = {}
     for a, b in itertools.combinations(sorted(cvs), 2):
-        paths = [p for _e, p in enumerate_ham_paths(
-            g, a, b, budget=budget, exclude=set(cvs) - {a, b})]
+        paths = enumerate_ham_paths(g, a, b, budget=budget,
+                                    exclude=set(cvs) - {a, b})
         counts[(a, b)] = len(paths)
         paths_by_pair[(a, b)] = paths
 

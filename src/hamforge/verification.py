@@ -55,7 +55,7 @@ from .plane_graph import (
 )
 from .replay import (disjoint_diamond_family, lemma_2edge_family, nested_chain,
                      theorem1_family, theorem2_tree)
-from .structures import DiamondCert
+from .structures import DiamondCert, has_separating_triangle
 from .tutte import (
     PathPair,
     diamond_region_paths,
@@ -382,8 +382,10 @@ def triangle_edge_cycles(g: PlaneGraph, rng: random.Random, samples: int,
                          budget) -> RunReport:
     """The ``lemma-4edges`` row of one graph: on up to ``samples`` distinct
     face triples (t, t1, t2) drawn from ``rng``, a Hamiltonian cycle through
-    two edges of t and one edge each of t1 and t2, re-verified."""
+    two edges of t and one edge each of t1 and t2, re-verified.  The graph
+    is tested for separating triangles once, not once per triple."""
     def sampled_triples():
+        separating = has_separating_triangle(g)
         faces = list(g.faces)
         triples = set()
         limit = min(samples, len(faces) * (len(faces) - 1) * (len(faces) - 2))
@@ -397,7 +399,7 @@ def triangle_edge_cycles(g: PlaneGraph, rng: random.Random, samples: int,
             try:
                 cyc, e1, e2 = ham_cycle_through_triangle_edges(
                     g, Cycle(faces[t]), Cycle(faces[t1]), Cycle(faces[t2]),
-                    budget=budget)
+                    budget=budget, separating=separating)
                 u, v, w = faces[t]
                 need = {edge_key(u, v), edge_key(u, w), e1, e2}
                 if len(need) != 4 or not need <= cyc or not is_ham_cycle(g, cyc):
@@ -474,7 +476,7 @@ def suite_theorem2(budget=2000, **_kw):
         min_branch = min(min(level) for level in tree.branching if level)
         ok = (chain.t == 3 and min_branch >= 2
               and tree.leaf_count() >= min(2 ** chain.t, budget)
-              and all(is_ham_cycle(g, leaf) for leaf in tree.leaves))
+              and all(is_ham_cycle(g, leaf) for leaf in tree.cycles()))
         return ok, {"t": chain.t, "leaves": tree.leaf_count(),
                     "min_branching": min_branch, "partial": tree.partial}
     yield _row("theorem2", g, graph_id(g), "tower_tree", tower_tree, star=star)

@@ -17,14 +17,16 @@ before it built them on first read, ``adjacency_sets`` and
 read off the rotation, and the earlier copies of searches now folded into one:
 ``reference_tutte_path`` and ``reference_tutte_path_two_edges``,
 ``region_paths_loop``, ``two_edge_family_loop`` and
-``reference_special_set`` / ``reference_special_set_mindeg5``, and the
+``reference_special_set`` / ``reference_special_set_mindeg5``, the
 Hamiltonian backtracker before its bitmask kernel: ``reference_prepare``
-and ``ReferenceSearch``.
+and ``ReferenceSearch``, and Theorem 2's cycle tree before its cycles
+became edge bitmasks: ``reference_theorem2_tree``.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass, field
 
 import networkx as nx
 
@@ -413,7 +415,7 @@ def reference_tutte_path(g, c, x, y, e, hamiltonian=False):
     e = edge_key(*e)
     if e not in c.edges():
         raise HypothesisViolated("e_on_outer_cycle")
-    for _edges, p in enumerate_ham_paths(g, x, y, required_edges=[e], cap=1):
+    for p in enumerate_ham_paths(g, x, y, required_edges=[e], cap=1):
         return verify_tutte(g, p, c)
     if hamiltonian:
         raise SearchExhausted(
@@ -448,7 +450,7 @@ def reference_tutte_path_two_edges(g, c, u, v, e, f, hamiltonian=False):
     if not clockwise_order_ok(c, u, e, f, v):
         raise BadOrder(f"{u}, {e}, {f}, {v} not in clockwise order on {c.vertices}")
     constraint = c.subpath(u, v)
-    for _edges, p in enumerate_ham_paths(g, u, v, required_edges=[e, f], cap=1):
+    for p in enumerate_ham_paths(g, u, v, required_edges=[e, f], cap=1):
         return verify_tutte(g, p, constraint)
     if hamiltonian:
         raise SearchExhausted(
@@ -473,8 +475,8 @@ def region_paths_loop(g, drop, a, b, cap=None, budget=None):
         return None
     rf = {origin[i]: i for i in range(region.n)}
     return [tuple(origin[z] for z in p)
-            for _e, p in enumerate_ham_paths(region, rf[a], rf[b], cap=cap,
-                                             budget=budget)]
+            for p in enumerate_ham_paths(region, rf[a], rf[b], cap=cap,
+                                         budget=budget)]
 
 
 def two_edge_family_loop(g, cert, e, f, cap=10 ** 6):
@@ -502,13 +504,125 @@ def two_edge_family_loop(g, cert, e, f, cap=10 ** 6):
                                     forbidden_edges=[f], cap=1)
         if not found:
             raise SearchExhausted(f"no Hamiltonian {b}-{c} path through {e} in G-F")
-        fam.add(path_edges(found[0][1]) | {f}, "edge_family")
+        fam.add(path_edges(found[0]) | {f}, "edge_family")
     floor = guaranteed_family_floor(len(cert))
     if count and len(fam) < floor:
         raise StructureViolation(
             f"family of {len(fam)} below the (3/2)^{len(cert)} floor")
     return len(fam), {"branch": "edge_families", "set_size": len(cert),
                       "families": count, "distinct": len(fam), "floor": floor}
+
+
+@dataclass
+class FrozensetCycleTree:
+    """``replay.CycleTree`` as it was when its leaves were edge frozensets."""
+
+    levels: int
+    branching: list[list[int]]
+    leaves: list[frozenset]
+    partial: bool
+    log: list[dict] = field(default_factory=list)
+
+    def leaf_count(self):
+        return len(self.leaves)
+
+
+def reference_theorem2_tree(g, chain, budget=None) -> FrozensetCycleTree:
+    """``theorem2_tree`` before its cycles became edge bitmasks: every cycle
+    a frozenset of labeled-edge tuples, each leaf certified here."""
+    from hamforge.errors import ChainBroken
+    from hamforge.ham_enum import first_ham_cycle, is_ham_cycle
+
+    cap = budget if budget is not None else 10 ** 6
+    t = chain.t
+    h1 = chain.h_ladders[0]
+    base = first_ham_cycle(h1.graph)
+    if base is None:
+        raise ChainBroken(0, "outermost contraction has no Hamiltonian cycle")
+    lab = h1.labels
+    # one tuple per labeled edge, shared by every cycle that holds it
+    pool = {}
+    frontier = [_interned(pool, (_labeled_edge(lab[a], lab[b]) for a, b in base))]
+    branching: list[list[int]] = []
+    partial = False
+    log = []
+    for level in range(1, t + 1):
+        ladder = chain.g_ladders[level - 1]
+        cvs = set(chain.cycles[level - 1].vertices)
+        z = ("z", level)
+        nxt = []
+        level_branching = []
+        full = False
+        for cyc in frontier:
+            zedges = [e for e in cyc if z in e]
+            if len(zedges) != 2:
+                raise ChainBroken(level, "pocket vertex not on the cycle")
+            a, b = sorted(q for e in zedges for q in e if q != z)
+            rest = set(cyc) - set(zedges)
+            paths = _ladder_paths(ladder, cvs, a, b, cap)
+            if not paths:
+                raise ChainBroken(level, f"no completion between {a} and {b}")
+            level_branching.append(len(paths))
+            for pathseq in paths:
+                child = frozenset(rest | _interned(pool, _labeled_path_edges(pathseq)))
+                nxt.append(child)
+                if len(nxt) >= cap:
+                    # truncate breadth only; every level still completes so
+                    # leaf depth stays uniform
+                    partial = True
+                    full = True
+                    break
+            if full:
+                break
+        log.append({"level": level, "nodes": len(frontier),
+                    "branching": level_branching})
+        branching.append(level_branching)
+        frontier = nxt
+
+    leaves = []
+    seen = set()
+    # leaves hold the graph's own edge tuples
+    own = {e: e for e in g.edge_set}
+    for cyc in frontier:
+        edges = _interned(own, (edge_key(a, b) for a, b in cyc))
+        if not is_ham_cycle(g, edges):
+            raise ChainBroken(t, "leaf is not a Hamiltonian cycle")
+        if edges not in seen:
+            seen.add(edges)
+            leaves.append(edges)
+    tree = FrozensetCycleTree(levels=t, branching=branching, leaves=leaves,
+                              partial=partial, log=log)
+    tree.log.append({"leaves": len(leaves), "partial": partial})
+    return tree
+
+
+def _label_sort_key(lab):
+    return (1, lab, 0) if isinstance(lab, tuple) else (0, (), lab)
+
+
+def _interned(pool, edges) -> frozenset:
+    """``edges`` as the equal tuples ``pool`` holds, adding those it lacks."""
+    return frozenset(pool.setdefault(e, e) for e in edges)
+
+
+def _labeled_edge(a, b):
+    return (a, b) if _label_sort_key(a) <= _label_sort_key(b) else (b, a)
+
+
+def _labeled_path_edges(seq):
+    return [_labeled_edge(a, b) for a, b in zip(seq, seq[1:])]
+
+
+def _ladder_paths(ladder, cycle_vertices, a, b, cap):
+    """Hamiltonian a-b paths of the ladder minus the other two outer
+    vertices, as label sequences, at most ``cap`` of them."""
+    from hamforge.ham_enum import enumerate_ham_paths
+
+    drop = [i for i, lab in enumerate(ladder.labels)
+            if lab in cycle_vertices and lab not in (a, b)]
+    paths = enumerate_ham_paths(ladder.graph, ladder.local(a), ladder.local(b),
+                                cap=cap, exclude=drop)
+    return [tuple(ladder.labels[z] for z in p) for p in paths]
 
 
 def _reference_sat_pairs(g, length):

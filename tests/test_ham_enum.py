@@ -30,7 +30,13 @@ from hamforge.ham_enum import (
     is_ham_cycle,
     search_budget,
 )
-from hamforge.plane_graph import PlaneGraph, build, edge_key
+from hamforge.plane_graph import (
+    PlaneGraph,
+    build,
+    cycle_edges,
+    edge_key,
+    path_edges,
+)
 
 from .oracles import (
     ReferenceSearch,
@@ -202,11 +208,10 @@ def test_excluding_search_matches_region_loop(triangulations_by_n):
     disconnected = paths = 0
     for g, drop, a, b in _excluding_cases(triangulations_by_n):
         want = region_paths_loop(g, drop, a, b)
-        got = [p for _e, p in enumerate_ham_paths(g, a, b, exclude=drop)]
+        got = enumerate_ham_paths(g, a, b, exclude=drop)
         assert got == (want or []), (g, drop, a, b)
         assert count_ham_paths(g, a, b, exclude=drop) == len(got)
-        assert [p for _e, p in enumerate_ham_paths(g, a, b, cap=1,
-                                                   exclude=drop)] == \
+        assert enumerate_ham_paths(g, a, b, cap=1, exclude=drop) == \
             (region_paths_loop(g, drop, a, b, cap=1) or [])
         disconnected += want is None
         paths += len(got)
@@ -296,7 +301,7 @@ def _search_outcome(make, ends, collect):
     """Return value, (budget, partial) of a timeout, emitted sequence and
     nodes of the search ``make(emit)``, emitting only when ``collect``."""
     found = []
-    search = make((lambda e, p: found.append((e, p))) if collect else None)
+    search = make(found.append if collect else None)
     try:
         value = search.run_cycles() if ends is None else search.run_paths(*ends)
         timeout = None
@@ -334,13 +339,19 @@ def _assert_same_searches(graphs, seed, per_graph=16):
             budget = 10 ** 9
             for _round in range(2):
                 want = _search_outcome(
-                    lambda emit: ReferenceSearch(g, *want_prep, budget, emit,
-                                                 cap, len(exclude)),
+                    lambda emit: ReferenceSearch(
+                        g, *want_prep, budget,
+                        emit and (lambda e, p: emit((e, p))), cap,
+                        len(exclude)),
                     ends, collect)
                 got = _search_outcome(
                     lambda emit: _Search(*prep, g.n - len(exclude), budget,
                                          emit, cap),
                     ends, collect)
+                # the kernel emits vertex tuples, the reference edge sets too
+                walk_edges = path_edges if ends else cycle_edges
+                assert all(e == walk_edges(p) for e, p in want[2])
+                want = (*want[:2], [p for _e, p in want[2]], want[3])
                 assert got == want, (g, ends, required, forbidden, exclude,
                                      cap, budget)
                 searches += 1

@@ -1,3 +1,5 @@
+import hashlib
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -26,7 +28,8 @@ from hamforge.replay import (
     theorem2_tree,
 )
 
-from .oracles import two_edge_family_loop
+from .golden import GOLDEN
+from .oracles import reference_theorem2_tree, two_edge_family_loop
 
 
 def test_lemma_2edge_octahedron_base():
@@ -175,16 +178,60 @@ def test_theorem2_tree_tower():
     assert tree.levels == 3
     assert min(min(level) for level in tree.branching if level) >= 2
     assert tree.leaf_count() >= min(2 ** 3, 64)
-    assert all(is_ham_cycle(g, leaf) for leaf in tree.leaves)
+    assert all(is_ham_cycle(g, leaf) for leaf in tree.cycles())
 
 
-def test_theorem2_leaves_hold_the_graph_edges():
-    """Leaves share the graph's own edge tuples instead of holding copies."""
+def test_theorem2_leaves_are_edge_masks():
+    """Leaves are distinct ints whose bits decode to edges of the graph."""
     g, star, _squares = telescope_tower(3)
     tree = theorem2_tree(g, nested_chain(g, star), budget=2000)
-    own = {id(e) for e in g.edge_set}
     assert tree.leaf_count() >= 8
-    assert all(id(e) in own for leaf in tree.leaves for e in leaf)
+    assert all(type(leaf) is int for leaf in tree.leaves)
+    assert len(set(tree.leaves)) == tree.leaf_count()
+    cycles = list(tree.cycles())
+    assert len(cycles) == tree.leaf_count()
+    assert all(len(c) == g.n and c <= g.edge_set for c in cycles)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_theorem2_tree_matches_frozenset_tree(k):
+    """The bitmask tree gives the frozenset tree's branching, log, partial
+    flag and leaves, in order, at every budget."""
+    g, star, _squares = telescope_tower(k)
+    chain = nested_chain(g, star)
+    for budget in (1, 3, 64, 2000):
+        want = reference_theorem2_tree(g, chain, budget=budget)
+        got = theorem2_tree(g, chain, budget=budget)
+        assert (got.levels, got.branching, got.log, got.partial) == \
+            (want.levels, want.branching, want.log, want.partial), (k, budget)
+        assert list(got.cycles()) == want.leaves, (k, budget)
+
+
+def test_theorem2_leaves_match_golden():
+    """The 2,000 leaves of the tower's tree at budget 2000, each as its
+    sorted edge tuples, in leaf order, pinned to one digest."""
+    g, star, _squares = telescope_tower(3)
+    tree = theorem2_tree(g, nested_chain(g, star), budget=2000)
+    digest = hashlib.sha256()
+    for leaf in tree.cycles():
+        digest.update(repr(sorted(leaf)).encode() + b"\n")
+    assert tree.leaf_count() == 2000
+    assert digest.hexdigest() == GOLDEN["theorem2 leaves budget=2000"]
+
+
+def test_theorem2_tree_peak_memory():
+    """The tower's tree at budget 2000 holds its cycles as ints: its
+    tracemalloc peak stays under 2 MB (9.5 MB with edge frozensets)."""
+    g, star, _squares = telescope_tower(3)
+    chain = nested_chain(g, star)
+    tracemalloc.start()
+    try:
+        tree = theorem2_tree(g, chain, budget=2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tree.leaf_count() == 2000
+    assert peak < 2 * 10 ** 6, peak
 
 
 def test_theorem2_tree_budget_truncation():

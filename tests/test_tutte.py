@@ -27,7 +27,7 @@ from hamforge.plane_graph import (
     path_edges,
     plane_graph_from_faces,
 )
-from hamforge.structures import DiamondCert
+from hamforge.structures import DiamondCert, has_separating_triangle
 from hamforge.tutte import (
     OuterPlanarWitness,
     PathPair,
@@ -56,7 +56,7 @@ from .oracles import (
 def test_hamiltonian_path_always_certifies():
     g = octahedron()
     from hamforge.ham_enum import enumerate_ham_paths
-    _e, p = enumerate_ham_paths(g, 0, 3, cap=1)[0]
+    p = enumerate_ham_paths(g, 0, 3, cap=1)[0]
     cert = verify_tutte(g, p, Cycle(g.outer_face))
     assert cert.is_hamiltonian
     assert all(len(b.attachments) <= 2
@@ -318,6 +318,14 @@ def test_ham_cycle_through_triangles_rejects_duplicates():
     f = Cycle(g.faces[0])
     with pytest.raises(HypothesisViolated):
         ham_cycle_through_triangle_edges(g, f, f, Cycle(g.faces[1]))
+
+
+def test_ham_cycle_through_triangles_rejects_separating_triangles(triangulations_by_n):
+    """Called on its own, the search tests the graph's hypothesis itself."""
+    g = next(g for g in triangulations_by_n(7) if has_separating_triangle(g))
+    t, t1, t2 = (Cycle(f) for f in g.faces[:3])
+    with pytest.raises(HypothesisViolated, match="no_separating_triangles"):
+        ham_cycle_through_triangle_edges(g, t, t1, t2)
 
 
 # -- diamond regions ------------------------------------------------------------------

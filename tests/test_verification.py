@@ -122,6 +122,54 @@ def test_tutte_row_fails_on_reversed_path(monkeypatch):
     assert rows and not any(r.ok for r in rows)
 
 
+def test_theorem2_row_fails_on_a_corrupted_leaf(monkeypatch):
+    """The row certifies the tree's leaves: a last leaf missing one edge
+    fails ``tower_tree``, and only it."""
+    from dataclasses import replace
+
+    real = verification.theorem2_tree
+
+    def corrupted(g, chain, budget=None):
+        tree = real(g, chain, budget=budget)
+        last = tree.leaves[-1]
+        return replace(tree, leaves=tree.leaves[:-1] + [last ^ (last & -last)])
+
+    monkeypatch.setattr(verification, "theorem2_tree", corrupted)
+    rows = list(verification.suite_theorem2(budget=16))
+    assert [(r.operation, r.ok) for r in rows] == \
+        [("tower_tree", False), ("worm_pockets", True)]
+
+
+def test_lemma_4edges_tests_each_graph_for_separating_triangles_once(monkeypatch):
+    """A row asks ``has_separating_triangle`` (one ``triangles()`` listing)
+    once for its graph, not once per sampled triple: 18 graphs, 18 listings
+    in the rows, next to the 18 of the 4-connected corpus filter; the
+    reports keep their golden digest."""
+    from hamforge.plane_graph import PlaneGraph
+
+    from .golden import assert_golden
+
+    def listing():
+        return list(verification.corpus_triangulations(
+            10, n_min=6, flt=CorpusFilter(min_connectivity=4)))
+
+    listing()  # builds the levels, with their own guard
+    calls = []
+    real = PlaneGraph.triangles
+
+    def spy(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(PlaneGraph, "triangles", spy)
+    graphs = listing()
+    listed = len(calls)
+    rows = list(verification.suite_lemma_4edges())
+    assert len(graphs) == len(rows) == listed == 18
+    assert len(calls) - listed == 2 * 18
+    assert_golden("lemma-4edges", rows)
+
+
 def test_tutte_suite_refuses_n_max_above_its_maximum():
     with pytest.raises(ValueError, match="n_max <= 10"):
         next(verification.suite_tutte(n_max=11))
