@@ -421,15 +421,18 @@ def enumerate_triangulations(n: int, flt: CorpusFilter | None = None):
     A filter asking for 4- or 5-connectivity reads the 4-connected level
     instead (``_four_connected_level``, grown from the octahedron by the
     same rule), empty below n = 6: the full level's 4-connected graphs in
-    the same order.  The filter is still applied to each of its graphs.
+    the same order.  Of the filter, only its degree bound and a
+    5-connectivity test are left to apply there.
     """
     if n > MAX_N:
         raise BudgetExceeded(f"n={n} exceeds max_n={MAX_N}")
     if flt is not None and flt.min_connectivity >= 4:
-        level = _four_connected_level(n) if n >= 6 else ()
-    else:
-        level = _triangulation_level(n)
-    for g in level:
+        for g in _four_connected_level(n) if n >= 6 else ():
+            if g.min_degree() >= flt.min_degree and (
+                    flt.min_connectivity == 4 or is_k_connected(g, 5)):
+                yield g
+        return
+    for g in _triangulation_level(n):
         if flt is None or flt.matches(g):
             yield g
 

@@ -45,19 +45,22 @@ def _prepare(g: PlaneGraph, required_edges, forbidden_edges, exclude=frozenset()
     """The neighbour masks the search may use and each vertex's required
     neighbours, or None when some vertex has more than two of those.  The
     masks start as a copy of ``g.nbr_masks``, built with the graph, so
-    forbidden edges and excluded vertices never reach the graph's own."""
+    forbidden edges and excluded vertices never reach the graph's own.
+    Edges are looked up in the masks too, so no edge table is built."""
     req = frozenset(edge_key(*e) for e in required_edges)
     forb = frozenset(edge_key(*e) for e in forbidden_edges)
     if req & forb:
         raise ValueError("required and forbidden edge sets intersect")
+    n = g.n
     for e in req:
-        if e not in g.edge_set:
+        u, w = e
+        if not (0 <= u < n and 0 <= w < n and g.has_edge(u, w)):
             raise ValueError(f"required edge {e} not in graph")
         if not exclude.isdisjoint(e):
             raise ValueError(f"required edge {e} has an excluded end")
     nb = list(g.nbr_masks)
     for u, w in forb:
-        if (u, w) in g.edge_set:
+        if 0 <= u < n and 0 <= w < n and g.has_edge(u, w):
             nb[u] ^= 1 << w
             nb[w] ^= 1 << u
     if exclude:

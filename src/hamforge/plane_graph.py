@@ -338,8 +338,61 @@ class PlaneGraph:
                     for v in range(self.n)]
         return PlaneGraph(rotation, require_connected=False)
 
-    def induced(self, vertices) -> tuple[PlaneGraph, list[int]]:
-        return self.delete_vertices(set(range(self.n)) - set(vertices))
+
+def _face_walk(rotation, exclude: int, u: int, v: int):
+    """The face of directed edge (u, v) of the graph minus the bitmask
+    ``exclude``, traced on the full ``rotation`` with excluded neighbours
+    skipped: the heads of its directed edges from v round to u, and whether
+    a step skipped an excluded vertex."""
+    walk = []
+    skipped = False
+    start = (u, v)
+    while True:
+        walk.append(v)
+        nbrs = rotation[v]
+        d = len(nbrs)
+        i = nbrs.index(u) + 1
+        # u itself is kept, so the scan stops
+        while exclude >> nbrs[i % d] & 1:
+            i += 1
+            skipped = True
+        u, v = v, nbrs[i % d]
+        if (u, v) == start:
+            return walk, skipped
+
+
+def _first_traced(rotation, walk) -> tuple[int, ...]:
+    """``walk`` turned to start at its directed edge (walk[j - 1], walk[j])
+    that comes first in vertex and rotation order."""
+    j = min(range(len(walk)),
+            key=lambda j: (walk[j - 1], rotation[walk[j - 1]].index(walk[j])))
+    return tuple(walk[j:]) + tuple(walk[:j])
+
+
+def restriction_faces(g: PlaneGraph, exclude: int) -> list[tuple[tuple[int, ...], bool]]:
+    """The faces of g minus the vertices of the bitmask ``exclude``, read
+    off g's rotation with the excluded neighbours skipped: the faces of
+    ``g.delete_vertices(...)``, in its order and each from its first edge,
+    but in g's ids and with no graph built.
+
+    Each face comes with whether its walk skipped an excluded vertex.  A
+    face that skipped none is a face of g.  One that skipped is not, except
+    on a component that is a bare cycle bounding a face of g: its other
+    side skips, yet ``g.face_index`` finds the same cycle as that face.
+    """
+    rotation = g.rotation
+    seen = set()
+    out = []
+    for u, nbrs in enumerate(rotation):
+        if exclude >> u & 1:
+            continue
+        for v in nbrs:
+            if exclude >> v & 1 or (u, v) in seen:
+                continue
+            walk, skipped = _face_walk(rotation, exclude, u, v)
+            seen.update(zip(walk[-1:] + walk[:-1], walk))
+            out.append((tuple(walk), skipped))
+    return out
 
 
 def mask_bits(mask: int) -> list[int]:

@@ -7,6 +7,12 @@ search a counterexample alarm carrying the instance, never a soft failure.
 Constructions whose results must span search Hamiltonian paths directly (any
 Hamiltonian path is vacuously a C-Tutte path: its bridges are chords with
 two attachments).
+
+The two-Hamiltonian-paths lemmas work on the region they are given.  Each
+restriction they need (a block, a peel level, an apex deletion) is the
+region plus a bitmask of excluded vertices: its faces come from
+``restriction_faces`` and its Hamiltonian Tutte paths from the shared
+search with ``exclude``, so neither lemma builds a graph.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from dataclasses import dataclass
 from .errors import (
     BadOrder,
     HypothesisViolated,
+    NotACycle,
     SearchExhausted,
     TutteViolation,
 )
@@ -31,12 +38,15 @@ from .plane_graph import (
     PlaneGraph,
     _blocks_and_cuts,
     _connected_after_removal,
+    _face_walk,
+    _first_traced,
     block_chain,
     bridges,
     canonical_cycle,
     edge_key,
     mask_bits,
     path_edges,
+    restriction_faces,
     vertex_mask,
 )
 from .structures import DiamondCert, has_separating_triangle
@@ -160,22 +170,31 @@ def _graph_and_cycle(g_or_nt, c: Cycle | None):
 
 
 def _tutte_search(g: PlaneGraph, x: int, y: int, required, constraint_edges,
-                  hamiltonian: bool, budget) -> TuttePathCert:
+                  hamiltonian: bool, budget, exclude: int = 0) -> TuttePathCert:
     """The x-y path through every ``required`` edge, Tutte for the
     ``constraint_edges`` subgraph: Hamiltonian if one exists, else (unless
-    ``hamiltonian``) the lexicographically first valid path."""
+    ``hamiltonian``) the lexicographically first valid path.
+
+    ``exclude`` is a bitmask of vertices the search leaves out: the path is
+    then one of g minus them, found as on the rebuilt restriction (same
+    kernel, same child order, so the same path).  Only a Hamiltonian search
+    takes it; the lexicographic fallback searches g itself.
+    """
+    if exclude and not hamiltonian:
+        raise ValueError("excluding vertices needs hamiltonian=True")
     budget = search_budget(budget)
     # a Hamiltonian path is vacuously C-Tutte (every bridge is a chord), so
     # prefer one and return it unchecked; the pure lexicographic fallback
     # covers graphs where the guarantee is only the Tutte condition
     for p in enumerate_ham_paths(g, x, y, required_edges=required,
-                                 budget=budget, cap=1):
+                                 budget=budget, cap=1,
+                                 exclude=mask_bits(exclude)):
         return TuttePathCert(path=p, constraint_edges=constraint_edges,
                              is_hamiltonian=True)
     if hamiltonian:
         through = " and ".join(map(str, required))
-        raise SearchExhausted(
-            f"no Hamiltonian {x}-{y} path through {through} (n={g.n})")
+        raise SearchExhausted(f"no Hamiltonian {x}-{y} path through {through} "
+                              f"(n={g.n - exclude.bit_count()})")
 
     for p in _simple_paths_lex(g, x, y):
         if not path_edges(p) >= set(required):
@@ -297,7 +316,10 @@ def two_ham_paths_uw(r: NearTriangulation, budget=None):
     its entry cut vertex; elsewhere one Hamiltonian path per block.  A
     block's outer cycle is its one face through entry and exit that is not
     a face of the region (with no separating triangles, the face holding v,
-    x and the other blocks).
+    x and the other blocks).  Every block is searched in place: its faces
+    are those of the region minus the other vertices
+    (``restriction_faces``), and its paths those of the region with the
+    other vertices excluded, so no block graph is built.
     """
     u, v, w, x = _require_square_region(r)
     g = r.graph
@@ -313,56 +335,36 @@ def two_ham_paths_uw(r: NearTriangulation, budget=None):
 
     chain = block_chain(g, u, w, exclude={v, x})
     s = next(i for i, bvs in enumerate(chain.blocks) if len(bvs) >= 3)
-    pieces_before = []
-    pieces_after = []
-    big_first = None
-    big_second = None
+    full = (1 << g.n) - 1
+    firsts, seconds = [], []     # each block's path, from its entry
     for i, bvs in enumerate(chain.blocks):
-        a_i, b_i = chain.endpoints[i], chain.endpoints[i + 1]
+        entry, exit_ = chain.endpoints[i], chain.endpoints[i + 1]
         if len(bvs) == 2:
-            seg = [(a_i, b_i)]
-            segs = (seg, seg)
-        else:
-            bg, borigin = g.induced(bvs)
-            entry = borigin.index(a_i)
-            exit_ = borigin.index(b_i)
-            cands = [f for f in _faces_not_in_host(g, bg, borigin)
-                     if entry in f and exit_ in f]
-            if len(cands) != 1:
-                raise SearchExhausted(
-                    f"block outer face not unique: {len(cands)} candidates")
-            c_i = Cycle(cands[0])
-            at_entry = [e for e in c_i.edges() if entry in e]
-            if i == s:
-                certs = [tutte_path(bg, c_i, entry, exit_, e, hamiltonian=True,
-                                    budget=budget) for e in sorted(at_entry)[:2]]
-                segs = tuple(
-                    [ (borigin[p], borigin[q]) for p, q in zip(cert.path, cert.path[1:]) ]
-                    for cert in certs)
-            else:
-                cert = tutte_path(bg, c_i, entry, exit_, sorted(at_entry)[0],
-                                  hamiltonian=True, budget=budget)
-                seg = [(borigin[p], borigin[q]) for p, q in zip(cert.path, cert.path[1:])]
-                segs = (seg, seg)
-        if i < s:
-            pieces_before.append(segs[0])
-        elif i == s:
-            big_first, big_second = segs
-        else:
-            pieces_after.append(segs[0])
+            firsts.append((entry, exit_))
+            seconds.append((entry, exit_))
+            continue
+        others = full & ~vertex_mask(bvs)
+        cands = [f for f, new in restriction_faces(g, others)
+                 if new and entry in f and exit_ in f]
+        if len(cands) != 1:
+            raise SearchExhausted(
+                f"block outer face not unique: {len(cands)} candidates")
+        c_i = Cycle(cands[0])
+        c_i.validate(g)
+        at_entry = sorted(e for e in c_i.edges() if entry in e)
+        paths = [_tutte_search(g, entry, exit_, (e,), c_i.edges(), True,
+                               budget, exclude=others).path
+                 for e in at_entry[:2 if i == s else 1]]
+        firsts.append(paths[0])
+        seconds.append(paths[-1])
 
-    def assemble(mid):
-        seq = [u]
-        for seg in pieces_before + [mid] + pieces_after:
-            for p, q in seg:
-                seq.append(q)
-        return tuple(seq)
-
-    p1, p2 = assemble(big_first), assemble(big_second)
-    for p in (p1, p2):
+    pair = []
+    for blocks in (firsts, seconds):
+        p = (u,) + tuple(z for path in blocks for z in path[1:])
         if not is_ham_path_of(g, p, u, w, exclude={v, x}):
             raise SearchExhausted(f"assembled path is not Hamiltonian: {p}")
-    return PathPair(graph_n=g.n, a=u, b=w, first=p1, second=p2)
+        pair.append(p)
+    return PathPair(graph_n=g.n, a=u, b=w, first=pair[0], second=pair[1])
 
 
 def is_ham_path_of(g: PlaneGraph, seq, a, b, exclude=frozenset()) -> bool:
@@ -373,15 +375,6 @@ def is_ham_path_of(g: PlaneGraph, seq, a, b, exclude=frozenset()) -> bool:
             and all(g.has_edge(p, q) for p, q in zip(seq, seq[1:])))
 
 
-def _outer_planar_witness(g: PlaneGraph, keep) -> OuterPlanarWitness | None:
-    """A face of the restriction whose walk visits every kept vertex."""
-    sub, origin = g.delete_vertices(set(range(g.n)) - set(keep))
-    for f in sub.faces:
-        if set(f) == set(range(sub.n)):
-            return OuterPlanarWitness(tuple(origin[z] for z in f))
-    return None
-
-
 def two_ham_paths_uv(r: NearTriangulation, budget=None):
     """Dichotomy for an outer 4-cycle u v w x (no separating triangles):
     a witness that G - {w, x} is an outer planar near triangulation, or two
@@ -389,86 +382,132 @@ def two_ham_paths_uv(r: NearTriangulation, budget=None):
 
     Recursive construction: peel an end of the u-v edge with a unique
     interior neighbor; otherwise the 2-connected branch combines a
-    Thomassen path with a Thomas-Yu two-edge path.
+    Thomassen path with a Thomas-Yu two-edge path.  Every level is the
+    region minus a bitmask of vertices (the peeled ones): its hypotheses,
+    faces and paths are read off the region with them excluded, so no
+    level builds a graph.
     """
     u, v, w, x = _require_square_region(r)
     g = r.graph
-    budget = search_budget(budget)
+    res = _uv_level(g, 0, u, v, w, x, search_budget(budget))
+    if isinstance(res, OuterPlanarWitness) and g.n > 4:
+        # a peel level passes up the covering face it checked, as walked;
+        # the reported one is the first the full trace would list
+        res = OuterPlanarWitness(
+            _first_covering_face(g, vertex_mask((w, x)), res.face_walk))
+    return res
 
-    if g.n == 4:
+
+def _check_square_level(g: PlaneGraph, exclude: int, outer) -> None:
+    """The square-region hypotheses of a peel level, g minus the bitmask
+    ``exclude`` with outer cycle ``outer``, as ``NearTriangulation`` and
+    ``_require_square_region`` check them on the built restriction: the
+    cycle bounds a face, every other face is a triangle, and no triangle
+    separates.  The level is the level above (a square near
+    triangulation, so 2-connected) minus one vertex, hence connected, and
+    then ``has_separating_triangle``'s count decides: as many 3-cycles
+    avoid ``exclude`` as the level has triangular faces."""
+    c = Cycle(outer)
+    c.validate(g)
+    faces = [f for f, _new in restriction_faces(g, exclude)]
+    want = c.canonical()
+    if not any(len(f) == 4 and canonical_cycle(f) == want for f in faces):
+        raise NotACycle(f"{c.vertices} does not bound a face")
+    if sum(1 for f in faces if len(f) != 3) != 1:
+        raise HypothesisViolated("near_triangulation")
+    triangles = sum(1 for t in g.triangles() if not exclude & vertex_mask(t))
+    if triangles != len(faces) - 1:
+        raise HypothesisViolated("no_separating_triangles")
+
+
+def _first_covering_face(g: PlaneGraph, exclude: int, walk) -> tuple[int, ...]:
+    """The face of g minus the bitmask ``exclude`` that visits every
+    vertex and comes first in trace order, given ``walk``, one such face:
+    turned to start where ``restriction_faces`` starts it.  Two faces visit
+    every vertex only when the restriction is a bare cycle, and then the
+    other is ``walk`` reversed."""
+    rot = g.rotation
+    walk = _first_traced(rot, walk)
+    rest = ((1 << g.n) - 1) & ~exclude
+    if len(walk) == rest.bit_count() and all(
+            (g.nbr_masks[z] & rest).bit_count() == 2 for z in walk):
+        walk = min(walk, _first_traced(rot, walk[::-1]),
+                   key=lambda f: (f[-1], rot[f[-1]].index(f[0])))
+    return walk
+
+
+def _uv_level(g: PlaneGraph, exclude: int, u, v, w, x, budget):
+    """``two_ham_paths_uv`` on g minus the bitmask ``exclude``, a square
+    region with outer cycle u v w x whose hypotheses hold."""
+    n = g.n - exclude.bit_count()
+    if n == 4:
         return OuterPlanarWitness((u, v))
 
     if g.has_edge(u, w) or g.has_edge(v, x):
         raise HypothesisViolated("no_separating_triangles", "outer chord present")
 
-    keep = set(range(g.n)) - {w, x}
-    square = vertex_mask((u, v, w, x))
-
-    def interior_nbrs(z):
-        return mask_bits(g.nbr_masks[z] & ~square)
-
-    iu, iv = interior_nbrs(u), interior_nbrs(v)
+    masks = g.nbr_masks
+    square = vertex_mask((u, v, w, x)) | exclude
+    iu, iv = mask_bits(masks[u] & ~square), mask_bits(masks[v] & ~square)
     if len(iu) == 1 or len(iv) == 1:
         if len(iu) == 1:
-            peel, anchor, new_outer = u, iu[0], None
+            peel, stay, anchor, outer = u, v, iu[0], (iu[0], v, w, x)
         else:
-            peel, anchor, new_outer = v, iv[0], None
-        sub, origin = g.delete_vertices({peel})
-        fwd = {old: new for new, old in enumerate(origin)}
-        if peel == u:
-            oc = Cycle((fwd[anchor], fwd[v], fwd[w], fwd[x]))
-        else:
-            oc = Cycle((fwd[u], fwd[anchor], fwd[w], fwd[x]))
-        sub_nt = NearTriangulation(sub, oc, origin=origin)
-        res = two_ham_paths_uv(sub_nt, budget=budget)
+            peel, stay, anchor, outer = v, u, iv[0], (u, iv[0], w, x)
+        below = exclude | 1 << peel
+        _check_square_level(g, below, outer)
+        res = _uv_level(g, below, *outer, budget)
         if isinstance(res, OuterPlanarWitness):
-            wit = _outer_planar_witness(g, keep)
-            if wit is None:
+            # g minus exclude, w and x is outer planar iff the face at peel
+            # that is not the triangle on peel's two neighbours here, stay
+            # and anchor, visits every vertex.  The face of (stay, peel)
+            # runs on to anchor and then to anchor's next kept neighbour
+            # after peel: stay when it is that triangle.
+            rest = exclude | vertex_mask((w, x))
+            rot = g.rotation[anchor]
+            k = rot.index(peel) + 1
+            while rest >> rot[k % len(rot)] & 1:
+                k += 1
+            tail = anchor if rot[k % len(rot)] == stay else stay
+            walk, _skipped = _face_walk(g.rotation, rest, tail, peel)
+            if vertex_mask(walk) != ((1 << g.n) - 1) & ~rest:
                 raise SearchExhausted("peel recursion claimed outer planarity "
                                       "but no covering face exists")
-            return wit
-        first = tuple(origin[z] for z in res.first)
-        second = tuple(origin[z] for z in res.second)
+            return OuterPlanarWitness(tuple(walk))
         if peel == u:
-            first, second = (u,) + first, (u,) + second
+            first, second = (u,) + res.first, (u,) + res.second
         else:
-            first, second = first + (v,), second + (v,)
+            first, second = res.first + (v,), res.second + (v,)
+        off = mask_bits(exclude | vertex_mask((w, x)))
         for p in (first, second):
-            if not is_ham_path_of(g, p, u, v, exclude={w, x}):
+            if not is_ham_path_of(g, p, u, v, exclude=off):
                 raise SearchExhausted(f"peel-extended path invalid: {p}")
-        return PathPair(graph_n=g.n, a=u, b=v, first=first, second=second)
+        return PathPair(graph_n=n, a=u, b=v, first=first, second=second)
 
     # both u and v have >= 2 interior neighbors: one of the two apex
     # deletions is 2-connected
     for apex, other in ((u, v), (v, u)):
-        drop = {w, x, apex}
-        if (g.n - len(drop) < 3 or not _connected_after_removal(g, drop)
-                or _blocks_and_cuts(g, drop)[1]):
+        drop = exclude | vertex_mask((w, x, apex))
+        gone = mask_bits(drop)
+        if (n - 3 < 3 or not _connected_after_removal(g, gone)
+                or _blocks_and_cuts(g, gone)[1]):
             continue
-        sub, origin = g.delete_vertices(drop)
-        fwd = {old: new for new, old in enumerate(origin)}
         # the face merging the deleted vertices' faces is the outer cycle
-        cands = _faces_not_in_host(g, sub, origin)
+        cands = [f for f, new in restriction_faces(g, drop) if new]
         if len(cands) != 1 or len(set(cands[0])) != len(cands[0]):
             continue
-        d = Cycle(cands[0])
-        res = _uv_two_connected_case(g, sub, origin, fwd, d, apex, other,
+        res = _uv_two_connected_case(g, exclude, Cycle(cands[0]), apex, other,
                                      u, v, w, x, budget)
         if res is not None:
             return res
     raise SearchExhausted("two_ham_paths_uv: no branch applied "
-                          f"(outer {u},{v},{w},{x}, n={g.n})")
+                          f"(outer {u},{v},{w},{x}, n={n})")
 
 
-def _faces_not_in_host(host: PlaneGraph, sub: PlaneGraph, origin) -> list:
-    """The faces of ``sub``, a restriction of ``host`` whose vertex i is
-    host vertex ``origin[i]``, that are not faces of the host."""
-    return [f for f in sub.faces
-            if host.face_index([origin[z] for z in f]) is None]
-
-
-def _uv_two_connected_case(g, sub, origin, fwd, d, apex, other, u, v, w, x, budget):
-    """The Thomassen + Thomas-Yu construction for the 2-connected branch.
+def _uv_two_connected_case(g, exclude, d, apex, other, u, v, w, x, budget):
+    """The Thomassen + Thomas-Yu construction for the 2-connected branch,
+    on the level (g minus the bitmask ``exclude``) minus w, x and the apex,
+    whose outer cycle is ``d``.
 
     With apex = u: a1 is u's unique interior neighbor adjacent to x, a2 the
     one adjacent to v; P runs a1 -> v through an outer edge at the w,x
@@ -478,51 +517,51 @@ def _uv_two_connected_case(g, sub, origin, fwd, d, apex, other, u, v, w, x, budg
     """
     side_back, side_fwd = (x, v) if apex == u else (w, u)
     masks = g.nbr_masks
-    inner_nbrs = mask_bits(masks[apex] & ~vertex_mask((u, v, w, x)))
+    inner_nbrs = mask_bits(masks[apex] & ~vertex_mask((u, v, w, x)) & ~exclude)
     n1 = [z for z in inner_nbrs if g.has_edge(z, side_back)]
     n2 = [z for z in inner_nbrs if g.has_edge(z, side_fwd)]
-    ys = mask_bits(masks[w] & masks[x] & ~vertex_mask((u, v)))
+    ys = mask_bits(masks[w] & masks[x] & ~vertex_mask((u, v)) & ~exclude)
     if len(n1) != 1 or len(n2) != 1 or len(ys) != 1:
         return None
     a1, a2, y = n1[0], n2[0], ys[0]
-    a1s, a2s, ys_, others = fwd[a1], fwd[a2], fwd[y], fwd[other]
-    if a1s not in d.vertices or a2s not in d.vertices:
+    if a1 not in d.vertices or a2 not in d.vertices:
         return None
 
-    e_opts = sorted(e for e in d.edges() if ys_ in e)
-    f_opts = sorted(e for e in d.edges() if a1s in e)
+    e_opts = sorted(e for e in d.edges() if y in e)
+    f_opts = sorted(e for e in d.edges() if a1 in e)
+    drop = exclude | vertex_mask((w, x, apex))
+    off = mask_bits(exclude | vertex_mask((w, x)))
     for e in e_opts:
         try:
-            cert1 = tutte_path(sub, d, a1s, others, e, hamiltonian=True,
-                               budget=budget)
+            p1 = _tutte_search(g, a1, other, (e,), d.edges(), True, budget,
+                               exclude=drop).path                # a1 .. other
         except SearchExhausted:
             continue
         for dd in (d, Cycle(tuple(reversed(d.vertices)))):
             for f in f_opts:
-                if f == e or not clockwise_order_ok(dd, others, e, f, a2s):
+                if f == e or not clockwise_order_ok(dd, other, e, f, a2):
                     continue
                 try:
-                    cert2 = tutte_path_two_edges(sub, dd, others, a2s, e, f,
-                                                 hamiltonian=True, budget=budget)
-                except (SearchExhausted, BadOrder):
+                    q = _tutte_search(g, other, a2, (e, f),
+                                      path_edges(dd.subpath(other, a2)), True,
+                                      budget, exclude=drop).path  # other .. a2
+                except SearchExhausted:
                     continue
-                p1 = tuple(origin[z] for z in cert1.path)        # a1 .. other
-                q = tuple(origin[z] for z in cert2.path)         # other .. a2
                 if apex == u:
                     first = (u,) + p1                            # u a1 .. v
                     second = (u,) + tuple(reversed(q))           # u a2 .. v
                 else:
                     first = tuple(reversed(p1)) + (v,)           # u .. v1 v
                     second = q + (v,)                            # u .. v2 v
-                if not is_ham_path_of(g, first, u, v, exclude={w, x}):
+                if not is_ham_path_of(g, first, u, v, exclude=off):
                     continue
-                if not is_ham_path_of(g, second, u, v, exclude={w, x}):
+                if not is_ham_path_of(g, second, u, v, exclude=off):
                     continue
                 if path_edges(first) == path_edges(second):
                     continue
-                return PathPair(graph_n=g.n, a=u, b=v, first=first, second=second)
+                return PathPair(graph_n=g.n - exclude.bit_count(), a=u, b=v,
+                                first=first, second=second)
     return None
-
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,10 @@ read off the rotation, and the earlier copies of searches now folded into one:
 ``region_paths_loop``, ``two_edge_family_loop`` and
 ``reference_special_set`` / ``reference_special_set_mindeg5``, the
 Hamiltonian backtracker before its bitmask kernel: ``reference_prepare``
-and ``ReferenceSearch``, and Theorem 2's cycle tree before its cycles
-became edge bitmasks: ``reference_theorem2_tree``.
+and ``ReferenceSearch``, Theorem 2's cycle tree before its cycles
+became edge bitmasks: ``reference_theorem2_tree``, and the two-path
+lemmas on rebuilt restrictions: ``reference_two_ham_paths_uw`` /
+``_uv`` and ``restriction_faces_rebuilt``.
 """
 
 from __future__ import annotations
@@ -30,8 +32,33 @@ from dataclasses import dataclass, field
 
 import networkx as nx
 
-from hamforge.errors import SearchTimeout
-from hamforge.plane_graph import PlaneGraph, build, canonical_cycle, edge_key
+from hamforge.errors import BadOrder, HypothesisViolated, SearchExhausted, SearchTimeout
+from hamforge.ham_enum import search_budget
+from hamforge.plane_graph import (
+    Cycle,
+    NearTriangulation,
+    PlaneGraph,
+    _blocks_and_cuts,
+    _connected_after_removal,
+    block_chain,
+    build,
+    canonical_cycle,
+    edge_key,
+    mask_bits,
+    path_edges,
+    vertex_mask,
+)
+from hamforge.tutte import (
+    OuterPlanarWitness,
+    PathPair,
+    PathWitness,
+    _is_path_between,
+    _require_square_region,
+    clockwise_order_ok,
+    is_ham_path_of,
+    tutte_path,
+    tutte_path_two_edges,
+)
 
 
 def adjacency_sets(g: PlaneGraph) -> tuple[frozenset[int], ...]:
@@ -511,6 +538,257 @@ def two_edge_family_loop(g, cert, e, f, cap=10 ** 6):
             f"family of {len(fam)} below the (3/2)^{len(cert)} floor")
     return len(fam), {"branch": "edge_families", "set_size": len(cert),
                       "families": count, "distinct": len(fam), "floor": floor}
+
+
+# ---------------------------------------------------------------------------
+# the two-path lemmas on rebuilt restrictions
+# ---------------------------------------------------------------------------
+
+def restriction_faces_rebuilt(g, drop):
+    """The faces of g minus ``drop`` as ``restriction_faces`` reports them,
+    from the rebuilt restriction: its faces in g's ids, each with whether
+    ``g.face_index`` finds no face of g on that cycle."""
+    sub, origin = g.delete_vertices(set(drop))
+    out = []
+    for f in sub.faces:
+        walk = tuple(origin[z] for z in f)
+        out.append((walk, g.face_index(walk) is None))
+    return out
+
+def reference_two_ham_paths_uw(r, budget=None):
+    """``two_ham_paths_uw`` as it was when every block was built as its own
+    graph (``delete_vertices``) and searched there.
+
+    Dichotomy for an outer 4-cycle u v w x (G != C+vx, no separating
+    triangles): two Hamiltonian u-w paths of G - {v, x}, or a witness that
+    G - {v, x} is a bare path.
+
+    Construction: block chain of G - {v, x}; in the first block with >= 3
+    vertices take Tutte paths through each of the two outer-cycle edges at
+    its entry cut vertex; elsewhere one Hamiltonian path per block.  A
+    block's outer cycle is its one face through entry and exit that is not
+    a face of the region (with no separating triangles, the face holding v,
+    x and the other blocks).
+    """
+    u, v, w, x = _require_square_region(r)
+    g = r.graph
+    if g.has_edge(v, x):
+        raise HypothesisViolated("not_c_plus_vx" if g.n == 4 else
+                                 "no_separating_triangles", "chord vx present")
+    budget = search_budget(budget)
+
+    keep = [z for z in range(g.n) if z not in (v, x)]
+    witness = _is_path_between(g, set(keep), u, w)
+    if witness is not None:
+        return PathWitness(witness)
+
+    chain = block_chain(g, u, w, exclude={v, x})
+    s = next(i for i, bvs in enumerate(chain.blocks) if len(bvs) >= 3)
+    pieces_before = []
+    pieces_after = []
+    big_first = None
+    big_second = None
+    for i, bvs in enumerate(chain.blocks):
+        a_i, b_i = chain.endpoints[i], chain.endpoints[i + 1]
+        if len(bvs) == 2:
+            seg = [(a_i, b_i)]
+            segs = (seg, seg)
+        else:
+            bg, borigin = g.delete_vertices(set(range(g.n)) - set(bvs))
+            entry = borigin.index(a_i)
+            exit_ = borigin.index(b_i)
+            cands = [f for f in _faces_not_in_host(g, bg, borigin)
+                     if entry in f and exit_ in f]
+            if len(cands) != 1:
+                raise SearchExhausted(
+                    f"block outer face not unique: {len(cands)} candidates")
+            c_i = Cycle(cands[0])
+            at_entry = [e for e in c_i.edges() if entry in e]
+            if i == s:
+                certs = [tutte_path(bg, c_i, entry, exit_, e, hamiltonian=True,
+                                    budget=budget) for e in sorted(at_entry)[:2]]
+                segs = tuple(
+                    [ (borigin[p], borigin[q]) for p, q in zip(cert.path, cert.path[1:]) ]
+                    for cert in certs)
+            else:
+                cert = tutte_path(bg, c_i, entry, exit_, sorted(at_entry)[0],
+                                  hamiltonian=True, budget=budget)
+                seg = [(borigin[p], borigin[q]) for p, q in zip(cert.path, cert.path[1:])]
+                segs = (seg, seg)
+        if i < s:
+            pieces_before.append(segs[0])
+        elif i == s:
+            big_first, big_second = segs
+        else:
+            pieces_after.append(segs[0])
+
+    def assemble(mid):
+        seq = [u]
+        for seg in pieces_before + [mid] + pieces_after:
+            for p, q in seg:
+                seq.append(q)
+        return tuple(seq)
+
+    p1, p2 = assemble(big_first), assemble(big_second)
+    for p in (p1, p2):
+        if not is_ham_path_of(g, p, u, w, exclude={v, x}):
+            raise SearchExhausted(f"assembled path is not Hamiltonian: {p}")
+    return PathPair(graph_n=g.n, a=u, b=w, first=p1, second=p2)
+
+
+def _outer_planar_witness(g, keep):
+    """A face of the restriction whose walk visits every kept vertex."""
+    sub, origin = g.delete_vertices(set(range(g.n)) - set(keep))
+    for f in sub.faces:
+        if set(f) == set(range(sub.n)):
+            return OuterPlanarWitness(tuple(origin[z] for z in f))
+    return None
+
+
+def reference_two_ham_paths_uv(r, budget=None):
+    """``two_ham_paths_uv`` as it was when every peel level built its graph
+    and a ``NearTriangulation`` on it, the 2-connected branch its restriction,
+    and every level its own outer-planar witness by tracing all faces.
+
+    Dichotomy for an outer 4-cycle u v w x (no separating triangles):
+    a witness that G - {w, x} is an outer planar near triangulation, or two
+    Hamiltonian u-v paths of it.
+
+    Recursive construction: peel an end of the u-v edge with a unique
+    interior neighbor; otherwise the 2-connected branch combines a
+    Thomassen path with a Thomas-Yu two-edge path.
+    """
+    u, v, w, x = _require_square_region(r)
+    g = r.graph
+    budget = search_budget(budget)
+
+    if g.n == 4:
+        return OuterPlanarWitness((u, v))
+
+    if g.has_edge(u, w) or g.has_edge(v, x):
+        raise HypothesisViolated("no_separating_triangles", "outer chord present")
+
+    keep = set(range(g.n)) - {w, x}
+    square = vertex_mask((u, v, w, x))
+
+    def interior_nbrs(z):
+        return mask_bits(g.nbr_masks[z] & ~square)
+
+    iu, iv = interior_nbrs(u), interior_nbrs(v)
+    if len(iu) == 1 or len(iv) == 1:
+        if len(iu) == 1:
+            peel, anchor, new_outer = u, iu[0], None
+        else:
+            peel, anchor, new_outer = v, iv[0], None
+        sub, origin = g.delete_vertices({peel})
+        fwd = {old: new for new, old in enumerate(origin)}
+        if peel == u:
+            oc = Cycle((fwd[anchor], fwd[v], fwd[w], fwd[x]))
+        else:
+            oc = Cycle((fwd[u], fwd[anchor], fwd[w], fwd[x]))
+        sub_nt = NearTriangulation(sub, oc, origin=origin)
+        res = reference_two_ham_paths_uv(sub_nt, budget=budget)
+        if isinstance(res, OuterPlanarWitness):
+            wit = _outer_planar_witness(g, keep)
+            if wit is None:
+                raise SearchExhausted("peel recursion claimed outer planarity "
+                                      "but no covering face exists")
+            return wit
+        first = tuple(origin[z] for z in res.first)
+        second = tuple(origin[z] for z in res.second)
+        if peel == u:
+            first, second = (u,) + first, (u,) + second
+        else:
+            first, second = first + (v,), second + (v,)
+        for p in (first, second):
+            if not is_ham_path_of(g, p, u, v, exclude={w, x}):
+                raise SearchExhausted(f"peel-extended path invalid: {p}")
+        return PathPair(graph_n=g.n, a=u, b=v, first=first, second=second)
+
+    # both u and v have >= 2 interior neighbors: one of the two apex
+    # deletions is 2-connected
+    for apex, other in ((u, v), (v, u)):
+        drop = {w, x, apex}
+        if (g.n - len(drop) < 3 or not _connected_after_removal(g, drop)
+                or _blocks_and_cuts(g, drop)[1]):
+            continue
+        sub, origin = g.delete_vertices(drop)
+        fwd = {old: new for new, old in enumerate(origin)}
+        # the face merging the deleted vertices' faces is the outer cycle
+        cands = _faces_not_in_host(g, sub, origin)
+        if len(cands) != 1 or len(set(cands[0])) != len(cands[0]):
+            continue
+        d = Cycle(cands[0])
+        res = _reference_uv_two_connected_case(g, sub, origin, fwd, d, apex, other,
+                                     u, v, w, x, budget)
+        if res is not None:
+            return res
+    raise SearchExhausted("two_ham_paths_uv: no branch applied "
+                          f"(outer {u},{v},{w},{x}, n={g.n})")
+
+
+def _faces_not_in_host(host, sub, origin) -> list:
+    """The faces of ``sub``, a restriction of ``host`` whose vertex i is
+    host vertex ``origin[i]``, that are not faces of the host."""
+    return [f for f in sub.faces
+            if host.face_index([origin[z] for z in f]) is None]
+
+
+def _reference_uv_two_connected_case(g, sub, origin, fwd, d, apex, other, u, v, w, x, budget):
+    """The Thomassen + Thomas-Yu construction for the 2-connected branch.
+
+    With apex = u: a1 is u's unique interior neighbor adjacent to x, a2 the
+    one adjacent to v; P runs a1 -> v through an outer edge at the w,x
+    common neighbor y; Q is a (v D a2)-Tutte path v -> a2 through that edge
+    and one at a1.  Extending both through the apex gives the pair.  The
+    apex = v case is the u<->v, x<->w mirror.
+    """
+    side_back, side_fwd = (x, v) if apex == u else (w, u)
+    masks = g.nbr_masks
+    inner_nbrs = mask_bits(masks[apex] & ~vertex_mask((u, v, w, x)))
+    n1 = [z for z in inner_nbrs if g.has_edge(z, side_back)]
+    n2 = [z for z in inner_nbrs if g.has_edge(z, side_fwd)]
+    ys = mask_bits(masks[w] & masks[x] & ~vertex_mask((u, v)))
+    if len(n1) != 1 or len(n2) != 1 or len(ys) != 1:
+        return None
+    a1, a2, y = n1[0], n2[0], ys[0]
+    a1s, a2s, ys_, others = fwd[a1], fwd[a2], fwd[y], fwd[other]
+    if a1s not in d.vertices or a2s not in d.vertices:
+        return None
+
+    e_opts = sorted(e for e in d.edges() if ys_ in e)
+    f_opts = sorted(e for e in d.edges() if a1s in e)
+    for e in e_opts:
+        try:
+            cert1 = tutte_path(sub, d, a1s, others, e, hamiltonian=True,
+                               budget=budget)
+        except SearchExhausted:
+            continue
+        for dd in (d, Cycle(tuple(reversed(d.vertices)))):
+            for f in f_opts:
+                if f == e or not clockwise_order_ok(dd, others, e, f, a2s):
+                    continue
+                try:
+                    cert2 = tutte_path_two_edges(sub, dd, others, a2s, e, f,
+                                                 hamiltonian=True, budget=budget)
+                except (SearchExhausted, BadOrder):
+                    continue
+                p1 = tuple(origin[z] for z in cert1.path)        # a1 .. other
+                q = tuple(origin[z] for z in cert2.path)         # other .. a2
+                if apex == u:
+                    first = (u,) + p1                            # u a1 .. v
+                    second = (u,) + tuple(reversed(q))           # u a2 .. v
+                else:
+                    first = tuple(reversed(p1)) + (v,)           # u .. v1 v
+                    second = q + (v,)                            # u .. v2 v
+                if not is_ham_path_of(g, first, u, v, exclude={w, x}):
+                    continue
+                if not is_ham_path_of(g, second, u, v, exclude={w, x}):
+                    continue
+                if path_edges(first) == path_edges(second):
+                    continue
+                return PathPair(graph_n=g.n, a=u, b=v, first=first, second=second)
+    return None
 
 
 @dataclass

@@ -280,6 +280,37 @@ def test_required_edge_with_excluded_end_rejected():
             search(o, a, b, required_edges=[e], exclude={e[1]})
 
 
+def test_required_edges_checked_without_an_edge_table(monkeypatch):
+    """Required edges are looked up in the neighbour masks with a range
+    check, so a search builds no edge table and still rejects a non-edge,
+    an out-of-range id and an excluded end; forbidden non-edges are
+    ignored."""
+    from hamforge import plane_graph
+
+    built = []
+    real = plane_graph._edge_set
+    monkeypatch.setattr(plane_graph, "_edge_set",
+                        lambda g: built.append(g) or real(g))
+    o = octahedron()                           # rim 0..3, apexes 4, 5
+    assert not o.has_edge(0, 2)
+    for bad in [(0, 2), (0, 6), (6, 0), (-1, 0), (0, -1), (1, 1)]:
+        message = re.escape(f"required edge {edge_key(*bad)} not in graph")
+        for search in (enumerate_ham_paths, count_ham_paths):
+            with pytest.raises(ValueError, match=message):
+                search(o, 0, 4, required_edges=[bad])
+        with pytest.raises(ValueError, match=message):
+            count_ham_cycles(o, required_edges=[bad])
+    with pytest.raises(ValueError, match=re.escape(
+            "required edge (1, 5) has an excluded end")):
+        count_ham_paths(o, 0, 4, required_edges=[(1, 5)], exclude={5})
+    assert count_ham_cycles(o, forbidden_edges=[(0, 2), (0, 6), (-1, 0)]) == \
+        count_ham_cycles(o)
+    assert count_ham_paths(o, 0, 4, required_edges=[(0, 1)],
+                           forbidden_edges=[(1, 5)]) == \
+        count_ham_paths(o.delete_edges([(1, 5)]), 0, 4, required_edges=[(0, 1)])
+    assert built == []
+
+
 def test_search_budget_takes_only_positive_integers(monkeypatch):
     monkeypatch.delenv("HAMFORGE_BUDGET", raising=False)
     assert search_budget() == 10 ** 9

@@ -24,8 +24,11 @@ from hamforge.plane_graph import (
     NearTriangulation,
     bridges,
     edge_key,
+    mask_bits,
     path_edges,
     plane_graph_from_faces,
+    restriction_faces,
+    vertex_mask,
 )
 from hamforge.structures import DiamondCert, has_separating_triangle
 from hamforge.tutte import (
@@ -48,6 +51,9 @@ from .oracles import (
     nx_outerplanar,
     reference_tutte_path,
     reference_tutte_path_two_edges,
+    reference_two_ham_paths_uv,
+    reference_two_ham_paths_uw,
+    restriction_faces_rebuilt,
 )
 
 
@@ -113,6 +119,29 @@ def test_tutte_path_rejects_bad_endpoint():
     missing = next(v for v in range(6) if v not in f)
     with pytest.raises(HypothesisViolated):
         tutte_path(g, Cycle(f), missing, f[0], edge_key(f[0], f[1]))
+
+
+def test_tutte_search_exclude_acts_or_is_rejected():
+    """The shared search's ``exclude`` gives, in g's ids, the path the
+    rebuilt restriction gives; only a Hamiltonian search takes it."""
+    from hamforge.tutte import _tutte_search
+
+    g = octahedron()                           # rim 0..3, apexes 4, 5
+    sub, origin = g.delete_vertices({4})
+    fwd = {old: new for new, old in enumerate(origin)}
+    for x, y, e in [(0, 1, (0, 3)), (1, 3, (0, 1)), (5, 2, (3, 5))]:
+        mine = _tutte_search(g, x, y, (e,), frozenset(), True, None,
+                             exclude=1 << 4)
+        rebuilt = _tutte_search(sub, fwd[x], fwd[y], (tuple(fwd[z] for z in e),),
+                                frozenset(), True, None)
+        assert mine.path == tuple(origin[z] for z in rebuilt.path)
+        assert 4 not in mine.path and len(mine.path) == 5
+    with pytest.raises(SearchExhausted, match=r"\(n=4\)"):
+        _tutte_search(g, 0, 2, ((0, 1), (1, 2)), frozenset(), True, None,
+                      exclude=1 << 4 | 1 << 3)
+    with pytest.raises(ValueError, match="hamiltonian=True"):
+        _tutte_search(g, 0, 1, ((0, 3),), frozenset(), False, None,
+                      exclude=1 << 4)
 
 
 def test_tutte_path_two_edges_wheel():
@@ -263,6 +292,25 @@ def test_has_cut_vertex_matches_vertex_deletion_search(triangulations_by_n):
     assert answers == {True, False}
 
 
+def _labelings(nt):
+    """The region ``nt`` with each of the 8 labelings u v w x of its outer
+    cycle: the 4 rotations, each as listed and reflected."""
+    base = nt.outer_cycle.vertices
+    for rot in range(4):
+        for refl in (False, True):
+            vs = base[rot:] + base[:rot]
+            if refl:
+                vs = (vs[0],) + tuple(reversed(vs[1:]))
+            yield NearTriangulation(nt.graph, Cycle(vs))
+
+
+def _outcome_repr(lemma, nt):
+    try:
+        return repr(lemma(nt))
+    except HamforgeError as exc:
+        return repr(exc)
+
+
 def test_two_path_results_match_golden():
     """The paths themselves, not only the branch and count the suites keep:
     the repr of every ``two_ham_paths_uw`` / ``_uv`` result, or of its
@@ -271,21 +319,138 @@ def test_two_path_results_match_golden():
     digest = hashlib.sha256()
     results = 0
     for nt in dichotomy_regions(10):
-        base = nt.outer_cycle.vertices
-        for rot in range(4):
-            for refl in (False, True):
-                vs = base[rot:] + base[:rot]
-                if refl:
-                    vs = (vs[0],) + tuple(reversed(vs[1:]))
-                for lemma in (two_ham_paths_uw, two_ham_paths_uv):
-                    try:
-                        res = lemma(NearTriangulation(nt.graph, Cycle(vs)))
-                    except HamforgeError as exc:
-                        res = exc
-                    digest.update(repr(res).encode() + b"\n")
-                    results += 1
+        for lab in _labelings(nt):
+            for lemma in (two_ham_paths_uw, two_ham_paths_uv):
+                digest.update(_outcome_repr(lemma, lab).encode() + b"\n")
+                results += 1
     assert results == 1552
     assert digest.hexdigest() == GOLDEN["two-path results n_max=10"]
+
+
+@pytest.mark.parametrize("n_max, results", [
+    (10, 1552), pytest.param(11, 6064, marks=pytest.mark.slow)])
+def test_two_path_lemmas_match_rebuilt_oracle(n_max, results):
+    """Searched in place, the lemmas give what they gave on rebuilt
+    restrictions (``reference_two_ham_paths_uw`` / ``_uv``): the same repr
+    of every result or error, over the 8 labelings of each region."""
+    compared = 0
+    for nt in dichotomy_regions(n_max):
+        for lab in _labelings(nt):
+            assert _outcome_repr(two_ham_paths_uw, lab) == \
+                _outcome_repr(reference_two_ham_paths_uw, lab)
+            assert _outcome_repr(two_ham_paths_uv, lab) == \
+                _outcome_repr(reference_two_ham_paths_uv, lab)
+            compared += 2
+    assert compared == results
+
+
+def _cyclic_equal(a, b):
+    a, b = tuple(a), tuple(b)
+    return len(a) == len(b) and any(a[i:] + a[:i] == b for i in range(len(a)))
+
+
+def _bare_cycle_face(g, exclude, walk):
+    rest = ((1 << g.n) - 1) & ~exclude
+    return len(set(walk)) == len(walk) >= 3 and all(
+        (g.nbr_masks[z] & rest).bit_count() == 2 for z in walk)
+
+
+def test_restriction_faces_match_rebuilt_restrictions(triangulations_by_n,
+                                                      monkeypatch):
+    """``restriction_faces`` gives the faces of the rebuilt restriction, in
+    order and from the same edge, and flags as new exactly those
+    ``face_index`` finds in no face of g: on every exclusion the two lemmas
+    make on the labelings of the ``dichotomy_regions(10)`` regions, and on
+    every 1- and 2-vertex exclusion of the n <= 9 corpus.  Every face a
+    peel level walks on its own is one of them.
+
+    The two rules part only on a component that is a bare cycle bounding a
+    face of g: its other side skipped the excluded vertices, yet
+    ``face_index`` finds that face on the same cycle.  K4 minus a vertex is
+    one.  Under the lemmas' hypotheses no restriction they make is one.
+    """
+    from hamforge import tutte
+
+    current = []
+    made, walked = [], []
+    real_faces, real_walk = tutte.restriction_faces, tutte._face_walk
+    monkeypatch.setattr(tutte, "restriction_faces", lambda g, exclude: (
+        made.append((g, exclude)) or real_faces(g, exclude)))
+
+    def walk_spy(rotation, exclude, u, v):
+        walk, skipped = real_walk(rotation, exclude, u, v)
+        walked.append((current[-1], exclude, u, v, walk))
+        return walk, skipped
+
+    monkeypatch.setattr(tutte, "_face_walk", walk_spy)
+    for nt in dichotomy_regions(10):
+        current.append(nt.graph)
+        for lab in _labelings(nt):
+            for lemma in (two_ham_paths_uw, two_ham_paths_uv):
+                _outcome_repr(lemma, lab)
+    assert len(made) > 1000 and len(walked) > 500
+    for g, exclude in made:
+        assert restriction_faces(g, exclude) == \
+            restriction_faces_rebuilt(g, mask_bits(exclude))
+    for g, exclude, u, v, walk in walked:
+        faces = [f for f, _new in restriction_faces_rebuilt(g, mask_bits(exclude))
+                 if (u, v) in zip(f[-1:] + f[:-1], f)]
+        assert len(faces) == 1 and _cyclic_equal(walk, faces[0])
+
+    parted = set()
+    for n in range(4, 10):
+        for g in triangulations_by_n(n):
+            for k in (1, 2):
+                for drop in itertools.combinations(range(g.n), k):
+                    exclude = vertex_mask(drop)
+                    mine = restriction_faces(g, exclude)
+                    rebuilt = restriction_faces_rebuilt(g, drop)
+                    assert [f for f, _ in mine] == [f for f, _ in rebuilt]
+                    for (f, new), (_f, want) in zip(mine, rebuilt):
+                        if new != want:
+                            assert new and _bare_cycle_face(g, exclude, f)
+                            parted.add((n, drop))
+    assert (4, (0,)) in parted
+
+
+def test_one_covering_face_search_per_witness(monkeypatch):
+    """A peel level checks the witness from below with one face walk on
+    its own restriction, and only the reported witness is searched for:
+    over the 776 ``two_ham_paths_uv`` calls on the labelings of the
+    ``dichotomy_regions(10)`` regions, 548 level witnesses take 548 face
+    walks, and the 128 returned witnesses take 120 covering-face searches
+    (the other 8 are n = 4 regions, answered without one)."""
+    from hamforge import tutte
+
+    searches, walks, level_witnesses = [], [], []
+    real_search, real_walk = tutte._first_covering_face, tutte._face_walk
+    real_level = tutte._uv_level
+    monkeypatch.setattr(tutte, "_first_covering_face", lambda *a: (
+        searches.append(a) or real_search(*a)))
+    monkeypatch.setattr(tutte, "_face_walk", lambda *a: (
+        walks.append(a) or real_walk(*a)))
+
+    def level(g, exclude, *rest):
+        res = real_level(g, exclude, *rest)
+        if isinstance(res, OuterPlanarWitness) and g.n - exclude.bit_count() > 4:
+            level_witnesses.append(res)
+        return res
+
+    monkeypatch.setattr(tutte, "_uv_level", level)
+    calls = returned = 0
+    for nt in dichotomy_regions(10):
+        for lab in _labelings(nt):
+            calls += 1
+            try:
+                res = two_ham_paths_uv(lab)
+            except HamforgeError:
+                continue
+            if isinstance(res, OuterPlanarWitness):
+                returned += 1
+                assert len(res.face_walk) > 2 or nt.graph.n == 4
+    assert calls == 776 and returned == 128
+    assert len(walks) == len(level_witnesses) == 548
+    assert len(searches) == 120
 
 
 # -- cycles through triangle edges ---------------------------------------------------

@@ -143,8 +143,8 @@ def test_theorem2_row_fails_on_a_corrupted_leaf(monkeypatch):
 def test_lemma_4edges_tests_each_graph_for_separating_triangles_once(monkeypatch):
     """A row asks ``has_separating_triangle`` (one ``triangles()`` listing)
     once for its graph, not once per sampled triple: 18 graphs, 18 listings
-    in the rows, next to the 18 of the 4-connected corpus filter; the
-    reports keep their golden digest."""
+    in the rows, and none in the 4-connected corpus listing, whose level
+    keeps only graphs without one; the reports keep their golden digest."""
     from hamforge.plane_graph import PlaneGraph
 
     from .golden import assert_golden
@@ -163,11 +163,59 @@ def test_lemma_4edges_tests_each_graph_for_separating_triangles_once(monkeypatch
 
     monkeypatch.setattr(PlaneGraph, "triangles", spy)
     graphs = listing()
-    listed = len(calls)
+    assert len(graphs) == 18 and calls == []
     rows = list(verification.suite_lemma_4edges())
-    assert len(graphs) == len(rows) == listed == 18
-    assert len(calls) - listed == 2 * 18
+    assert len(rows) == len(calls) == 18
     assert_golden("lemma-4edges", rows)
+
+
+@pytest.mark.parametrize("suite, saved", [("lemma-4edges", 18), ("conjecture", 43)])
+def test_four_connected_level_skips_the_separating_triangle_filter(
+        suite, saved, monkeypatch):
+    """Of a 4-connectivity filter the 4-connected level applies only the
+    degree bound: against the route that applied the whole filter to each
+    of its graphs, a suite lists triangles ``saved`` fewer times (once per
+    graph) and prints the same rows."""
+    from hamforge.plane_graph import PlaneGraph
+
+    _rows_without_seconds(suite)  # builds the levels
+    calls = []
+    real = PlaneGraph.triangles
+    monkeypatch.setattr(PlaneGraph, "triangles",
+                        lambda self: calls.append(self) or real(self))
+    rows = _rows_without_seconds(suite)
+    listed = len(calls)
+
+    def whole_filter(n, flt=None):
+        assert flt.min_connectivity == 4
+        return [g for g in (corpus._four_connected_level(n) if n >= 6 else ())
+                if flt.matches(g)]
+
+    monkeypatch.setattr(verification, "enumerate_triangulations", whole_filter)
+    assert _rows_without_seconds(suite) == rows
+    assert len(calls) - 2 * listed == saved
+
+
+@pytest.mark.parametrize("suite, rows", [("lemma-uwpath", 772),
+                                         ("lemma-uvpath", 776)])
+def test_two_path_suites_build_only_their_regions(suite, rows, monkeypatch):
+    """A two-path suite builds its 97 regions and no other graph: no block,
+    peel level or apex deletion is rebuilt, and no edge table is made."""
+    from hamforge import plane_graph
+
+    list(verification.dichotomy_regions(10))  # builds the corpus levels
+    builds, tables = [], []
+    real_init, real_table = plane_graph.PlaneGraph.__init__, plane_graph._edge_set
+
+    def init(self, *args, **kwargs):
+        builds.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(plane_graph.PlaneGraph, "__init__", init)
+    monkeypatch.setattr(plane_graph, "_edge_set",
+                        lambda g: tables.append(g) or real_table(g))
+    assert len(list(SUITE_RUNNERS[suite]())) == rows
+    assert len(builds) == 97 and tables == []
 
 
 def test_tutte_suite_refuses_n_max_above_its_maximum():
