@@ -529,8 +529,9 @@ def plane_graph_from_faces(faces, outer=None) -> PlaneGraph:
 # connectivity
 # ---------------------------------------------------------------------------
 
-def _connected_after_removal(g: PlaneGraph, removed: set[int]) -> bool:
-    rest = ((1 << g.n) - 1) & ~vertex_mask(removed)
+def _connected_after_removal(g: PlaneGraph, removed: int) -> bool:
+    """Whether g minus the vertices of the bitmask ``removed`` is connected."""
+    rest = ((1 << g.n) - 1) & ~removed
     return _reach(g.nbr_masks, rest & -rest, rest) == rest
 
 
@@ -544,7 +545,7 @@ def is_k_connected(g: PlaneGraph, k: int) -> bool:
         return False
     for size in range(1, k):
         for cut in itertools.combinations(range(g.n), size):
-            if not _connected_after_removal(g, set(cut)):
+            if not _connected_after_removal(g, vertex_mask(cut)):
                 return False
     return True
 
@@ -642,30 +643,58 @@ class NearTriangulation:
 
 
 def _side_faces(g: PlaneGraph, c: Cycle) -> tuple[set[int], set[int]]:
-    """Partition face indices into (side containing the outer face, other side)."""
+    """Partition face indices into (side containing the outer face, other
+    side): the faces reached from the outer face without crossing ``c``."""
     ce = c.edges()
-    adj_faces: dict[int, set[int]] = {i: set() for i in range(len(g.faces))}
     face_at = g._face_at
-    for (u, v), i in face_at.items():
-        e = edge_key(u, v)
-        if e in ce:
-            continue
-        j = face_at[(v, u)]
-        adj_faces[i].add(j)
-        adj_faces[j].add(i)
-    start = g.outer_face_index
-    outside = {start}
-    queue = deque([start])
-    while queue:
-        i = queue.popleft()
-        for j in adj_faces[i]:
-            if j not in outside:
+    outside = {g.outer_face_index}
+    stack = [g.outer_face_index]
+    while stack:
+        f = g.faces[stack.pop()]
+        for a, b in zip(f, f[1:] + f[:1]):
+            j = face_at[(b, a)]
+            if j not in outside and edge_key(a, b) not in ce:
                 outside.add(j)
-                queue.append(j)
+                stack.append(j)
     inside = set(range(len(g.faces))) - outside
     if not inside:
         raise NotACycle(f"{c.vertices} does not separate the sphere into two sides")
     return outside, inside
+
+
+def disc_faces(g: PlaneGraph, c: Cycle, v: int | None = None) -> tuple[set[int], int]:
+    """The face indices inside ``c`` and the vertex bitmask of its closed
+    disc (``c`` and everything inside it).
+
+    The inside is the side away from the designated outer face or, given a
+    vertex ``v`` not on ``c``, the side holding ``v``.  Raises NotACycle when
+    ``c`` is not a cycle of g.
+    """
+    c.validate(g)
+    on_cycle = vertex_mask(c.vertices)
+    if v is not None and on_cycle >> v & 1:
+        raise ValueError(f"vertex {v} lies on the cycle")
+    outside, inside = _side_faces(g, c)
+    for faces in (inside, outside):
+        disc = on_cycle
+        for i in faces:
+            disc |= vertex_mask(g.faces[i])
+        if v is None or disc >> v & 1:
+            return faces, disc
+    raise ValueError(f"vertex {v} is not a vertex of the graph")
+
+
+def closure_of_disc(g: PlaneGraph, c: Cycle, inside: set[int], disc: int) -> NearTriangulation:
+    """The closure of ``c`` from its side as ``disc_faces`` gives it: the
+    vertices of ``disc`` and the edges with a face in ``inside``."""
+    keep = mask_bits(disc)
+    relabel = {old: new for new, old in enumerate(keep)}
+    face_at = g._face_at
+    rotation = [tuple(relabel[w] for w in g.rotation[v]
+                      if face_at[(v, w)] in inside or face_at[(w, v)] in inside)
+                for v in keep]
+    cyc = Cycle(tuple(relabel[v] for v in c.vertices))
+    return NearTriangulation(PlaneGraph(rotation), cyc, origin=keep)
 
 
 def closure(g: PlaneGraph, c: Cycle) -> NearTriangulation:
@@ -673,42 +702,18 @@ def closure(g: PlaneGraph, c: Cycle) -> NearTriangulation:
 
     The interior side is the one away from the designated outer face; the
     result has ``c`` as its outer cycle and carries the id mapping back to
-    ``g``.
+    ``g``.  It is not g restricted to the disc's vertices: an edge of g drawn
+    outside the disc between two of its vertices is left out.  The replays
+    rely on that: in a double wheel the closure of a square u-v-w-x around
+    the rim leaves out the chord u-w, and only then does the region minus
+    v, x fall into the run of 2-vertex blocks that ``_find_run`` looks for.
     """
-    c.validate(g)
-    _outside, inside = _side_faces(g, c)
-    vertices = set(c.vertices)
-    for i in inside:
-        vertices.update(g.faces[i])
-    keep_edges = set(c.edges())
-    face_at = g._face_at
-    for u, v in g.edge_set:
-        if face_at[(u, v)] in inside and face_at[(v, u)] in inside:
-            keep_edges.add((u, v))
-    keep_sorted = sorted(vertices)
-    relabel = {old: new for new, old in enumerate(keep_sorted)}
-    rotation = [tuple(relabel[w] for w in g.rotation[v]
-                      if w in vertices and edge_key(v, w) in keep_edges)
-                for v in keep_sorted]
-    sub = PlaneGraph(rotation, require_connected=True)
-    cyc = Cycle(tuple(relabel[v] for v in c.vertices))
-    return NearTriangulation(sub, cyc, origin=keep_sorted)
+    return closure_of_disc(g, c, *disc_faces(g, c))
 
 
 def closure_containing(g: PlaneGraph, c: Cycle, v: int) -> NearTriangulation:
     """Closure of ``c`` on the side containing vertex ``v`` (not on ``c``)."""
-    c.validate(g)
-    if v in c.vertices:
-        raise ValueError(f"vertex {v} lies on the cycle")
-    _outside, inside = _side_faces(g, c)
-    inside_vertices = set()
-    for i in inside:
-        inside_vertices.update(g.faces[i])
-    if v in inside_vertices - set(c.vertices):
-        return closure(g, c)
-    # re-root at any inside face so the wanted side becomes "inside"
-    g2 = g.with_outer_face(next(iter(inside)))
-    return closure(g2, c)
+    return closure_of_disc(g, c, *disc_faces(g, c, v))
 
 
 def contract_interior(g: PlaneGraph, c: Cycle):
@@ -718,46 +723,39 @@ def contract_interior(g: PlaneGraph, c: Cycle):
     old id for kept vertices and ``None`` for the new vertex.  The new vertex
     is adjacent to exactly the cycle vertices that had interior neighbors.
     """
-    cl = closure(g, c)
-    inner = set(cl.to_origin(v) for v in cl.interior_vertices())
+    return _contract_disc(g, c, *disc_faces(g, c))
+
+
+def contract_interior_containing(g: PlaneGraph, c: Cycle, v: int):
+    """``contract_interior`` on the side of ``c`` holding vertex ``v``."""
+    return _contract_disc(g, c, *disc_faces(g, c, v))
+
+
+def _contract_disc(g: PlaneGraph, c: Cycle, inside: set[int], disc: int):
+    inner = disc & ~vertex_mask(c.vertices)
     if not inner:
         raise EmptyInterior(f"{c.vertices} bounds a face")
-    if not _induced_connected(g, inner):
+    if _reach(g.nbr_masks, inner & -inner, inner) != inner:
         raise DisconnectedInterior(f"interior of {c.vertices} is disconnected")
-
-    inner_mask = vertex_mask(inner)
-    attachments = [v for v in c.vertices if g.nbr_masks[v] & inner_mask]
-    if len(attachments) < 2:
+    vs = c.vertices
+    starts = [i for i, v in enumerate(vs) if g.nbr_masks[v] & inner]
+    if len(starts) < 2:
         raise DisconnectedInterior("interior attaches to fewer than 2 cycle vertices")
 
-    _outside, inside = _side_faces(g, c)
-    keep = [v for v in range(g.n) if v not in inner]
+    keep = [v for v in range(g.n) if not inner >> v & 1]
     relabel = {old: new for new, old in enumerate(keep)}
     star = len(keep)
 
-    new_faces = [tuple(relabel[w] for w in g.faces[i]) for i in _outside]
+    new_faces = [tuple(relabel[w] for w in f)
+                 for i, f in enumerate(g.faces) if i not in inside]
     # fan faces: between consecutive attachments along the cycle, one face
     # through the new vertex and the cycle stretch between them
-    att = set(attachments)
-    k = len(c.vertices)
-    starts = [i for i in range(k) if c.vertices[i] in att]
-    for idx_pos, i in enumerate(starts):
-        j = starts[(idx_pos + 1) % len(starts)]
-        stretch = [c.vertices[i]]
-        p = i
-        while p != j:
-            p = (p + 1) % k
-            stretch.append(c.vertices[p])
-        new_faces.append(tuple([star] + [relabel[v] for v in stretch]))
+    for i, j in zip(starts, starts[1:] + [starts[0] + len(vs)]):
+        new_faces.append((star,) + tuple(relabel[v] for v in (vs + vs)[i:j + 1]))
 
     g2 = plane_graph_from_faces(new_faces)
     origin = keep + [None]
     return g2, star, origin
-
-
-def _induced_connected(g: PlaneGraph, vertices: set[int]) -> bool:
-    inside = vertex_mask(vertices)
-    return inside != 0 and _reach(g.nbr_masks, inside & -inside, inside) == inside
 
 
 def contract_edge(g: PlaneGraph, u: int, v: int):
@@ -864,10 +862,9 @@ def bridges(g: PlaneGraph, h_vertices, h_edges) -> BridgeDecomposition:
     return BridgeDecomposition(hv, he, tuple(out))
 
 
-def _blocks_and_cuts(g: PlaneGraph, exclude=frozenset()):
+def _blocks_and_cuts(g: PlaneGraph, exclude: int = 0):
     """Biconnected components (as edge sets) and articulation vertices of
-    g minus the ``exclude`` vertices, in g's ids."""
-    gone = vertex_mask(exclude)
+    g minus the vertices of the bitmask ``exclude``, in g's ids."""
     disc = [0] * g.n
     low = [0] * g.n
     timer = [1]
@@ -884,7 +881,7 @@ def _blocks_and_cuts(g: PlaneGraph, exclude=frozenset()):
             v, parent, it = work[-1]
             advanced = False
             for w in it:
-                if w == parent or gone >> w & 1:
+                if w == parent or exclude >> w & 1:
                     continue
                 if disc[w] == 0:
                     stack.append(edge_key(v, w))
@@ -916,7 +913,7 @@ def _blocks_and_cuts(g: PlaneGraph, exclude=frozenset()):
                         cuts.add(p)
 
     for v in range(g.n):
-        if disc[v] == 0 and not gone >> v & 1 and g.nbr_masks[v] & ~gone:
+        if disc[v] == 0 and not exclude >> v & 1 and g.nbr_masks[v] & ~exclude:
             dfs(v)
     return blocks, cuts
 
@@ -948,9 +945,10 @@ def block_chain(g: PlaneGraph, a: int, b: int,
     """
     if a == b:
         raise NotAChain("endpoints coincide")
-    if not _connected_after_removal(g, exclude):
+    gone = vertex_mask(exclude)
+    if not _connected_after_removal(g, gone):
         raise NotAChain("graph is not connected")
-    edge_blocks, _cuts = _blocks_and_cuts(g, exclude)
+    edge_blocks, _cuts = _blocks_and_cuts(g, gone)
     if not edge_blocks:
         raise NotAChain("no edges")
     vertex_sets = [frozenset(itertools.chain.from_iterable(e)) for e in edge_blocks]

@@ -44,14 +44,15 @@ from .plane_graph import (
     NearTriangulation,
     PlaneGraph,
     _connected_after_removal,
-    _side_faces,
     add_edge_in_face,
     block_chain,
     canonical_cycle,
-    closure,
     closure_containing,
+    closure_of_disc,
     contract_edge,
     contract_interior,
+    contract_interior_containing,
+    disc_faces,
     edge_key,
     is_k_connected,
     mask_bits,
@@ -73,22 +74,23 @@ from .tutte import (
 # ---------------------------------------------------------------------------
 
 def _enclosing_square(g: PlaneGraph, v: int, x: int):
-    """A 4-cycle u-v-w-x whose closure holds every common neighbor of v, x.
+    """A 4-cycle u-v-w-x whose closed disc holds every common neighbor of
+    v, x.
 
-    Returns (cycle, closure) or (None, None); deterministic over ordered
-    common-neighbor pairs.
+    Returns (cycle, inside faces, disc mask) as ``disc_faces`` gives them,
+    for ``closure_of_disc``, or None; deterministic over ordered
+    common-neighbor pairs.  Builds no graph.
     """
-    common = mask_bits(g.nbr_masks[v] & g.nbr_masks[x])
-    for u, w in itertools.permutations(common, 2):
+    common = g.nbr_masks[v] & g.nbr_masks[x]
+    for u, w in itertools.permutations(mask_bits(common), 2):
         c = Cycle((u, v, w, x))
         try:
-            cl = closure(g, c)
+            inside, disc = disc_faces(g, c)
         except NotACycle:
             continue
-        inside = {cl.to_origin(i) for i in range(cl.graph.n)}
-        if set(common) <= inside:
-            return c, cl
-    return None, None
+        if not common & ~disc:
+            return c, inside, disc
+    return None
 
 
 def _junction_chain(g: PlaneGraph, cl: NearTriangulation, c: Cycle, v: int, x: int):
@@ -97,20 +99,20 @@ def _junction_chain(g: PlaneGraph, cl: NearTriangulation, c: Cycle, v: int, x: i
     Returns (blocks, endpoints) in original graph ids.
     """
     u, _v, w, _x = c.vertices
-    fwd = {cl.to_origin(i): i for i in range(cl.graph.n)}
+    fwd = {z: i for i, z in enumerate(cl.origin)}
     chain = block_chain(cl.graph, fwd[u], fwd[w], exclude={fwd[v], fwd[x]})
     blocks = tuple(frozenset(cl.to_origin(z) for z in b) for b in chain.blocks)
     endpoints = tuple(cl.to_origin(z) for z in chain.endpoints)
     return blocks, endpoints
 
 
-def _two_block_run(blocks, length: int = 7):
-    """First index i with ``length`` consecutive 2-vertex blocks, or None."""
+def _two_block_run(blocks):
+    """First index i with seven consecutive 2-vertex blocks, or None."""
     run = 0
     for i, b in enumerate(blocks):
         run = run + 1 if len(b) == 2 else 0
-        if run >= length:
-            return i - length + 1
+        if run == 7:
+            return i - 6
     return None
 
 
@@ -154,7 +156,7 @@ def _find_run(g: PlaneGraph, v: int, x: int, c: Cycle, cl) -> _Run | None:
         blocks, endpoints = _junction_chain(g, cl, c, v, x)
     except NotAChain:
         return None
-    i = _two_block_run(blocks, 7)
+    i = _two_block_run(blocks)
     if i is None:
         return None
     # seven 2-blocks B_i..B_i+6 have six interior junctions
@@ -309,9 +311,10 @@ def lemma_2edge_family(g: PlaneGraph, e, f, budget=None, t=None,
 
     pair = branch
     v, x = pair.v, pair.x
-    cyc, cl = _enclosing_square(g, v, x)
-    if cyc is not None:
-        _case1_splice(g, cyc, fam, cap, required=(e, f), tag="case1")
+    square = _enclosing_square(g, v, x)
+    if square is not None:
+        cyc, cl = square[0], closure_of_disc(g, *square)
+        _case1_splice(g, cyc, cl, fam, cap, e, f)
         run = _find_run(g, v, x, cyc, cl)
         if run is not None and _depth < 8:
             _case2_contract(g, run, fam, cap, e, f, t, _depth)
@@ -324,18 +327,18 @@ def lemma_2edge_family(g: PlaneGraph, e, f, budget=None, t=None,
     return fam
 
 
-def _case1_splice(g, cyc: Cycle, fam: HamFamily, cap, required=(), tag="case1"):
-    """Contract the interior of the enclosing square, enumerate cycles of the
-    contraction, and splice every region path for the pair the cycle uses."""
+def _case1_splice(g, cyc: Cycle, cl: NearTriangulation, fam: HamFamily, cap, e, f):
+    """Contract the interior of the enclosing square (closure ``cl``),
+    enumerate cycles through e, f of the contraction, and splice every region
+    path for the pair the cycle uses."""
     try:
         gstar, star, origin = contract_interior(g, cyc)
     except (EmptyInterior, DisconnectedInterior) as exc:
-        fam.log.append({"branch": tag, "skipped": str(exc)})
+        fam.log.append({"branch": "case1", "skipped": str(exc)})
         return
     fwd = {lab: i for i, lab in enumerate(origin) if lab is not None}
-    req_local = [edge_key(fwd[p], fwd[q]) for p, q in required]
-    cl = closure(g, cyc)
-    cl_fwd = {cl.to_origin(i): i for i in range(cl.graph.n)}
+    req_local = [edge_key(fwd[p], fwd[q]) for p, q in (e, f)]
+    cl_fwd = {z: i for i, z in enumerate(cl.origin)}
     spliced = 0
     for cyc_edges, _p in enumerate_ham_cycles_raw(gstar, required_edges=req_local,
                                                   cap=cap):
@@ -348,15 +351,14 @@ def _case1_splice(g, cyc: Cycle, fam: HamFamily, cap, required=(), tag="case1"):
                                            cap=cap, exclude=drop):
             lifted = [cl.to_origin(z) for z in pathseq]
             edges = trunk | set(_path_edge_list(lifted))
-            if is_ham_cycle(g, edges) and all(r in edges for r in
-                                              (edge_key(*r2) for r2 in required)):
-                if fam.add(frozenset(edges), tag):
+            if is_ham_cycle(g, edges) and e in edges and f in edges:
+                if fam.add(frozenset(edges), "case1"):
                     spliced += 1
             if len(fam) >= cap:
                 break
         if len(fam) >= cap:
             break
-    fam.log.append({"branch": tag, "spliced": spliced, "distinct": len(fam)})
+    fam.log.append({"branch": "case1", "spliced": spliced, "distinct": len(fam)})
 
 
 def _case2_contract(g, run: _Run, fam: HamFamily, cap, e, f, t, depth):
@@ -434,16 +436,16 @@ def theorem1_family(g: PlaneGraph, budget=None, t=None, _depth=0) -> HamFamily:
         return fam
 
     v, x = branch.v, branch.x
-    cyc, cl = _enclosing_square(g, v, x)
-    if cyc is None:
+    square = _enclosing_square(g, v, x)
+    if square is None:
         for cyc_edges, _p in enumerate_ham_cycles_raw(g, cap=2):
             fam.add(cyc_edges, "fallback_no_enclosing_cycle")
         fam.log.append({"branch": "fallback_no_enclosing_cycle",
                         "distinct": len(fam)})
         return fam
 
-    u, _v, w, _x = cyc.vertices
-    spliced = _theorem1_trunk_splice(g, cyc, cl, fam, cap)
+    cyc, cl = square[0], closure_of_disc(g, *square)
+    _theorem1_trunk_splice(g, cyc, cl, fam, cap)
     run = _find_run(g, v, x, cyc, cl)
     if run is not None:
         _theorem1_case2(g, run, fam, cap, t, _depth)
@@ -458,7 +460,7 @@ def _theorem1_trunk_splice(g, cyc: Cycle, cl, fam: HamFamily, cap) -> int:
     """One Hamiltonian trunk path of G minus the interior, times every
     Hamiltonian u-w path of the region between the pair."""
     u, v, w, x = cyc.vertices
-    interior = {cl.to_origin(i) for i in range(cl.graph.n)} - set(cyc.vertices)
+    interior = set(cl.origin) - set(cyc.vertices)
     if not interior:
         return 0
     sub, origin = g.delete_vertices(interior)
@@ -473,9 +475,9 @@ def _theorem1_trunk_splice(g, cyc: Cycle, cl, fam: HamFamily, cap) -> int:
         return 0
     trunk = [edge_key(origin[a], origin[b])
              for a, b in zip(cert.path, cert.path[1:])]
-    cl_fwd = {cl.to_origin(i): i for i in range(cl.graph.n)}
+    cl_fwd = {z: i for i, z in enumerate(cl.origin)}
     drop = {cl_fwd[v], cl_fwd[x]}
-    if not _connected_after_removal(cl.graph, drop):
+    if not _connected_after_removal(cl.graph, vertex_mask(drop)):
         fam.log.append({"branch": "trunk_splice", "skipped": "region disconnected"})
         return 0
     added = 0
@@ -535,9 +537,8 @@ def _theorem1_case2(g, run: _Run, fam: HamFamily, cap, t, depth):
 def _diamond_pocket(g: PlaneGraph, cert: DiamondCert):
     """(closure of the center 4-cycle on the pocket side, interior set)."""
     c = cert.separating_cycle()
-    dbar = closure_containing(g, cert.outer_cycle, cert.role("center"))
-    dbar_vs = {dbar.to_origin(i) for i in range(dbar.graph.n)}
-    pocket = dbar_vs - cert.vertices
+    _faces, dbar = disc_faces(g, cert.outer_cycle, cert.role("center"))
+    pocket = set(mask_bits(dbar)) - cert.vertices
     if not pocket:
         raise StructureViolation(
             "diamond with an empty pocket (needs minimum degree 5)")
@@ -613,11 +614,11 @@ def disjoint_diamond_family(g: PlaneGraph, diamonds, budget=None) -> HamFamily:
     return fam
 
 
-def _pocket_paths(g, cert, cl: NearTriangulation, a, b, cap=2):
-    """Up to ``cap`` Hamiltonian a-b paths of the pocket region, preferring
+def _pocket_paths(g, cert, cl: NearTriangulation, a, b):
+    """Up to two Hamiltonian a-b paths of the pocket region, preferring
     the two-path lemmas and falling back to direct search."""
     c = cl.outer_cycle
-    fwd = {cl.to_origin(i): i for i in range(cl.graph.n)}
+    fwd = {z: i for i, z in enumerate(cl.origin)}
     vs = c.vertices
     ia, ib = vs.index(fwd[a]), vs.index(fwd[b])
     out = []
@@ -645,20 +646,9 @@ def _pocket_paths(g, cert, cl: NearTriangulation, a, b, cap=2):
             out = [tuple(reversed(out[0]))]
     if not out:
         drop = [q for q in vs if cl.to_origin(q) not in (a, b)]
-        paths = enumerate_ham_paths(cl.graph, fwd[a], fwd[b], cap=cap, exclude=drop)
+        paths = enumerate_ham_paths(cl.graph, fwd[a], fwd[b], cap=2, exclude=drop)
         out = [tuple(cl.to_origin(z) for z in p) for p in paths]
-    return out[:cap]
-
-
-def contract_interior_containing(g: PlaneGraph, c: Cycle, marker: int):
-    """contract_interior on the side of ``c`` holding ``marker``."""
-    _outside, inside = _side_faces(g, c)
-    inside_vertices = set()
-    for i in inside:
-        inside_vertices.update(g.faces[i])
-    if marker not in inside_vertices - set(c.vertices):
-        g = g.with_outer_face(next(iter(inside)))
-    return contract_interior(g, c)
+    return out[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -713,8 +703,7 @@ def _grow_diamond(g: PlaneGraph, v: int, seps) -> DiamondCert:
         nbrs_on_c = g.nbr_masks[v] & vertex_mask(c.vertices)
         if v in c.vertices or nbrs_on_c.bit_count() != 3:
             continue
-        cl = closure_containing(g, c, v)
-        size = cl.graph.n
+        size = disc_faces(g, c, v)[1].bit_count()
         vs = c.vertices
         k = next(i for i in range(4) if not g.has_edge(v, vs[i]))
         outer = (vs[(k + 2) % 4], vs[(k + 1) % 4], vs[k], vs[(k + 3) % 4])
@@ -767,8 +756,8 @@ def nested_chain(g: PlaneGraph, s_star) -> NestedChain:
     pair_cases = []
     pockets = []
     for cert in all_certs:
-        dbar = closure_containing(g, cert.outer_cycle, cert.role("center"))
-        vs = frozenset(dbar.to_origin(i) for i in range(dbar.graph.n))
+        _faces, dbar = disc_faces(g, cert.outer_cycle, cert.role("center"))
+        vs = frozenset(mask_bits(dbar))
         pockets.append((cert, vs, vs - cert.vertices))
     for (i, (c1, vs1, in1)), (j, (c2, vs2, in2)) in \
             itertools.combinations(enumerate(pockets), 2):
@@ -821,7 +810,7 @@ def nested_chain(g: PlaneGraph, s_star) -> NestedChain:
         h_ladders.append(Ladder(hgraph, h_labels))
         # G_{j+1}: the closure of this cycle, next pocket contracted
         cl = closure_containing(g, cycles[j], marker)
-        to_g = tuple(cl.to_origin(i) for i in range(cl.graph.n))
+        to_g = cl.origin
         if j + 1 < t:
             fwd = {lab: i for i, lab in enumerate(to_g)}
             nxt = Cycle(tuple(fwd[z] for z in cycles[j + 1].vertices))

@@ -127,7 +127,7 @@ def separating_cycles(g: PlaneGraph, length: int) -> list[Cycle]:
         raise ValueError("separating-cycle search supports lengths 3, 4, 5")
     out = []
     for c in enumerate_cycles(g, length):
-        if g.n > length and not _connected_after_removal(g, set(c.vertices)):
+        if g.n > length and not _connected_after_removal(g, vertex_mask(c.vertices)):
             out.append(c)
     return out
 
@@ -162,7 +162,7 @@ def has_separating_triangle(g: PlaneGraph) -> bool:
         return len(g.triangles()) != len(g.faces)
     if _is_square_region(g):
         return len(g.triangles()) != len(g.faces) - 1
-    return any(not _connected_after_removal(g, set(t)) for t in g.triangles())
+    return any(not _connected_after_removal(g, vertex_mask(t)) for t in g.triangles())
 
 
 def _is_square_region(g: PlaneGraph) -> bool:

@@ -488,9 +488,8 @@ def _uv_level(g: PlaneGraph, exclude: int, u, v, w, x, budget):
     # deletions is 2-connected
     for apex, other in ((u, v), (v, u)):
         drop = exclude | vertex_mask((w, x, apex))
-        gone = mask_bits(drop)
-        if (n - 3 < 3 or not _connected_after_removal(g, gone)
-                or _blocks_and_cuts(g, gone)[1]):
+        if (n - 3 < 3 or not _connected_after_removal(g, drop)
+                or _blocks_and_cuts(g, drop)[1]):
             continue
         # the face merging the deleted vertices' faces is the outer cycle
         cands = [f for f, new in restriction_faces(g, drop) if new]

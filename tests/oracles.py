@@ -22,17 +22,29 @@ Hamiltonian backtracker before its bitmask kernel: ``reference_prepare``
 and ``ReferenceSearch``, Theorem 2's cycle tree before its cycles
 became edge bitmasks: ``reference_theorem2_tree``, and the two-path
 lemmas on rebuilt restrictions: ``reference_two_ham_paths_uw`` /
-``_uv`` and ``restriction_faces_rebuilt``.
+``_uv`` and ``restriction_faces_rebuilt``, and the closures and
+contractions that built a closure to learn a side of a cycle:
+``reference_closure``, ``reference_closure_containing`` and
+``reference_contract_interior``.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 
 import networkx as nx
 
-from hamforge.errors import BadOrder, HypothesisViolated, SearchExhausted, SearchTimeout
+from hamforge.errors import (
+    BadOrder,
+    DisconnectedInterior,
+    EmptyInterior,
+    HypothesisViolated,
+    NotACycle,
+    SearchExhausted,
+    SearchTimeout,
+)
 from hamforge.ham_enum import search_budget
 from hamforge.plane_graph import (
     Cycle,
@@ -46,6 +58,7 @@ from hamforge.plane_graph import (
     edge_key,
     mask_bits,
     path_edges,
+    plane_graph_from_faces,
     vertex_mask,
 )
 from hamforge.tutte import (
@@ -709,8 +722,8 @@ def reference_two_ham_paths_uv(r, budget=None):
     # deletions is 2-connected
     for apex, other in ((u, v), (v, u)):
         drop = {w, x, apex}
-        if (g.n - len(drop) < 3 or not _connected_after_removal(g, drop)
-                or _blocks_and_cuts(g, drop)[1]):
+        if (g.n - len(drop) < 3 or not _connected_after_removal(g, vertex_mask(drop))
+                or _blocks_and_cuts(g, vertex_mask(drop))[1]):
             continue
         sub, origin = g.delete_vertices(drop)
         fwd = {old: new for new, old in enumerate(origin)}
@@ -789,6 +802,106 @@ def _reference_uv_two_connected_case(g, sub, origin, fwd, d, apex, other, u, v, 
                     continue
                 return PathPair(graph_n=g.n, a=u, b=v, first=first, second=second)
     return None
+
+
+# ---------------------------------------------------------------------------
+# closures and contractions, each side found by building a closure
+# ---------------------------------------------------------------------------
+
+def _reference_side_faces(g, c):
+    """(faces reached from the outer face without crossing c, the rest), by
+    breadth-first search over a face adjacency table."""
+    ce = c.edges()
+    adj_faces = {i: set() for i in range(len(g.faces))}
+    face_at = g._face_at
+    for (u, v), i in face_at.items():
+        if edge_key(u, v) in ce:
+            continue
+        j = face_at[(v, u)]
+        adj_faces[i].add(j)
+        adj_faces[j].add(i)
+    outside = {g.outer_face_index}
+    queue = deque([g.outer_face_index])
+    while queue:
+        for j in adj_faces[queue.popleft()]:
+            if j not in outside:
+                outside.add(j)
+                queue.append(j)
+    inside = set(range(len(g.faces))) - outside
+    if not inside:
+        raise NotACycle(f"{c.vertices} does not separate the sphere into two sides")
+    return outside, inside
+
+
+def reference_closure(g, c) -> NearTriangulation:
+    """The closure of c away from the outer face: the disc's vertices, the
+    edges of c and the edges with both faces inside."""
+    c.validate(g)
+    _outside, inside = _reference_side_faces(g, c)
+    vertices = set(c.vertices)
+    for i in inside:
+        vertices.update(g.faces[i])
+    keep_edges = set(c.edges())
+    face_at = g._face_at
+    for u, v in g.edge_set:
+        if face_at[(u, v)] in inside and face_at[(v, u)] in inside:
+            keep_edges.add((u, v))
+    keep_sorted = sorted(vertices)
+    relabel = {old: new for new, old in enumerate(keep_sorted)}
+    rotation = [tuple(relabel[w] for w in g.rotation[v]
+                      if w in vertices and edge_key(v, w) in keep_edges)
+                for v in keep_sorted]
+    cyc = Cycle(tuple(relabel[v] for v in c.vertices))
+    return NearTriangulation(PlaneGraph(rotation), cyc, origin=keep_sorted)
+
+
+def _rooted_on_side_of(g, c, v):
+    """g, or g re-rooted at a face inside c when v is not inside."""
+    _outside, inside = _reference_side_faces(g, c)
+    inside_vertices = set()
+    for i in inside:
+        inside_vertices.update(g.faces[i])
+    if v in inside_vertices - set(c.vertices):
+        return g
+    return g.with_outer_face(next(iter(inside)))
+
+
+def reference_closure_containing(g, c, v) -> NearTriangulation:
+    c.validate(g)
+    if v in c.vertices:
+        raise ValueError(f"vertex {v} lies on the cycle")
+    return reference_closure(_rooted_on_side_of(g, c, v), c)
+
+
+def reference_contract_interior(g, c, v=None):
+    """The interior of c (on the side holding v, if given) read off its
+    closure and contracted to one new vertex: ``(graph, star, origin)``."""
+    if v is not None:
+        g = _rooted_on_side_of(g, c, v)
+    cl = reference_closure(g, c)
+    inner = set(cl.to_origin(z) for z in cl.interior_vertices())
+    if not inner:
+        raise EmptyInterior(f"{c.vertices} bounds a face")
+    if not nx.is_connected(to_nx(g).subgraph(inner)):
+        raise DisconnectedInterior(f"interior of {c.vertices} is disconnected")
+    attachments = [z for z in c.vertices if set(g.rotation[z]) & inner]
+    if len(attachments) < 2:
+        raise DisconnectedInterior("interior attaches to fewer than 2 cycle vertices")
+    outside, _inside = _reference_side_faces(g, c)
+    keep = [z for z in range(g.n) if z not in inner]
+    relabel = {old: new for new, old in enumerate(keep)}
+    star = len(keep)
+    new_faces = [tuple(relabel[w] for w in g.faces[i]) for i in outside]
+    k = len(c.vertices)
+    starts = [i for i in range(k) if c.vertices[i] in attachments]
+    for pos, i in enumerate(starts):
+        j = starts[(pos + 1) % len(starts)]
+        stretch = [c.vertices[i]]
+        while i != j:
+            i = (i + 1) % k
+            stretch.append(c.vertices[i])
+        new_faces.append(tuple([star] + [relabel[z] for z in stretch]))
+    return plane_graph_from_faces(new_faces), star, keep + [None]
 
 
 @dataclass

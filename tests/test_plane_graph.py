@@ -10,6 +10,8 @@ from hamforge.corpus import (
     k4,
     octahedron,
     random_triangulation,
+    telescope_tower,
+    two_pocket_worm,
     wheel,
 )
 from hamforge.errors import (
@@ -32,16 +34,20 @@ from hamforge.plane_graph import (
     build,
     canonical_code,
     closure,
+    closure_containing,
     contract_edge,
     contract_interior,
+    contract_interior_containing,
+    disc_faces,
     is_isomorphic,
     is_k_connected,
     mask_bits,
     plane_graph_from_faces,
     vertex_connectivity_flow,
+    vertex_mask,
 )
 
-from hamforge.structures import enumerate_cycles
+from hamforge.structures import enumerate_cycles, separating_cycles
 
 from .oracles import (
     eager_tables,
@@ -49,6 +55,9 @@ from .oracles import (
     neighbour_answers,
     nx_connectivity,
     nx_isomorphic,
+    reference_closure,
+    reference_closure_containing,
+    reference_contract_interior,
     scan_face_index,
 )
 
@@ -248,6 +257,62 @@ def test_contract_edge_roundtrip_size():
     assert is_isomorphic(g2, double_wheel(8))
 
 
+def _outcome(f, *args):
+    """``f(*args)``, or the class and message of what it raised."""
+    try:
+        return f(*args)
+    except (EmptyInterior, DisconnectedInterior) as exc:
+        return type(exc), str(exc)
+
+
+def _contraction(result):
+    """A contraction up to where each face is traced from: its graph's
+    size, neighbour masks and faces as cyclic sequences, star and origin."""
+    if not isinstance(result[0], PlaneGraph):
+        return result
+    g2, star, origin = result
+    faces = {min(f[i:] + f[:i] for i in range(len(f))) for f in g2.faces}
+    return g2.n, g2.nbr_masks, faces, star, origin
+
+
+def test_disc_faces_match_reference_closures(triangulations_by_n):
+    """On both sides of every separating 3- and 4-cycle of the full levels
+    n <= 9, the telescope tower and the two-pocket worm, ``disc_faces``'s
+    mask is the vertex set of the closure built the old way, and
+    ``closure`` / ``closure_containing`` and both contractions give what the
+    old closure-based code gave."""
+    graphs = [g for n in range(4, 10) for g in triangulations_by_n(n)]
+    graphs += [telescope_tower(3)[0], two_pocket_worm()[0]]
+    sides = 0
+    for g in graphs:
+        for c in separating_cycles(g, 3) + separating_cycles(g, 4):
+            inside, disc = disc_faces(g, c)
+            want = reference_closure(g, c)
+            assert disc == vertex_mask(want.origin), (g.rotation, c)
+            got = closure(g, c)
+            assert (got.graph.rotation, got.graph.outer_face_index, got.outer_cycle,
+                    got.origin) == (want.graph.rotation, want.graph.outer_face_index,
+                                    want.outer_cycle, want.origin)
+            assert _contraction(_outcome(contract_interior, g, c)) == \
+                _contraction(_outcome(reference_contract_interior, g, c))
+            on_cycle = vertex_mask(c.vertices)
+            near = mask_bits(disc & ~on_cycle)[:1]
+            far = mask_bits(((1 << g.n) - 1) & ~disc)[:1]
+            for v in near + far:
+                side = disc_faces(g, c, v)
+                want = reference_closure_containing(g, c, v)
+                assert side[1] == vertex_mask(want.origin), (g.rotation, c, v)
+                assert (side == (inside, disc)) == (v in near)
+                assert side[1] & disc == (disc if v in near else on_cycle)
+                got = closure_containing(g, c, v)
+                assert (got.graph.rotation, got.outer_cycle, got.origin) == \
+                    (want.graph.rotation, want.outer_cycle, want.origin)
+                assert _contraction(_outcome(contract_interior_containing, g, c, v)) == \
+                    _contraction(_outcome(reference_contract_interior, g, c, v))
+                sides += 1
+    assert sides > 1000, sides
+
+
 # -- blocks and bridges -------------------------------------------------------
 
 def test_block_chain_path_graph():
@@ -313,7 +378,7 @@ def test_block_code_with_exclude_matches_vertex_deletion(triangulations_by_n):
         h, origin = g.delete_vertices(exclude)
         fwd = {old: new for new, old in enumerate(origin)}
         blocks, cuts = _blocks_and_cuts(h)
-        assert _blocks_and_cuts(g, exclude) == (
+        assert _blocks_and_cuts(g, vertex_mask(exclude)) == (
             [frozenset((origin[p], origin[q]) for p, q in blk) for blk in blocks],
             {origin[z] for z in cuts})
         if ends is None:

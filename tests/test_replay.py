@@ -5,7 +5,9 @@ from collections import Counter
 import pytest
 
 from hamforge.corpus import (
+    CorpusFilter,
     double_wheel,
+    enumerate_triangulations,
     icosahedron,
     octahedron,
     telescope_tower,
@@ -19,7 +21,7 @@ from hamforge.errors import (
 )
 from hamforge.ham_enum import count_ham_cycles, is_ham_cycle
 from hamforge.indset import IndSetCert, special_set
-from hamforge.plane_graph import edge_key, is_k_connected
+from hamforge.plane_graph import PlaneGraph, edge_key, is_k_connected
 from hamforge.replay import (
     disjoint_diamond_family,
     lemma_2edge_family,
@@ -219,6 +221,31 @@ def test_theorem2_leaves_match_golden():
     assert digest.hexdigest() == GOLDEN["theorem2 leaves budget=2000"]
 
 
+def test_replay_families_match_golden():
+    """``theorem1_family`` and ``lemma_2edge_family`` (through the two edges
+    at the middle vertex of ``g.faces[0]``) on the 43 4-connected
+    triangulations with 6 <= n <= 11, t in (None, 4): every cycle as sorted
+    edges in family order, with provenance and log, pinned to one digest.
+    These reach the case1, trunk_splice and case2 branches off double
+    wheels."""
+    digest = hashlib.sha256()
+    branches = Counter()
+    flt = CorpusFilter(min_connectivity=4)
+    for g in (g for n in range(6, 12) for g in enumerate_triangulations(n, flt)):
+        a, b, c = g.faces[0]
+        for t in (None, 4):
+            for name, fam in (
+                    ("theorem1_family", theorem1_family(g, t=t)),
+                    ("lemma_2edge_family",
+                     lemma_2edge_family(g, edge_key(a, b), edge_key(b, c), t=t))):
+                record = (name, t, [sorted(cyc) for cyc in fam.cycles],
+                          list(fam.provenance), fam.log)
+                digest.update(repr(record).encode() + b"\n")
+                branches.update(entry.get("branch") for entry in fam.log)
+    assert (branches["case1"], branches["trunk_splice"], branches["case2"]) == (19, 17, 4)
+    assert digest.hexdigest() == GOLDEN["replay families n_max=11"]
+
+
 def test_theorem2_tree_peak_memory():
     """The tower's tree at budget 2000 holds its cycles as ints: its
     tracemalloc peak stays under 2 MB (9.5 MB with edge frozensets)."""
@@ -244,15 +271,67 @@ def test_theorem2_tree_budget_truncation():
 
 def test_bug_in_guarded_call_propagates(monkeypatch):
     """The enclosing-square search skips a square only on NotACycle; any
-    other exception is a bug and must surface."""
+    other exception from its guarded side question is a bug and must
+    surface."""
     from hamforge import replay
 
     def broken(g, c):
         raise KeyError("bug")
 
-    monkeypatch.setattr(replay, "closure", broken)
+    monkeypatch.setattr(replay, "disc_faces", broken)
     with pytest.raises(KeyError):
         theorem1_family(double_wheel(10), t=4)
+
+
+def test_replay_suites_build_closures_only_where_searched(monkeypatch):
+    """The replay suites at their defaults build 34 closures: one per square
+    ``_enclosing_square`` returns (28), the nested-chain ladders (4) and the
+    worm's pocket regions (2).  The square search itself builds no graph.
+    Each of the 315 side questions runs the face search once: 271 candidate
+    squares, 26 contractions, 6 closures on a vertex's side and 12 vertex
+    sets (diamond sizes and pockets)."""
+    from hamforge import plane_graph, replay
+    from hamforge.verification import SUITE_RUNNERS
+
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("closure_of_disc", "disc_faces"):
+        wrapper = counting(name, getattr(plane_graph, name))
+        monkeypatch.setattr(plane_graph, name, wrapper)
+        monkeypatch.setattr(replay, name, wrapper)
+    monkeypatch.setattr(plane_graph, "_side_faces",
+                        counting("_side_faces", plane_graph._side_faces))
+    searching = []
+    enclosing_square = replay._enclosing_square
+
+    def watched(*args):
+        counts["_enclosing_square"] += 1
+        searching.append(True)
+        try:
+            return enclosing_square(*args)
+        finally:
+            searching.pop()
+
+    monkeypatch.setattr(replay, "_enclosing_square", watched)
+    build = PlaneGraph.__init__
+
+    def counted_build(self, *args, **kwargs):
+        counts["graphs built in the square search"] += bool(searching)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(PlaneGraph, "__init__", counted_build)
+    for suite in ("lemma-2edge", "theorem1", "theorem2", "lemma-diamond4"):
+        assert all(row.ok for row in SUITE_RUNNERS[suite]())
+    assert counts["_enclosing_square"] == 28
+    assert counts["closure_of_disc"] == 34
+    assert counts["graphs built in the square search"] == 0
+    assert counts["_side_faces"] == counts["disc_faces"] == 315
 
 
 def test_lemma_2edge_edge_branch_matches_its_own_loop():

@@ -16,6 +16,7 @@ from hamforge.plane_graph import (
     _connected_after_removal,
     is_k_connected,
     plane_graph_from_faces,
+    vertex_mask,
 )
 from hamforge.structures import (
     DIAMOND4_EDGES,
@@ -49,7 +50,7 @@ def test_separating_cycles_double_wheel8():
 def test_separating_deletion_reverified():
     for g in (octahedron(), double_wheel(8), double_wheel(10)):
         for c in separating_cycles(g, 4):
-            assert not _connected_after_removal(g, set(c.vertices))
+            assert not _connected_after_removal(g, vertex_mask(c.vertices))
 
 
 def _link_pairs(triangulations_by_n, n_max):
@@ -244,7 +245,7 @@ def test_separating_5cycles_match_subset_oracle():
         got = {c.canonical() for c in separating_cycles(g, 5)}
         want = set()
         for sub in it.combinations(range(g.n), 5):
-            if _connected_after_removal(g, set(sub)):
+            if _connected_after_removal(g, vertex_mask(sub)):
                 continue
             # every 5-cycle on this subset
             for perm in it.permutations(sub[1:]):
