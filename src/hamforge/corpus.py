@@ -203,6 +203,10 @@ def split_vertex(g: PlaneGraph, v: int, i: int, j: int) -> PlaneGraph:
 
     The neighbors from position i to j (clockwise) go to the reused id v, the
     rest to a new vertex n; both keep the two pivots.  Faces stay triangles.
+
+    The generator never builds a child this way (``_split_codes``); the
+    test oracles build children with it, and ``perfbench/spans.py`` traces
+    it as the generation layer.
     """
     rot = g.rotation[v]
     d = len(rot)
@@ -239,82 +243,238 @@ def _split_rotation(g: PlaneGraph, v: int, i: int, j: int) -> _RotationView:
     """
     rot = g.rotation[v]
     new = g.n
-    at = g._pos
     rotation = list(g.rotation)
     rotation[v] = rot[i:j + 1] + (new,)
     rotation.append(rot[j:] + rot[:i + 1] + (v,))
     for w in rot[j + 1:] + rot[:i]:
-        k = at[w][v]
-        rotation[w] = rotation[w][:k] + (new,) + rotation[w][k + 1:]
+        around = rotation[w]
+        k = around.index(v)
+        rotation[w] = around[:k] + (new,) + around[k + 1:]
     # clockwise around pivot rot[i] the new vertex follows v; around rot[j]
     # it precedes v
-    for w, k in ((rot[i], at[rot[i]][v] + 1), (rot[j], at[rot[j]][v])):
-        rotation[w] = rotation[w][:k] + (new,) + rotation[w][k:]
+    for w, after in ((rot[i], 1), (rot[j], 0)):
+        around = rotation[w]
+        k = around.index(v) + after
+        rotation[w] = around[:k] + (new,) + around[k:]
     return _RotationView(rotation)
 
 
-def _all_splits(g: PlaneGraph, k: int = 3):
-    """The splits (v, i, j) of g that leave v (j - i + 2 neighbors) and the
-    new vertex (deg v - j + i + 2) at least k neighbors each."""
-    for v in range(g.n):
-        d = g.degrees[v]
-        for i in range(d):
-            for j in range(i + k - 2, min(d, i + d - k + 3)):
-                yield v, i, j
+def _vertex_splits(d: int, k: int = 3):
+    """The pivot positions (i, j) of a vertex of degree d whose split leaves
+    it (j - i + 2 neighbors) and the new vertex (d - j + i + 2) at least k
+    neighbors each."""
+    for i in range(d):
+        for j in range(i + k - 2, min(d, i + d - k + 3)):
+            yield i, j
 
 
-def _contraction_rank(g, x: int, y: int):
-    """The rank of edge xy of a triangulation with n >= 5 among the
-    contractible edges, those whose ends have exactly two common neighbors
-    a and b: (deg x + deg y, -|deg x - deg y|, deg a + deg b).  It is the
-    same on isomorphic and mirrored graphs.  None when xy is not
-    contractible."""
-    common = set(g.rotation[x]).intersection(g.rotation[y])
-    if len(common) != 2:
-        return None
-    degs = g.degrees
-    a, b = common
-    return degs[x] + degs[y], -abs(degs[x] - degs[y]), degs[a] + degs[b]
+def _rank_key(dx: int, dy: int, dab: int) -> int:
+    """The rank of a contractible edge xy of a triangulation with n >= 5,
+    whose ends have exactly the two common neighbors a and b, as one int:
+    (deg x + deg y, -|deg x - deg y|, deg a + deg b) in lexicographic order.
+    For a fixed degree sum, -|deg x - deg y| grows with min(deg x, deg y),
+    so that is the middle field.  Each field is below 1024 for degrees
+    below 512.  The rank is the same on isomorphic and mirrored graphs."""
+    return (dx + dy) << 20 | (dx if dx < dy else dy) << 10 | dab
 
 
-def _contraction_separates(g, x: int, y: int) -> bool:
-    """Whether contracting the contractible edge xy of a triangulation makes
-    a new triangle, one joining a neighbor of x only to a neighbor of y only.
-    It bounds no face, so it separates.  Every other triangle of g/xy is one
-    of g, so xy of a 4-connected g is 4-contractible (g/xy is 4-connected)
-    exactly when this is False."""
-    rotation = g.rotation
-    only_x = set(rotation[x]).difference(rotation[y], (y,))
-    only_y = set(rotation[y]).difference(rotation[x], (x,))
-    return any(not only_y.isdisjoint(rotation[p]) for p in only_x)
+def _two_bits(mask: int) -> tuple[int, int]:
+    """The two vertices of a mask with two bits set."""
+    low = mask & -mask
+    return low.bit_length() - 1, (mask ^ low).bit_length() - 1
 
 
-def _split_edge_wins(child: _RotationView, v: int, k: int = 3) -> bool:
-    """Whether no k-contractible edge of a split child (k = 3: contractible)
-    outranks its split edge (v, new) by ``_contraction_rank``.  Edges whose
-    degree sum is below the split edge's cannot, and are skipped."""
-    rotation, degs = child.rotation, child.degrees
-    best = _contraction_rank(child, v, child.n - 1)
-    for x, around in enumerate(rotation):
-        reach = best[0] - degs[x]
+def _contraction_separates(masks, x: int, y: int) -> bool:
+    """Whether contracting the contractible edge xy of the triangulation
+    with neighbor masks ``masks`` makes a new triangle, one joining a
+    neighbor of x only to a neighbor of y only.  It bounds no face, so it
+    separates.  Every other triangle of g/xy is one of g, so xy of a
+    4-connected g is 4-contractible (g/xy is 4-connected) exactly when this
+    is False."""
+    only_x = masks[x] & ~masks[y] & ~(1 << y)
+    only_y = masks[y] & ~masks[x] & ~(1 << x)
+    while only_x:
+        low = only_x & -only_x
+        if masks[low.bit_length() - 1] & only_y:
+            return True
+        only_x ^= low
+    return False
+
+
+def _ranked_edges(g: PlaneGraph, k: int) -> list:
+    """The contractible edges xy (x < y) of a triangulation g, highest
+    ``_rank_key`` first, as (key, ends mask, common-neighbors mask, degree
+    sum of the common neighbors, x, y, separates): ``separates`` is
+    ``_contraction_separates`` for k = 4 and False for k = 3, where every
+    contractible edge counts."""
+    masks, degs = g.nbr_masks, g.degrees
+    out = []
+    for x, around in enumerate(g.rotation):
         for y in around:
-            if y > x and degs[y] >= reach:
-                rank = _contraction_rank(child, x, y)
-                if (rank is not None and rank > best
-                        and (k == 3 or not _contraction_separates(child, x, y))):
-                    return False
+            if y > x:
+                common = masks[x] & masks[y]
+                if common.bit_count() == 2:
+                    a, b = _two_bits(common)
+                    dab = degs[a] + degs[b]
+                    out.append((_rank_key(degs[x], degs[y], dab),
+                                1 << x | 1 << y, common, dab, x, y,
+                                k == 4 and _contraction_separates(masks, x, y)))
+    out.sort(reverse=True)
+    return out
+
+
+def _winning_splits(parent: PlaneGraph, ranked, v: int, k: int = 3):
+    """The splits (i, j) of v, in ``_vertex_splits`` order, whose split edge
+    (v, new) no k-contractible edge of ``split_vertex(parent, v, i, j)``
+    (k = 3: contractible) outranks, decided without building the child;
+    ``ranked`` is ``_ranked_edges(parent, k)``.
+
+    The split edge has degree sum deg v + 4, ends of degree j - i + 2 and
+    deg v - j + i + 2, and the pivots (one more neighbor each) as its two
+    common neighbors.  The parent's edges that a split of v leaves alone
+    are decided here, from ``ranked``, and the others by
+    ``_child_split_wins`` (why that is exact: ``_split_codes``).  A child
+    edge left alone gains at most one in its degree sum, so only those
+    with a degree sum of deg v + 3 or more in the parent are read.
+    """
+    rot = parent.rotation[v]
+    degs = parent.degrees
+    d = len(rot)
+    v_bit = 1 << v
+    around_v = parent.nbr_masks[v]
+    floor = (d + 3) << 20
+    alone = []
+    for entry in ranked:
+        if entry[0] < floor:
+            break
+        ends = entry[1]
+        if not (ends & v_bit or ends & around_v == ends):
+            alone.append(entry)
+    for i, j in _vertex_splits(d, k):
+        w_i, w_j = rot[i], rot[j]
+        pivots = 1 << w_i | 1 << w_j
+        best = _rank_key(j - i + 2, d - j + i + 2, degs[w_i] + degs[w_j] + 2)
+        recheck = []
+        for key, ends, common, dab, x, y, separates in alone:
+            bonus = (common & pivots).bit_count()
+            if ends & pivots:
+                in_child = _rank_key(degs[x] + (pivots >> x & 1),
+                                     degs[y] + (pivots >> y & 1), dab + bonus)
+            else:
+                in_child = key + bonus
+            if in_child > best:
+                if not separates:
+                    break
+                recheck.append((x, y))
+        else:
+            if _child_split_wins(parent, v, i, j, k, best, recheck):
+                yield i, j
+
+
+def _child_split_wins(parent: PlaneGraph, v: int, i: int, j: int, k: int,
+                      best: int, recheck) -> bool:
+    """The rest of a decision of ``_winning_splits``, on the neighbor masks
+    of the child edited from the parent's (only v, its neighbors and the
+    new vertex change): whether none of the ``recheck`` edges is
+    4-contractible in the child, and no k-contractible edge with both ends
+    among v, the new vertex and the neighbors of v outranks the split edge,
+    whose rank key is ``best``."""
+    rot = parent.rotation[v]
+    d = len(rot)
+    w_i, w_j = rot[i], rot[j]
+    new = parent.n
+    v_bit, new_bit = 1 << v, 1 << new
+    kept = 0
+    for w in rot[i:j + 1]:
+        kept |= 1 << w
+    around_v = parent.nbr_masks[v]
+    masks = list(parent.nbr_masks)
+    masks[v] = kept | new_bit
+    masks.append(around_v ^ kept | 1 << w_i | 1 << w_j | v_bit)
+    for w in rot[j + 1:] + rot[:i]:
+        masks[w] ^= v_bit | new_bit
+    masks[w_i] |= new_bit
+    masks[w_j] |= new_bit
+    for x, y in recheck:
+        if not _contraction_separates(masks, x, y):
+            return False
+    degs = list(parent.degrees)
+    degs[v] = j - i + 2
+    degs.append(d - j + i + 2)
+    degs[w_i] += 1
+    degs[w_j] += 1
+
+    # every edge with both ends among v, new and v's neighbors, once
+    scope = around_v | v_bit | new_bit
+    done = 0
+    for x in (v, new) + rot:
+        dx, at_x = degs[x], masks[x]
+        reach = d + 4 - dx       # a lower degree cannot reach the split edge
+        others = at_x & scope & ~done
+        done |= 1 << x
+        while others:
+            low = others & -others
+            others ^= low
+            y = low.bit_length() - 1
+            if degs[y] >= reach:
+                common = at_x & masks[y]
+                if common.bit_count() == 2:
+                    a, b = _two_bits(common)
+                    if (_rank_key(dx, degs[y], degs[a] + degs[b]) > best and (
+                            k == 3 or not _contraction_separates(masks, x, y))):
+                        return False
     return True
 
 
 def _split_codes(parents, k: int) -> set:
     """The one step both exhaustive levels grow by: the canonical codes of
-    the children ``_all_splits(parent, k)`` that ``_split_edge_wins``."""
+    the children of the splits (v, i, j) of each parent, (i, j) from
+    ``_vertex_splits``, whose split edge no k-contractible edge outranks
+    (``_winning_splits``).  A child's rotation system (``_split_rotation``)
+    is built, and its code taken, only when its split wins.
+
+    Each split is decided from its parent.  Call an edge xy of the child
+    *left alone* when neither end is v or the new vertex, and not both
+    ends are neighbors of v in the parent.  Such an edge is one of the
+    parent's, and the split keeps what its rank reads:
+
+    * x and y keep their degrees, but for a pivot, which gains the new
+      vertex: only v, the new vertex and the pivots change degree (a
+      neighbor that moves to the new vertex trades v for it).  At most one
+      end is a pivot, since both pivots are neighbors of v.
+    * x and y keep their common neighbors: neither v nor the new vertex is
+      one, since both ends would then be neighbors of v, and no other edge
+      at x or y changes.  So xy is contractible in the child exactly when
+      it is in the parent.  Its rank there is its parent rank with the
+      degree of a pivot end raised by one, and one more in the last field
+      for each pivot among its two common neighbors.  It is never lower,
+      and its degree sum rises by one at most.
+    * For k = 4, an edge 4-contractible in the parent stays so.  A triangle
+      that contracting xy makes in the child is a path x-p-q-y, p a
+      neighbor of x only and q of y only.  If neither p nor q is v or the
+      new vertex, the parent has the same path.  If p is v or the new
+      vertex, x is a neighbor of v in the parent, so y is not, and q, a
+      neighbor of p and of y, is a neighbor of v in the parent other than
+      x: the parent has the path x-v-q-y, with v not at y and q not at x.
+      The same holds with q in place of p, and {p, q} is not {v, new},
+      since then both x and y would be neighbors of v.  The converse
+      fails: a path x-v-q-y of the parent is lost when q moves to the new
+      vertex.  So an edge that separates in the parent and outranks the
+      split edge is tested again on the child.
+
+    So ``_ranked_edges`` ranks the parent's contractible edges once, and a
+    split loses at once when an edge it leaves alone outranks its split
+    edge.  Only the edges not left alone, those with both ends among v,
+    the new vertex and the neighbors of v, are read off the child's
+    neighbor masks (``_child_split_wins``).  Through n = 11 the parent
+    rejects 22,735 of the 29,444 splits of the full levels, and 2,158 win.
+    """
     codes = set()
     for parent in parents:
-        for v, i, j in _all_splits(parent, k):
-            child = _split_rotation(parent, v, i, j)
-            if _split_edge_wins(child, v, k):
-                codes.add(canonical_code(child))
+        ranked = _ranked_edges(parent, k)
+        for v in range(parent.n):
+            for i, j in _winning_splits(parent, ranked, v, k):
+                codes.add(canonical_code(_split_rotation(parent, v, i, j)))
     return codes
 
 
@@ -326,13 +486,22 @@ def _triangulation_level(n: int) -> tuple[PlaneGraph, ...]:
     which split child reached it.
 
     A split child of level n - 1 is kept only when its split edge has the
-    highest ``_contraction_rank`` of its contractible edges, and only kept
-    children are keyed by ``canonical_code``.  No class is lost: contract a
+    highest rank (``_rank_key``) of its contractible edges.  That is
+    decided from the parent, without the child: an edge the split leaves
+    alone (no end at v or the new vertex, not both ends at neighbors of v)
+    keeps its two common neighbors and so its contractibility, and its
+    rank changes only by one more in the degree of an end that is a pivot
+    and one more in the last field per pivot among those common neighbors
+    (proof in ``_split_codes``).  Only the edges among v, the new vertex
+    and the neighbors of v are read off the child's neighbor masks, and
+    only kept children get a rotation system and a ``canonical_code``.
+    The decision is the one a scan of the built child makes, so it keeps
+    the same children.  No class is lost: contract a
     highest-ranked edge e of a triangulation T on n >= 5 vertices.  Its ends
     have exactly two common neighbors, so T/e is a triangulation on n - 1
     vertices, and level n - 1 holds a graph R isomorphic to it or to its
     mirror.  Splitting R's merged vertex at the two common neighbors (one
-    of ``_all_splits(R)``) gives T or its mirror back, with the split edge
+    of ``_vertex_splits``) gives T or its mirror back, with the split edge
     where e was.  The rank is invariant under isomorphism and reflection,
     so that child is kept.
     """

@@ -114,10 +114,9 @@ class PlaneGraph:
     adjacency question is answered from ``rotation`` and ``nbr_masks``;
     :func:`mask_bits` lists a mask's vertices in ascending order.  The other
     tables are built on first read and then kept on the instance:
-    ``edge_set``, and the private ``_pos`` (position of each neighbor in a
-    rotation) and ``_face_at`` (face of each directed edge).  They are
-    properties over slots: a ``__getattr__`` would make every other
-    attribute read slower.  ``with_outer_face`` copies share whatever their
+    ``edge_set``, and the private ``_face_at`` (face of each directed
+    edge).  They are properties over slots: a ``__getattr__`` would make
+    every other attribute read slower.  ``with_outer_face`` copies share whatever their
     parent has built.  Instances are immutable.
     ``is_triangulation`` is set iff every face is a triangle.  Use
     :func:`build` to construct from untrusted rotation tables.
@@ -126,7 +125,7 @@ class PlaneGraph:
     __slots__ = ("n", "rotation", "outer_face_index", "faces", "nbr_masks",
                  "degrees", "is_triangulation", "connected",
                  # the tables built on first read; None until then
-                 "_built_edge_set", "_built_pos", "_built_face_at")
+                 "_built_edge_set", "_built_face_at")
 
     def __init__(self, rotation, outer_face_index=0, require_connected=True):
         rotation = tuple(tuple(nbrs) for nbrs in rotation)
@@ -152,7 +151,7 @@ class PlaneGraph:
         self.rotation = rotation
         self.nbr_masks = tuple(masks)
         self.degrees = tuple(len(r) for r in rotation)
-        self._built_edge_set = self._built_pos = self._built_face_at = None
+        self._built_edge_set = self._built_face_at = None
 
         full = (1 << n) - 1
         self.connected = _reach(self.nbr_masks, full & 1, full) == full
@@ -180,12 +179,6 @@ class PlaneGraph:
         if self._built_edge_set is None:
             self._built_edge_set = _edge_set(self)
         return self._built_edge_set
-
-    @property
-    def _pos(self) -> tuple[dict[int, int], ...]:
-        if self._built_pos is None:
-            self._built_pos = _positions(self)
-        return self._built_pos
 
     @property
     def _face_at(self) -> dict[tuple[int, int], int]:
@@ -430,10 +423,6 @@ def _reach(masks, start: int, within: int) -> int:
 
 def _edge_set(g: PlaneGraph) -> frozenset[Edge]:
     return frozenset(edge_key(v, w) for v in range(g.n) for w in g.rotation[v])
-
-
-def _positions(g: PlaneGraph) -> tuple[dict[int, int], ...]:
-    return tuple({w: i for i, w in enumerate(nbrs)} for nbrs in g.rotation)
 
 
 def _face_table(g: PlaneGraph) -> dict[tuple[int, int], int]:

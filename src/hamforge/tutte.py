@@ -110,7 +110,9 @@ def verify_tutte(g: PlaneGraph, path, constraint) -> TuttePathCert:
     """Certify that ``path`` is a C-Tutte path for the given subgraph.
 
     ``constraint`` is a Cycle, a vertex sequence (subpath), or an edge set.
-    Raises TutteViolation naming the offending bridge otherwise.
+    Raises TutteViolation naming the offending bridge otherwise.  A path
+    through all g.n vertices is certified without listing its bridges:
+    each is a chord, with two attachments, so neither Tutte bound can fail.
     """
     path = tuple(path)
     if isinstance(constraint, Cycle):
@@ -124,11 +126,12 @@ def verify_tutte(g: PlaneGraph, path, constraint) -> TuttePathCert:
             raise ValueError(f"{a}-{b} is not an edge")
     if len(set(path)) != len(path):
         raise ValueError("path repeats a vertex")
-    violation = _check_tutte(g, path, cedges)
+    hamiltonian = len(path) == g.n
+    violation = None if hamiltonian else _check_tutte(g, path, cedges)
     if violation is not None:
         raise TutteViolation(*violation)
     return TuttePathCert(path=path, constraint_edges=cedges,
-                         is_hamiltonian=len(path) == g.n)
+                         is_hamiltonian=hamiltonian)
 
 
 def _simple_paths_lex(g: PlaneGraph, x: int, y: int):

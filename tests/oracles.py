@@ -6,7 +6,9 @@ networkx, subgraph matching by generic backtracking, and a triangulation
 generator driven by diagonal flips instead of vertex splitting.  The
 exceptions are slow routes a fast path must reproduce exactly:
 ``split_dedupe_levels``, the generate-then-dedupe route that builds every
-split child, ``filtered_level_codes``, the full level filtered,
+split child, ``split_edge_wins_built`` and ``split_codes_built``, the
+split decision taken on each child's rotation system instead of from its
+parent, ``filtered_level_codes``, the full level filtered,
 ``square_regions_loop``, the region loop that builds every candidate,
 ``full_traversal_canonical_code``, every traversal run to the end,
 ``traversal_relabel``, the canonical numbering taken from such a traversal
@@ -252,24 +254,92 @@ def flip_bfs_triangulations(n: int) -> list[PlaneGraph]:
     return out
 
 
+def all_splits(g: PlaneGraph, k: int = 3):
+    """Every split (v, i, j) of g that leaves both ends at least k
+    neighbors: (i, j) from ``corpus._vertex_splits`` of each vertex."""
+    from hamforge.corpus import _vertex_splits
+
+    for v in range(g.n):
+        for i, j in _vertex_splits(g.degrees[v], k):
+            yield v, i, j
+
+
 def split_dedupe_levels(n_max: int) -> dict[int, list[PlaneGraph]]:
     """All triangulations on 4..n_max vertices by generate-then-dedupe: every
     vertex split of every parent is built by ``split_vertex`` and keyed by
     ``canonical_code``; the first child with a new key is kept and each level
     is sorted by key.  The slow route the exhaustive generator's rotation
     edit replaces."""
-    from hamforge.corpus import _all_splits, k4, split_vertex
+    from hamforge.corpus import k4, split_vertex
     from hamforge.plane_graph import canonical_code
 
     levels = {4: [k4()]}
     for n in range(5, n_max + 1):
         out = {}
         for parent in levels[n - 1]:
-            for v, i, j in _all_splits(parent):
+            for v, i, j in all_splits(parent):
                 child = split_vertex(parent, v, i, j)
                 out.setdefault(canonical_code(child), child)
         levels[n] = [out[k] for k in sorted(out)]
     return levels
+
+
+def contraction_rank(g, x: int, y: int):
+    """The rank of edge xy of a triangulation with n >= 5 among the
+    contractible edges, those whose ends have exactly two common neighbors
+    a and b, as a tuple: (deg x + deg y, -|deg x - deg y|, deg a + deg b).
+    None when xy is not contractible."""
+    common = set(g.rotation[x]).intersection(g.rotation[y])
+    if len(common) != 2:
+        return None
+    degs = g.degrees
+    a, b = common
+    return degs[x] + degs[y], -abs(degs[x] - degs[y]), degs[a] + degs[b]
+
+
+def contraction_separates_by_sets(g, x: int, y: int) -> bool:
+    """Whether some neighbor of x only is adjacent to some neighbor of y
+    only, from neighbor sets read off the rotation."""
+    rotation = g.rotation
+    only_x = set(rotation[x]).difference(rotation[y], (y,))
+    only_y = set(rotation[y]).difference(rotation[x], (x,))
+    return any(not only_y.isdisjoint(rotation[p]) for p in only_x)
+
+
+def split_edge_wins_built(parent: PlaneGraph, v: int, i: int, j: int,
+                          k: int = 3) -> bool:
+    """Whether no k-contractible edge (k = 3: contractible) of the split
+    child outranks its split edge (v, new) by ``contraction_rank``, found
+    by building the child's rotation system (``corpus._split_rotation``)
+    and scanning its edges: the decision ``corpus._winning_splits`` makes from
+    the parent.  Edges whose degree sum is below the split edge's cannot
+    outrank it, and are skipped."""
+    from hamforge.corpus import _split_rotation
+
+    child = _split_rotation(parent, v, i, j)
+    rotation, degs = child.rotation, child.degrees
+    best = contraction_rank(child, v, child.n - 1)
+    for x, around in enumerate(rotation):
+        reach = best[0] - degs[x]
+        for y in around:
+            if y > x and degs[y] >= reach:
+                rank = contraction_rank(child, x, y)
+                if (rank is not None and rank > best and (
+                        k == 3 or not contraction_separates_by_sets(child, x, y))):
+                    return False
+    return True
+
+
+def split_codes_built(parents, k: int) -> set:
+    """The canonical codes of the split children of ``parents`` that
+    ``split_edge_wins_built`` keeps: the level step before its splits were
+    decided from the parent."""
+    from hamforge.corpus import _split_rotation
+    from hamforge.plane_graph import canonical_code
+
+    return {canonical_code(_split_rotation(parent, v, i, j))
+            for parent in parents for v, i, j in all_splits(parent, k)
+            if split_edge_wins_built(parent, v, i, j, k)}
 
 
 def scan_face_index(g: PlaneGraph, vertices):
@@ -284,8 +354,8 @@ def scan_face_index(g: PlaneGraph, vertices):
 
 
 def eager_tables(g: PlaneGraph) -> dict:
-    """``faces``, ``edge_set``, ``nbr_masks``, ``_pos`` and ``_face_at`` of g
-    by the formulas ``PlaneGraph.__init__`` ran on every graph before its
+    """``faces``, ``edge_set``, ``nbr_masks`` and ``_face_at`` of g by the
+    formulas ``PlaneGraph.__init__`` ran on every graph before its
     tables were built on first read (the masks by ``ham_enum._prepare``'s
     loop, over each rotation), each face traced through the position table."""
     n, rotation = g.n, g.rotation
@@ -312,7 +382,7 @@ def eager_tables(g: PlaneGraph) -> dict:
             m |= 1 << w
         masks.append(m)
     return {"faces": tuple(faces), "edge_set": edge_set, "nbr_masks": tuple(masks),
-            "_pos": pos, "_face_at": face_at}
+            "_face_at": face_at}
 
 
 def neighbour_answers(g: PlaneGraph) -> dict:
@@ -336,12 +406,12 @@ def filtered_level_codes(n: int, flt) -> list[tuple[int, ...]]:
     that ``flt`` keeps, by building every distinct split child of the full
     level n - 1 and filtering it: the route the 4-connected level replaces,
     without holding level n."""
-    from hamforge.corpus import _all_splits, _split_rotation, _triangulation_level, split_vertex
+    from hamforge.corpus import _split_rotation, _triangulation_level, split_vertex
     from hamforge.plane_graph import canonical_code
 
     seen, keep = set(), []
     for parent in _triangulation_level(n - 1):
-        for v, i, j in _all_splits(parent):
+        for v, i, j in all_splits(parent):
             key = canonical_code(_split_rotation(parent, v, i, j))
             if key not in seen:
                 seen.add(key)

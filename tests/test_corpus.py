@@ -9,13 +9,14 @@ import pytest
 from hamforge import corpus
 from hamforge.corpus import (
     CorpusFilter,
-    _all_splits,
-    _contraction_rank,
     _contraction_separates,
     _four_connected_level,
-    _split_edge_wins,
+    _ranked_edges,
+    _split_codes,
     _split_rotation,
     _triangulation_level,
+    _vertex_splits,
+    _winning_splits,
     double_wheel,
     enumerate_triangulations,
     flip_edge,
@@ -50,10 +51,14 @@ from hamforge.plane_graph import (
 from hamforge.structures import has_separating_triangle
 
 from .oracles import (
+    all_splits,
+    contraction_rank,
     filtered_level_codes,
     flip_bfs_triangulations,
     nx_isomorphic,
+    split_codes_built,
     split_dedupe_levels,
+    split_edge_wins_built,
     traversal_relabel,
 )
 
@@ -249,7 +254,7 @@ def test_split_rotation_matches_split_vertex(triangulations_by_n):
     cyclic order starts, and so the same canonical code."""
     for n in range(4, 10):
         for parent in triangulations_by_n(n):
-            for v, i, j in _all_splits(parent):
+            for v, i, j in all_splits(parent):
                 edited = _split_rotation(parent, v, i, j)
                 child = split_vertex(parent, v, i, j)
                 g = build(edited.rotation)
@@ -302,12 +307,29 @@ def test_representatives_are_their_own_canonical_relabel(triangulations_by_n):
             assert traversal_relabel(g).rotation == g.rotation
 
 
+def _edge_keys(g, k=3):
+    return {(x, y): key for key, _ends, _common, _dab, x, y, _sep in _ranked_edges(g, k)}
+
+
 def test_contraction_rank_is_mirror_invariant(triangulations_by_n):
+    """The rank keys of the parent table are the same on the mirror, and
+    order the edges as the rank tuples do."""
+    pairs = set()
     for n in range(5, 10):
         for g in triangulations_by_n(n):
-            m = g.mirror()
+            keys = _edge_keys(g)
+            assert keys == _edge_keys(g.mirror())
             for x, y in g.edge_set:
-                assert _contraction_rank(g, x, y) == _contraction_rank(m, x, y)
+                rank = contraction_rank(g, x, y)
+                assert (rank is None) == ((x, y) not in keys)
+                if rank is not None:
+                    pairs.add((rank, keys[(x, y)]))
+    by_rank = sorted(pairs)
+    assert all(a[1] < b[1] for a, b in zip(by_rank, by_rank[1:]))
+
+
+def _winners(parent, v, k):
+    return set(_winning_splits(parent, _ranked_edges(parent, k), v, k))
 
 
 def _built_ranks(child):
@@ -330,11 +352,11 @@ def test_split_acceptance_is_the_top_ranked_contractible_edge(triangulations_by_
     kept = 0
     for n in range(4, 9):
         for parent in triangulations_by_n(n):
-            for v, i, j in _all_splits(parent):
+            for v, i, j in all_splits(parent):
                 child = split_vertex(parent, v, i, j)
                 ranks = _built_ranks(child)
                 want = ranks[(v, child.n - 1)] == max(ranks.values())
-                got = _split_edge_wins(_split_rotation(parent, v, i, j), v)
+                got = (i, j) in _winners(parent, v, 3)
                 assert got == want
                 kept += got
     assert kept == 12 + 6 + 16 + 34 + 104
@@ -349,8 +371,8 @@ def test_contraction_separates_matches_contracting():
             for x, y in g.edge_set:
                 contracted, _merged, _origin = contract_edge(g, x, y)
                 want = has_separating_triangle(contracted)
-                assert _contraction_separates(g, x, y) == want
-                assert _contraction_separates(g, y, x) == want
+                assert _contraction_separates(g.nbr_masks, x, y) == want
+                assert _contraction_separates(g.nbr_masks, y, x) == want
                 edges += 1
     assert edges == 12 + 1050
 
@@ -363,10 +385,10 @@ def test_four_connected_acceptance_is_the_top_ranked_4_contractible_edge():
     kept = {}
     for n in range(6, 11):
         for parent in _four_connected_level(n):
-            assert list(_all_splits(parent, 4)) == [
-                (v, i, j) for v, i, j in _all_splits(parent)
+            assert list(all_splits(parent, 4)) == [
+                (v, i, j) for v, i, j in all_splits(parent)
                 if 2 <= j - i <= parent.degrees[v] - 2]
-            for v, i, j in _all_splits(parent, 4):
+            for v, i, j in all_splits(parent, 4):
                 child = split_vertex(parent, v, i, j)
                 ranks = _built_ranks(child)
                 split = (v, child.n - 1)
@@ -375,10 +397,80 @@ def test_four_connected_acceptance_is_the_top_ranked_4_contractible_edge():
                         contract_edge(child, x, y)[0])
                     for (x, y), rank in ranks.items())
                 assert not has_separating_triangle(contract_edge(child, *split)[0])
-                got = _split_edge_wins(_split_rotation(parent, v, i, j), v, 4)
+                got = (i, j) in _winners(parent, v, 4)
                 assert got == want
                 kept[n + 1] = kept.get(n + 1, 0) + got
     assert kept == {7: 12, 8: 15, 9: 32, 10: 54, 11: 106}
+
+
+def _parent_levels(k, n_max):
+    """The levels whose splits give the children on up to n_max vertices."""
+    if k == 3:
+        return [_triangulation_level(n) for n in range(4, n_max)]
+    return [_four_connected_level(n) for n in range(6, n_max)]
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_split_decisions_match_built_child_oracle(k):
+    """Deciding a split from its parent gives the built child's answer on
+    every split of every parent with n <= 10, so no split is wrongly
+    rejected, even one whose class another split reaches."""
+    splits = kept = 0
+    for level in _parent_levels(k, 11):
+        for parent in level:
+            ranked = _ranked_edges(parent, k)
+            for v in range(parent.n):
+                got = list(_winning_splits(parent, ranked, v, k))
+                want = [(i, j) for i, j in _vertex_splits(parent.degrees[v], k)
+                        if split_edge_wins_built(parent, v, i, j, k)]
+                assert got == want, v
+                splits += sum(1 for _s in _vertex_splits(parent.degrees[v], k))
+                kept += len(got)
+    assert (splits, kept) == ((29_444, 2_158) if k == 3 else (719, 219))
+
+
+def _assert_split_codes_match_built(k, n):
+    parents = (_triangulation_level if k == 3 else _four_connected_level)(n - 1)
+    assert _split_codes(parents, k) == split_codes_built(parents, k)
+
+
+@pytest.mark.parametrize("k, n", [(3, n) for n in range(5, 12)]
+                         + [(4, n) for n in range(7, 12)])
+def test_split_codes_match_built_child_oracle(k, n):
+    _assert_split_codes_match_built(k, n)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k", [3, 4])
+def test_split_codes_match_built_child_oracle_n12(k):
+    _assert_split_codes_match_built(k, 12)
+
+
+@pytest.mark.parametrize("k, kept, tested", [(3, 2_158, 6_709), (4, 219, 305)])
+def test_split_work_counts(monkeypatch, k, kept, tested):
+    """A child rotation is built once per kept child, and the parent-side
+    rule rejects every split but ``tested`` without reading the child:
+    22,735 of the 27,286 losing splits of the full levels n <= 11, and 414
+    of the 500 of the 4-connected levels."""
+    levels = _parent_levels(k, 11)
+    counts = {"rotation": 0, "child": 0}
+
+    def counted(name, fn):
+        def spy(*args):
+            counts[name] += 1
+            return fn(*args)
+        return spy
+
+    monkeypatch.setattr(corpus, "_split_rotation",
+                        counted("rotation", corpus._split_rotation))
+    monkeypatch.setattr(corpus, "_child_split_wins",
+                        counted("child", corpus._child_split_wins))
+    splits = 0
+    for parents in levels:
+        splits += sum(1 for p in parents for _s in all_splits(p, k))
+        _split_codes(parents, k)
+    assert (splits, counts["rotation"], counts["child"]) == (
+        (29_444 if k == 3 else 719), kept, tested)
 
 
 def test_four_connected_filter_matches_exhaustive_cut_search(triangulations_by_n):

@@ -62,7 +62,7 @@ from .oracles import (
 )
 
 # the tables a PlaneGraph builds on first read
-LAZY = ("edge_set", "_pos", "_face_at")
+LAZY = ("edge_set", "_face_at")
 
 
 def test_build_octahedron_census():

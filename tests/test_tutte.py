@@ -85,6 +85,40 @@ def test_four_attachment_violation():
         verify_tutte(g, (0, 1, 2, 3), ())
 
 
+def test_spanning_sequences_still_need_edges_and_distinct_vertices():
+    g = octahedron()                           # rim 0..3, apexes 4, 5
+    c = Cycle(g.outer_face)
+    with pytest.raises(ValueError, match="not an edge"):
+        verify_tutte(g, (4, 0, 2, 1, 5, 3), c)
+    with pytest.raises(ValueError, match="repeats a vertex"):
+        verify_tutte(g, (0, 1, 2, 3, 0, 4), c)
+
+
+def test_hamiltonian_answers_certify_as_the_bridge_check_does(monkeypatch):
+    """Every answer the ``n_max=8`` tutte suite certifies gets the verdict
+    the full bridge check gives it, the Hamiltonian ones included, which
+    ``verify_tutte`` no longer runs that check on."""
+    from hamforge import verification
+    from hamforge.tutte import _check_tutte
+
+    answers = []
+
+    def spy(g, path, constraint):
+        answers.append((g, tuple(path), constraint))
+        return verify_tutte(g, path, constraint)
+
+    monkeypatch.setattr(verification, "verify_tutte", spy)
+    rows = list(verification.suite_tutte(n_max=8))
+    assert rows and all(r.ok for r in rows)
+    hamiltonian = 0
+    for g, path, c in answers:
+        assert _check_tutte(g, path, c.edges()) is None
+        cert = verify_tutte(g, path, c)
+        assert cert.is_hamiltonian == (len(path) == g.n)
+        hamiltonian += cert.is_hamiltonian
+    assert (len(answers), hamiltonian) == (5_379, 3_833)
+
+
 # -- tutte_path --------------------------------------------------------------------
 
 def test_tutte_path_k4_hamiltonian():
