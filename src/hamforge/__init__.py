@@ -35,7 +35,6 @@ from .ham_enum import (  # noqa: E402
     HamFamily,
     count_ham_cycles,
     count_ham_paths,
-    enumerate_ham_cycles,
     first_ham_cycle,
 )
 from .structures import (  # noqa: E402

@@ -233,29 +233,26 @@ def make_parser() -> argparse.ArgumentParser:
         description="Hamiltonian-cycle structure toolkit for planar triangulations")
     sub = parser.add_subparsers(dest="command")
 
-    def common(p):
-        p.add_argument("--out", help="write the report here instead of stdout")
-        p.add_argument("--budget-nodes", type=_positive_int,
-                       help=f"search node budget (default {search_budget()})")
-
     p_verify = sub.add_parser("verify", help="run a named invariant suite")
     p_verify.add_argument("suite")
     p_verify.add_argument("--n-max", type=int)
     p_verify.add_argument("--min-degree", type=int)
     p_verify.add_argument("--seed", type=int)
     p_verify.add_argument("--format", choices=("csv", "jsonl"), default="jsonl")
-    common(p_verify)
 
     p_count = sub.add_parser("count", help="exact Hamiltonian cycle counts")
     p_count.add_argument("--file", help="planar_code input")
     p_count.add_argument("--double-wheel", type=int, metavar="N")
     p_count.add_argument("--required-edge", action="append", metavar="U,V")
-    common(p_count)
 
     p_an = sub.add_parser("analyze", help="structural report per graph")
     p_an.add_argument("--file")
     p_an.add_argument("--double-wheel", type=int, metavar="N")
-    common(p_an)
+    for p in (p_verify, p_count, p_an):
+        p.add_argument("--out", help="write the report here instead of stdout")
+    for p in (p_verify, p_count):   # analyze runs no node-budgeted search
+        p.add_argument("--budget-nodes", type=_positive_int,
+                       help=f"search node budget (default {search_budget()})")
     return parser
 
 

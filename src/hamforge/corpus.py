@@ -27,7 +27,7 @@ from .plane_graph import (
     triangulation_from_code,
 )
 from .structures import (
-    has_separating_triangle,
+    is_four_connected_triangulation,
     link_region_has_separating_triangle,
 )
 
@@ -48,20 +48,15 @@ class CorpusFilter:
     min_degree: int = 3
 
     def __post_init__(self):
-        if self.min_connectivity not in (3, 4, 5):
-            raise ValueError("min_connectivity must be 3, 4 or 5")
+        if self.min_connectivity not in (3, 4):
+            raise ValueError("min_connectivity must be 3 or 4")
 
     def matches(self, g: PlaneGraph) -> bool:
         if g.min_degree() < self.min_degree:
             return False
-        if self.min_connectivity == 4 and g.is_triangulation and g.n >= 5:
-            # a triangulation with n >= 5 is 4-connected iff it has no
-            # separating triangle
-            if has_separating_triangle(g):
-                return False
-        elif not is_k_connected(g, self.min_connectivity):
-            return False
-        return True
+        if self.min_connectivity == 4 and g.is_triangulation:
+            return is_four_connected_triangulation(g)
+        return is_k_connected(g, self.min_connectivity)
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +124,10 @@ def wheel(k: int) -> PlaneGraph:
 # planar_code
 # ---------------------------------------------------------------------------
 
-def write_planar_code(graphs, stream, header: bool = True) -> None:
-    """Write graphs in planar_code (1-based, byte-per-value, 0-terminated)."""
-    if header:
-        stream.write(PLANAR_CODE_HEADER)
+def write_planar_code(graphs, stream) -> None:
+    """Write graphs in planar_code (header, then 1-based, byte-per-value,
+    0-terminated rotations)."""
+    stream.write(PLANAR_CODE_HEADER)
     for g in graphs:
         if g.n > 255:
             raise ValueError("planar_code byte encoding needs n <= 255")
@@ -568,15 +563,15 @@ def _four_connected_level(n: int) -> tuple[PlaneGraph, ...]:
     ends gives T or its mirror back, with the split edge where e was and
     both its ends of degree >= 4.  Rank and 4-contractibility are invariant
     under isomorphism and reflection, so that child is kept.  The
-    separating-triangle test on the built classes is a guard (it rejects
-    none through n = 14).
+    ``is_four_connected_triangulation`` test on the built classes is a
+    guard (it rejects none through n = 14).
     """
     if n < 6:
         raise TooSmall("4-connected triangulations start at n = 6")
     parents = _four_connected_level(n - 1) if n > 6 else ()
     codes = _split_codes(parents, 4) | {canonical_code(double_wheel(n))}
     graphs = map(triangulation_from_code, sorted(codes))
-    return tuple(g for g in graphs if not has_separating_triangle(g))
+    return tuple(filter(is_four_connected_triangulation, graphs))
 
 
 def enumerate_triangulations(n: int, flt: CorpusFilter | None = None):
@@ -587,18 +582,17 @@ def enumerate_triangulations(n: int, flt: CorpusFilter | None = None):
     each class once from its canonical code (``_triangulation_level``).
     Deterministic order: sorted by canonical code.
 
-    A filter asking for 4- or 5-connectivity reads the 4-connected level
-    instead (``_four_connected_level``, grown from the octahedron by the
-    same rule), empty below n = 6: the full level's 4-connected graphs in
-    the same order.  Of the filter, only its degree bound and a
-    5-connectivity test are left to apply there.
+    A filter asking for 4-connectivity reads the 4-connected level instead
+    (``_four_connected_level``, grown from the octahedron by the same
+    rule), empty below n = 6: the full level's 4-connected graphs in the
+    same order.  Of the filter, only its degree bound is left to apply
+    there.
     """
     if n > MAX_N:
         raise BudgetExceeded(f"n={n} exceeds max_n={MAX_N}")
-    if flt is not None and flt.min_connectivity >= 4:
+    if flt is not None and flt.min_connectivity == 4:
         for g in _four_connected_level(n) if n >= 6 else ():
-            if g.min_degree() >= flt.min_degree and (
-                    flt.min_connectivity == 4 or is_k_connected(g, 5)):
+            if g.min_degree() >= flt.min_degree:
                 yield g
         return
     for g in _triangulation_level(n):

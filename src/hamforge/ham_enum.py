@@ -220,10 +220,9 @@ def enumerate_ham_cycles_raw(g: PlaneGraph, required_edges=(), forbidden_edges=(
     return found
 
 
-def first_ham_cycle(g: PlaneGraph, required_edges=(), forbidden_edges=(),
-                    budget=None):
+def first_ham_cycle(g: PlaneGraph, required_edges=(), budget=None):
     """Lexicographically first Hamiltonian cycle, or None."""
-    out = enumerate_ham_cycles_raw(g, required_edges, forbidden_edges, budget, cap=1)
+    out = enumerate_ham_cycles_raw(g, required_edges, budget=budget, cap=1)
     return out[0][0] if out else None
 
 
@@ -324,12 +323,3 @@ class HamFamily:
     def __contains__(self, edges):
         return frozenset(edge_key(*e) for e in edges) in self._keys
 
-
-def enumerate_ham_cycles(g: PlaneGraph, cap: int, budget=None) -> HamFamily:
-    """Deterministic lexicographic-first enumeration up to ``cap`` cycles."""
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
-    fam = HamFamily(g)
-    for edges, _path in enumerate_ham_cycles_raw(g, budget=budget, cap=cap):
-        fam.add(edges, "enumeration")
-    return fam

@@ -24,7 +24,7 @@ from .errors import (
     SNotIndependent,
     StructureViolation,
 )
-from .ham_enum import HamFamily, first_ham_cycle, search_budget
+from .ham_enum import HamFamily, first_ham_cycle
 from .plane_graph import PlaneGraph, edge_key, is_k_connected, mask_bits, vertex_mask
 from .structures import (
     Cycle,
@@ -33,6 +33,7 @@ from .structures import (
     check_independent,
     enumerate_cycles,
     find_diamonds,
+    is_four_connected_triangulation,
     max_common_neighborhood_pair,
     separating_cycles,
 )
@@ -154,11 +155,14 @@ def verify_cert(g: PlaneGraph, cert: IndSetCert) -> None:
 # exact four-coloring (DSATUR-ordered backtracking)
 # ---------------------------------------------------------------------------
 
-def four_color(g: PlaneGraph, vertices, budget: int = 2_000_000) -> dict[int, int]:
+COLORING_BUDGET = 2_000_000     # search nodes of one exact 4-coloring
+
+
+def four_color(g: PlaneGraph, vertices) -> dict[int, int]:
     """Proper 4-coloring of the induced subgraph on ``vertices``.
 
-    Feasible for any planar input; a budget overrun is therefore an
-    operational failure (ColoringTimeout), never a certification.
+    Feasible for any planar input; overrunning ``COLORING_BUDGET`` is
+    therefore an operational failure (ColoringTimeout), never a certificate.
     """
     verts = sorted(vertices)
     vmask = vertex_mask(verts)
@@ -180,8 +184,8 @@ def four_color(g: PlaneGraph, vertices, budget: int = 2_000_000) -> dict[int, in
     def solve():
         nonlocal nodes
         nodes += 1
-        if nodes > budget:
-            raise ColoringTimeout(f"4-coloring exceeded {budget} nodes")
+        if nodes > COLORING_BUDGET:
+            raise ColoringTimeout(f"4-coloring exceeded {COLORING_BUDGET} nodes")
         if len(color) == len(verts):
             return True
         v = pick()
@@ -204,16 +208,16 @@ def four_color(g: PlaneGraph, vertices, budget: int = 2_000_000) -> dict[int, in
     return color
 
 
-def low_degree_independent_set(g: PlaneGraph, budget: int = 2_000_000) -> IndSetCert:
+def low_degree_independent_set(g: PlaneGraph) -> IndSetCert:
     """Largest color class of an exact 4-coloring of the degree<=6 vertices.
 
     For a 4-connected triangulation at least n/3 vertices have degree at
     most 6, so the class has size >= n/12.
     """
-    if not g.is_triangulation or not is_k_connected(g, 4):
+    if not is_four_connected_triangulation(g):
         raise HypothesisViolated("four_connected_triangulation")
     low = [v for v in range(g.n) if g.degrees[v] <= 6]
-    coloring = four_color(g, low, budget)
+    coloring = four_color(g, low)
     classes: dict[int, list[int]] = {}
     for v, c in coloring.items():
         classes.setdefault(c, []).append(v)
@@ -385,7 +389,7 @@ def guaranteed_family_floor(k: int) -> int:
 
 def ham_family_from_edge_families(g: PlaneGraph, cert: IndSetCert,
                                   cap: int | None = None,
-                                  budget=None, required_edges=()) -> HamFamily:
+                                  required_edges=()) -> HamFamily:
     """One Hamiltonian cycle per family F, the first of G-F through every
     ``required_edges`` edge, after checking G-F is 4-connected.
 
@@ -394,7 +398,6 @@ def ham_family_from_edge_families(g: PlaneGraph, cert: IndSetCert,
     (``cap`` did not cut it short) asserts the ceil((3/2)^|S|) floor on the
     deduplicated family size.
     """
-    budget = search_budget(budget)
     fam = HamFamily(g)
     processed = 0
     for family in edge_families(g, cert):
@@ -404,8 +407,7 @@ def ham_family_from_edge_families(g: PlaneGraph, cert: IndSetCert,
         reduced = g.delete_edges(family.edges)
         if not is_k_connected(reduced, 4):
             raise FourConnectivityLost(family.edges)
-        cycle = first_ham_cycle(reduced, required_edges=required_edges,
-                                budget=budget)
+        cycle = first_ham_cycle(reduced, required_edges=required_edges)
         if cycle is None:
             through = f" through {list(required_edges)}" if required_edges else ""
             raise SearchExhausted("4-connected planar graph without a Hamiltonian "

@@ -54,11 +54,14 @@ from .plane_graph import (
     contract_interior_containing,
     disc_faces,
     edge_key,
-    is_k_connected,
     mask_bits,
     vertex_mask,
 )
-from .structures import DiamondCert, separating_cycles
+from .structures import (
+    DiamondCert,
+    is_four_connected_triangulation,
+    separating_cycles,
+)
 from .tutte import (
     PathPair,
     PathWitness,
@@ -293,7 +296,7 @@ def lemma_2edge_family(g: PlaneGraph, e, f, budget=None, t=None,
     applies, the same direct construction the induction bottoms out on.
     """
     e, f = edge_key(*e), edge_key(*f)
-    if not g.is_triangulation or not is_k_connected(g, 4):
+    if not is_four_connected_triangulation(g):
         raise HypothesisViolated("four_connected_triangulation")
     a, b, c = _triangle_of(g, e, f)
     cap = budget if budget is not None else 10 ** 6
@@ -388,7 +391,7 @@ def _case2_exchange(g, run: _Run, gstar, star, origin, e, f):
         gprime, lift_back, fwd = _run_square_graph(g, gstar, star, origin, run)
     except (MultiEdge, NotACycle):
         return None
-    if not is_k_connected(gprime, 4):
+    if not is_four_connected_triangulation(gprime):
         return None
     p, q = run.inner
     v, x = run.v, run.x
@@ -416,7 +419,7 @@ def theorem1_family(g: PlaneGraph, budget=None, t=None, _depth=0) -> HamFamily:
     """Replay of the main induction: edge-family branch, region-splice
     branch, or contract-and-recurse with the two extra families through
     the exchange square.  Bottoms out at n <= 8 by direct enumeration."""
-    if not g.is_triangulation or not is_k_connected(g, 4):
+    if not is_four_connected_triangulation(g):
         raise HypothesisViolated("four_connected_triangulation")
     cap = budget if budget is not None else 10 ** 6
     fam = HamFamily(g)
@@ -509,7 +512,7 @@ def _theorem1_case2(g, run: _Run, fam: HamFamily, cap, t, depth):
         gprime, lift_back, fwd = _run_square_graph(g, gstar, star, origin, run)
     except (MultiEdge, NotACycle):
         gprime = None
-    if gprime is not None and is_k_connected(gprime, 4):
+    if gprime is not None and is_four_connected_triangulation(gprime):
         for apex, detour in ((v, (p, u3, v, u4, q)), (x, (p, u3, x, u4, q))):
             try:
                 sub = lemma_2edge_family(gprime,

@@ -165,6 +165,12 @@ def has_separating_triangle(g: PlaneGraph) -> bool:
     return any(not _connected_after_removal(g, vertex_mask(t)) for t in g.triangles())
 
 
+def is_four_connected_triangulation(g: PlaneGraph) -> bool:
+    """Whether g is a 4-connected triangulation: by the classical criterion,
+    a triangulation with n >= 5 and no separating triangle."""
+    return g.is_triangulation and g.n >= 5 and not has_separating_triangle(g)
+
+
 def _is_square_region(g: PlaneGraph) -> bool:
     out = g.outer_face_index
     return (g.connected and len(set(g.faces[out])) == len(g.faces[out]) == 4

@@ -188,11 +188,18 @@ def suite_connectivity(n_max=9, **_kw):
 # The largest n_max the tutte suite runs: its path search is exponential, and
 # at n_max = 10 the suite already takes the longest of all of them.
 TUTTE_N_MAX = 10
+# Sizes, not settings: the family cap of the lemma-2edge and theorem1 replays
+# (their ``budget`` reaches only the exact counts), the leaf and pocket cap of
+# theorem2 (which runs no node-budgeted search), and the face triples
+# lemma-4edges samples per graph.
+REPLAY_CAP = 10 ** 5
+THEOREM2_CAP = 2000
+TRIANGLE_SAMPLES = 100
 
 
 def _tutte_corpus(n_max):
     for g in corpus_triangulations(n_max):
-        yield g.with_outer_face(g.outer_face_index), Cycle(g.outer_face)
+        yield g, Cycle(g.outer_face)
     for nt in square_boundary_regions(n_max - 1):
         yield nt.graph, nt.outer_cycle
     for k in range(5, n_max + 1):
@@ -237,6 +244,7 @@ def suite_lemma_edgesetF(n_max=12, min_degree=5, **_kw):
     found = 0
     for g in corpus_triangulations(n_max, n_min=6, flt=flt):
         found += 1
+        gid = graph_id(g)
 
         def families():
             cert = (special_set_mindeg5(g, t=max(2, g.n))
@@ -250,8 +258,8 @@ def suite_lemma_edgesetF(n_max=12, min_degree=5, **_kw):
             return len(fam) >= floor, {"n": g.n, "set_size": len(cert),
                                        "families": family_count(g, cert),
                                        "distinct": len(fam), "floor": floor}
-        yield _row("lemma-edgesetF", g, graph_id(g), "families", families)
-        yield _row("lemma-edgesetF", g, graph_id(g), "max_certificates",
+        yield _row("lemma-edgesetF", g, gid, "families", families)
+        yield _row("lemma-edgesetF", g, gid, "max_certificates",
                    lambda: _max_certificates_check(g))
     if not found:
         dw = double_wheel(6)
@@ -378,19 +386,19 @@ def suite_lemma_diamond4(budget=None, **_kw):
         yield _row("lemma-diamond4", g, graph_id(g), name, region_paths)
 
 
-def triangle_edge_cycles(g: PlaneGraph, rng: random.Random, samples: int,
-                         budget) -> RunReport:
-    """The ``lemma-4edges`` row of one graph: on up to ``samples`` distinct
-    face triples (t, t1, t2) drawn from ``rng``, a Hamiltonian cycle through
-    two edges of t and one edge each of t1 and t2, re-verified.  The graph
+def triangle_edge_cycles(g: PlaneGraph, rng: random.Random, budget) -> RunReport:
+    """The ``lemma-4edges`` row of one graph: on up to ``TRIANGLE_SAMPLES``
+    distinct face triples (t, t1, t2) drawn from ``rng``, a Hamiltonian cycle
+    through two edges of t and one each of t1 and t2, re-verified.  The graph
     is tested for separating triangles once, not once per triple."""
     def sampled_triples():
         separating = has_separating_triangle(g)
         faces = list(g.faces)
         triples = set()
-        limit = min(samples, len(faces) * (len(faces) - 1) * (len(faces) - 2))
+        limit = min(TRIANGLE_SAMPLES,
+                    len(faces) * (len(faces) - 1) * (len(faces) - 2))
         guard = 0
-        while len(triples) < limit and guard < 20 * samples:
+        while len(triples) < limit and guard < 20 * TRIANGLE_SAMPLES:
             guard += 1
             t, t1, t2 = rng.sample(range(len(faces)), 3)
             triples.add((t, t1, t2))
@@ -412,21 +420,20 @@ def triangle_edge_cycles(g: PlaneGraph, rng: random.Random, samples: int,
     return _row("lemma-4edges", g, graph_id(g), "sampled_triples", sampled_triples)
 
 
-def suite_lemma_4edges(n_max=10, samples=100, seed=0, budget=None, **_kw):
+def suite_lemma_4edges(n_max=10, seed=0, budget=None, **_kw):
     flt = CorpusFilter(min_connectivity=4)
     for g in corpus_triangulations(n_max, n_min=6, flt=flt):
-        yield triangle_edge_cycles(g, random.Random(seed), samples, budget)
+        yield triangle_edge_cycles(g, random.Random(seed), budget)
 
 
 def suite_lemma_2edge(n_max=10, budget=None, **_kw):
-    budget = search_budget(budget)
     for n in range(8, n_max + 1):
         g = double_wheel(n)
         a = n - 2
         e, f = edge_key(a, 0), edge_key(a, 1)
         for t in (None, 4):
             def replay():
-                fam = lemma_2edge_family(g, e, f, budget=min(budget, 10 ** 5), t=t)
+                fam = lemma_2edge_family(g, e, f, budget=REPLAY_CAP, t=t)
                 exact = count_ham_cycles(g, required_edges=[e, f], budget=budget)
                 ok = (1 <= len(fam) <= exact
                       and all(e in c and f in c for c in fam.cycles)
@@ -454,12 +461,11 @@ def suite_conjecture(n_max=11, budget=None, **_kw):
 
 
 def suite_theorem1(n_max=12, budget=None, **_kw):
-    budget = search_budget(budget)
     for n in range(8, n_max + 1):
         g = double_wheel(n)
         for t in (None, 4):
             def replay():
-                fam = theorem1_family(g, budget=min(budget, 10 ** 5), t=t)
+                fam = theorem1_family(g, budget=REPLAY_CAP, t=t)
                 exact = count_ham_cycles(g, budget=budget)
                 ok = (1 <= len(fam) <= exact
                       and all(is_ham_cycle(g, c) for c in fam.cycles))
@@ -467,15 +473,15 @@ def suite_theorem1(n_max=12, budget=None, **_kw):
             yield _row("theorem1", g, graph_id(g), f"double_wheel_t_{t}", replay, t=t)
 
 
-def suite_theorem2(budget=2000, **_kw):
+def suite_theorem2(**_kw):
     g, star, _squares = telescope_tower(3)
 
     def tower_tree():
         chain = nested_chain(g, star)
-        tree = theorem2_tree(g, chain, budget=budget)
+        tree = theorem2_tree(g, chain, budget=THEOREM2_CAP)
         min_branch = min(min(level) for level in tree.branching if level)
         ok = (chain.t == 3 and min_branch >= 2
-              and tree.leaf_count() >= min(2 ** chain.t, budget)
+              and tree.leaf_count() >= 2 ** chain.t
               and all(is_ham_cycle(g, leaf) for leaf in tree.cycles()))
         return ok, {"t": chain.t, "leaves": tree.leaf_count(),
                     "min_branching": min_branch, "partial": tree.partial}
@@ -485,7 +491,8 @@ def suite_theorem2(budget=2000, **_kw):
 
     def worm_pockets():
         chainw = nested_chain(gw, starw)
-        fam = disjoint_diamond_family(gw, chainw.all_diamonds, budget=budget)
+        fam = disjoint_diamond_family(gw, chainw.all_diamonds,
+                                      budget=THEOREM2_CAP)
         ok = chainw.t == 1 and len(chainw.disjoint_roots) == 2 and len(fam) >= 4
         return ok, {"t": chainw.t, "roots": len(chainw.disjoint_roots),
                     "family": len(fam)}

@@ -110,7 +110,7 @@ def test_criterion_6_triangle_edge_cycles():
     corpus graph with n <= 10 (seed 1234 + n)."""
     t0 = time.time()
     flt = CorpusFilter(min_connectivity=4)
-    rows = [triangle_edge_cycles(g, random.Random(1234 + g.n), 100, None)
+    rows = [triangle_edge_cycles(g, random.Random(1234 + g.n), None)
             for g in corpus_triangulations(10, n_min=6, flt=flt)]
     _check(6, "triangle-edge cycles", rows, {"lemma-4edges": 18}, t0)
     assert_golden("criterion 6", rows)

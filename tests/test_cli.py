@@ -1,8 +1,9 @@
+import inspect
 import json
 
 import pytest
 
-from hamforge.cli import main
+from hamforge.cli import VERIFY_KEYWORDS, main
 from hamforge.corpus import (
     double_wheel,
     graph_to_planar_code,
@@ -82,6 +83,52 @@ def test_verify_refuses_flags_the_suite_does_not_take(capsys):
     assert "--budget-nodes" in err
 
 
+def test_verify_theorem2_refuses_budget_nodes(capsys):
+    """theorem2 runs no node-budgeted search: its caps are constants."""
+    code, out, err = run(capsys, "verify", "theorem2", "--budget-nodes", "3")
+    assert code == 64 and out == "" and "--budget-nodes" in err
+
+
+def test_analyze_refuses_budget_nodes(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["analyze", "--double-wheel", "8", "--budget-nodes", "1"])
+    out = capsys.readouterr()
+    assert exit_.value.code == 64 and out.out == ""
+    assert "--budget-nodes" in out.err
+
+
+def test_theorem1_budget_nodes_reaches_only_the_exact_counts(capsys):
+    """A node budget the exact counts stay within leaves the replay families,
+    and so the rows, as they are at the default budget."""
+    def rows(*extra):
+        code, out, _err = run(capsys, "verify", "theorem1", "--n-max", "9", *extra)
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        for r in records:
+            r.pop("seconds")
+        return records
+
+    default = rows()
+    assert default and rows("--budget-nodes", "100000") == default
+
+
+def test_count_budget_nodes_bounds_the_search(capsys):
+    code, out, err = run(capsys, "count", "--double-wheel", "8",
+                         "--budget-nodes", "10")
+    assert code == 2 and "operational error" in err
+    assert out.splitlines() == ["graph_id,n,count,seconds"]
+
+
+def test_every_suite_parameter_has_a_verify_flag():
+    """No suite option is reachable only from Python."""
+    from hamforge.verification import SUITE_RUNNERS
+
+    flags = set(VERIFY_KEYWORDS.values())
+    for suite, runner in SUITE_RUNNERS.items():
+        for p in inspect.signature(runner).parameters.values():
+            assert p.kind is p.VAR_KEYWORD or p.name in flags, (suite, p.name)
+
+
 def test_verify_diamond4_refuses_n_max(capsys):
     code, out, err = run(capsys, "verify", "lemma-diamond4", "--n-max", "3")
     assert code == 64 and out == "" and "--n-max" in err
@@ -154,8 +201,8 @@ def test_analyze_operational_error_exits_two(capsys, tmp_path, monkeypatch):
     from hamforge import indset
     from hamforge.errors import ColoringTimeout
 
-    def timeout(g, verts, budget=0):
-        raise ColoringTimeout(f"4-coloring exceeded {budget} nodes")
+    def timeout(g, verts):
+        raise ColoringTimeout("4-coloring exceeded its node budget")
 
     monkeypatch.setattr(indset, "four_color", timeout)
     path = tmp_path / "two.pc"

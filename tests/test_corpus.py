@@ -192,13 +192,18 @@ def test_four_connected_level_passes_flow_connectivity():
 
 @pytest.mark.parametrize("flt", [
     CorpusFilter(min_connectivity=4, min_degree=5),
-    CorpusFilter(min_connectivity=5),
-], ids=["4conn_mindeg5", "5conn"])
+], ids=["4conn_mindeg5"])
 def test_routed_filter_matches_filtering_full_level(flt, triangulations_by_n):
     for n in range(4, 12):
         routed = _whole(enumerate_triangulations(n, flt))
         assert routed == _whole(g for g in triangulations_by_n(n)
                                 if flt.matches(g))
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_filter_takes_only_connectivity_3_or_4(k):
+    with pytest.raises(ValueError):
+        CorpusFilter(min_connectivity=k)
 
 
 @pytest.mark.slow

@@ -25,6 +25,7 @@ from hamforge.structures import (
     enumerate_cycles,
     find_diamonds,
     has_separating_triangle,
+    is_four_connected_triangulation,
     link_region_has_separating_triangle,
     max_common_neighborhood_pair,
     saturates,
@@ -114,6 +115,35 @@ def test_four_connected_have_no_separating_triangles(triangulations_by_n):
         for g in triangulations_by_n(n):
             if is_k_connected(g, 4):
                 assert not separating_cycles(g, 3)
+
+
+def test_four_connected_rule_matches_cut_search(triangulations_by_n):
+    """The separating-triangle rule agrees with the exhaustive vertex-cut
+    search on every triangulation with n <= 10, K4 included."""
+    for n in range(4, 11):
+        for g in triangulations_by_n(n):
+            assert is_four_connected_triangulation(g) == is_k_connected(g, 4)
+
+
+def test_four_connected_rule_matches_cut_search_on_replay_graphs(monkeypatch):
+    """... and on every graph the replay suites ask it about at their
+    defaults: double wheels, their edge contractions and square graphs."""
+    from hamforge import indset, replay
+    from hamforge.verification import SUITE_RUNNERS
+
+    asked = []
+
+    def spy(g):
+        asked.append(g)
+        return is_four_connected_triangulation(g)
+
+    for module in (indset, replay):
+        monkeypatch.setattr(module, "is_four_connected_triangulation", spy)
+    for suite in ("lemma-2edge", "theorem1"):
+        assert all(r.ok for r in SUITE_RUNNERS[suite]())
+    assert len({g.n for g in asked}) > 1
+    for g in asked:
+        assert is_four_connected_triangulation(g) == is_k_connected(g, 4)
 
 
 def test_edge_common_neighbors_in_four_connected(triangulations_by_n):

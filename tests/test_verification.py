@@ -21,11 +21,11 @@ SMALL = {
     "lemma-uwpath": {"n_max": 7},
     "lemma-uvpath": {"n_max": 7},
     "lemma-diamond4": {},
-    "lemma-4edges": {"n_max": 8, "samples": 25},
+    "lemma-4edges": {"n_max": 8},
     "lemma-2edge": {"n_max": 8},
     "conjecture": {"n_max": 8},
     "theorem1": {"n_max": 8},
-    "theorem2": {"budget": 16},
+    "theorem2": {},
 }
 
 
@@ -97,8 +97,8 @@ def test_coloring_timeout_exits_two(icosahedron_corpus, monkeypatch, capsys):
     from hamforge.cli import main
     from hamforge.errors import ColoringTimeout
 
-    def timeout(g, verts, budget):
-        raise ColoringTimeout(f"4-coloring exceeded {budget} nodes")
+    def timeout(g, verts):
+        raise ColoringTimeout("4-coloring exceeded its node budget")
 
     monkeypatch.setattr(indset, "four_color", timeout)
     assert main(["verify", "lemma-edgesetF"]) == 2
@@ -135,7 +135,7 @@ def test_theorem2_row_fails_on_a_corrupted_leaf(monkeypatch):
         return replace(tree, leaves=tree.leaves[:-1] + [last ^ (last & -last)])
 
     monkeypatch.setattr(verification, "theorem2_tree", corrupted)
-    rows = list(verification.suite_theorem2(budget=16))
+    rows = list(verification.suite_theorem2())
     assert [(r.operation, r.ok) for r in rows] == \
         [("tower_tree", False), ("worm_pockets", True)]
 
