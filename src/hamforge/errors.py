@@ -149,7 +149,8 @@ class SearchTimeout(OperationalError):
 
     Attributes:
         budget: the node budget that was exhausted.
-        partial: count accumulated before giving up.
+        partial: paths or cycles found before giving up; for an exact
+            count, those completed by the search states it finished.
     """
 
     def __init__(self, budget, partial=0):

@@ -610,8 +610,8 @@ def two_edge_family_loop(g, cert, e, f, cap=10 ** 6):
         reduced = g.delete_edges(family.edges)
         if not is_k_connected(reduced, 4):
             raise FourConnectivityLost(family.edges)
-        found = enumerate_ham_paths(reduced, b, c, required_edges=[e],
-                                    forbidden_edges=[f], cap=1)
+        found = enumerate_ham_paths(reduced.delete_edges([f]), b, c,
+                                    required_edges=[e], cap=1)
         if not found:
             raise SearchExhausted(f"no Hamiltonian {b}-{c} path through {e} in G-F")
         fam.add(path_edges(found[0]) | {f}, "edge_family")
@@ -1184,18 +1184,14 @@ def reference_special_set_mindeg5(g, t):
 # the Hamiltonian backtracker the bitmask kernel replaces, kept verbatim
 # ---------------------------------------------------------------------------
 
-def reference_prepare(g: PlaneGraph, required_edges, forbidden_edges, exclude=frozenset()):
+def reference_prepare(g: PlaneGraph, required_edges, exclude=frozenset()):
     req = frozenset(edge_key(*e) for e in required_edges)
-    forb = frozenset(edge_key(*e) for e in forbidden_edges)
-    if req & forb:
-        raise ValueError("required and forbidden edge sets intersect")
     for e in req:
         if e not in g.edge_set:
             raise ValueError(f"required edge {e} not in graph")
         if not exclude.isdisjoint(e):
             raise ValueError(f"required edge {e} has an excluded end")
-    adj = [sorted(w for w in nbrs if edge_key(v, w) not in forb)
-           for v, nbrs in enumerate(adjacency_sets(g))]
+    adj = [sorted(nbrs) for nbrs in adjacency_sets(g)]
     if exclude:
         adj = [[] if v in exclude else [w for w in a if w not in exclude]
                for v, a in enumerate(adj)]

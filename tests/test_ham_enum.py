@@ -77,7 +77,7 @@ def test_constrained_counts_partition():
     o = octahedron()
     e = sorted(o.edge_set)[0]
     through = count_ham_cycles(o, required_edges=[e])
-    avoiding = count_ham_cycles(o, forbidden_edges=[e])
+    avoiding = count_ham_cycles(o.delete_edges([e]))
     assert through + avoiding == 16
 
 
@@ -86,7 +86,7 @@ def test_constrained_counts_match_oracle(triangulations_by_n):
         for e in sorted(g.edge_set)[:4]:
             assert (count_ham_cycles(g, required_edges=[e])
                     == naive_count_ham_cycles(g, required=[e]))
-            assert (count_ham_cycles(g, forbidden_edges=[e])
+            assert (count_ham_cycles(g.delete_edges([e]))
                     == naive_count_ham_cycles(g, forbidden=[e]))
 
 
@@ -95,13 +95,6 @@ def test_edge_transitivity_sanity():
         total = count_ham_cycles(g)
         assert sum(count_ham_cycles(g, required_edges=[e])
                    for e in g.edge_set) == total * g.n
-
-
-def test_disjoint_constraint_sets_rejected():
-    o = octahedron()
-    e = sorted(o.edge_set)[0]
-    with pytest.raises(ValueError):
-        count_ham_cycles(o, required_edges=[e], forbidden_edges=[e])
 
 
 # -- paths ------------------------------------------------------------------------
@@ -231,8 +224,10 @@ def _least_budget(search):
 
 
 def test_excluding_search_takes_the_loops_node_count():
-    """The in-place search needs exactly the budget the relabeled search
-    needs: the same nodes, not just the same paths."""
+    """The in-place enumeration needs exactly the budget the relabeled
+    search needs: the same nodes, not just the same paths.  The count
+    expands each search state once, so that budget is enough for it, and
+    at budget 1 it still times out, having completed no path."""
     from hamforge.verification import square_boundary_regions
 
     checked = 0
@@ -245,12 +240,46 @@ def test_excluding_search_takes_the_loops_node_count():
                                              budget=budget))
         if need == 1:
             continue
-        for search in (enumerate_ham_paths, count_ham_paths):
-            search(nt.graph, a, b, exclude=drop, budget=need)
-            with pytest.raises(SearchTimeout):
-                search(nt.graph, a, b, exclude=drop, budget=need - 1)
+        enumerate_ham_paths(nt.graph, a, b, exclude=drop, budget=need)
+        with pytest.raises(SearchTimeout):
+            enumerate_ham_paths(nt.graph, a, b, exclude=drop, budget=need - 1)
+        count_ham_paths(nt.graph, a, b, exclude=drop, budget=need)
+        with pytest.raises(SearchTimeout) as timeout:
+            count_ham_paths(nt.graph, a, b, exclude=drop, budget=1)
+        assert timeout.value.partial == 0
         checked += 1
     assert checked >= 5
+
+
+def test_count_timeout_partial_counts_the_completed_paths(triangulations_by_n):
+    """A count that runs out of budget reports in ``partial`` the paths
+    completed by the search states it finished: for cycles, half the
+    directed cycles, rounded up.  So it is 0 at budget 1, grows with the
+    budget and never exceeds the count.  On K4 the states 0, 0-1, 0-1-2
+    and 0-1-2-3 come first: budget 3 has completed nothing and budget 4
+    the directed cycle 0-1-2-3, which rounds up to one cycle."""
+    partials = []
+    for budget in (1, 3, 4):
+        with pytest.raises(SearchTimeout) as timeout:
+            count_ham_cycles(k4(), budget=budget)
+        partials.append(timeout.value.partial)
+    assert partials == [0, 0, 1]
+    checked = 0
+    for g in triangulations_by_n(7)[::3]:
+        for search in (lambda budget: count_ham_cycles(g, budget=budget),
+                       lambda budget: count_ham_paths(g, 0, 1, budget=budget),
+                       lambda budget: count_ham_paths(g, 2, 5, exclude={0},
+                                                      budget=budget)):
+            count, need = search(None), _least_budget(search)
+            partials = []
+            for budget in range(1, need):
+                with pytest.raises(SearchTimeout) as timeout:
+                    search(budget)
+                partials.append(timeout.value.partial)
+            assert partials[0] == 0 and partials == sorted(partials)
+            assert partials[-1] <= count
+            checked += partials[-1] > 0
+    assert checked
 
 
 def test_excluded_endpoint_rejected():
@@ -276,8 +305,7 @@ def test_required_edge_with_excluded_end_rejected():
 def test_required_edges_checked_without_an_edge_table(monkeypatch):
     """Required edges are looked up in the neighbour masks with a range
     check, so a search builds no edge table and still rejects a non-edge,
-    an out-of-range id and an excluded end; forbidden non-edges are
-    ignored."""
+    an out-of-range id and an excluded end."""
     from hamforge import plane_graph
 
     built = []
@@ -296,11 +324,6 @@ def test_required_edges_checked_without_an_edge_table(monkeypatch):
     with pytest.raises(ValueError, match=re.escape(
             "required edge (1, 5) has an excluded end")):
         count_ham_paths(o, 0, 4, required_edges=[(1, 5)], exclude={5})
-    assert count_ham_cycles(o, forbidden_edges=[(0, 2), (0, 6), (-1, 0)]) == \
-        count_ham_cycles(o)
-    assert count_ham_paths(o, 0, 4, required_edges=[(0, 1)],
-                           forbidden_edges=[(1, 5)]) == \
-        count_ham_paths(o.delete_edges([(1, 5)]), 0, 4, required_edges=[(0, 1)])
     assert built == []
 
 
@@ -319,90 +342,91 @@ def test_search_budget_takes_only_positive_integers(monkeypatch):
             search_budget()
 
 
-# -- the kernel against the backtracker it replaced -----------------------------
+# -- the enumerator and the counter against the backtracker they replaced ----
 
-def _search_outcome(make, ends, collect):
-    """Return value, (budget, partial) of a timeout, emitted sequence and
-    nodes of the search ``make(emit)``, emitting only when ``collect``."""
-    found = []
-    search = make(found.append if collect else None)
+def _search_outcome(search, ends):
+    """Return value, (budget, partial) of a timeout and nodes of
+    ``search``."""
     try:
         value = search.run_cycles() if ends is None else search.run_paths(*ends)
         timeout = None
     except SearchTimeout as exc:
         value, timeout = None, (exc.budget, exc.partial)
-    return value, timeout, found, search.nodes
+    return value, timeout, search.nodes
+
+
+def _random_constraints(rng, g, edges):
+    """Seeded endpoints (None for a cycle), excluded vertices and required
+    edges for one search of g."""
+    ends, exclude = None, frozenset()
+    if rng.random() < 0.5:
+        ends = tuple(rng.sample(range(g.n), 2))
+        rest = [v for v in range(g.n) if v not in ends]
+        exclude = frozenset(rng.sample(rest, rng.choice((0, 0, 1, 2))))
+    required = [e for e in rng.sample(edges, rng.choice((0, 0, 1, 2, 3)))
+                if exclude.isdisjoint(e)]
+    return ends, exclude, required
 
 
 def _assert_same_searches(graphs, seed, per_graph=16):
-    """Seeded random cycle and path searches (required, forbidden and
-    excluded vertices, caps, emitting or counting) give the same value,
-    emitted sequence, nodes and timeout under both engines: once with the
-    default budget and once with a budget drawn below the nodes it took."""
+    """Seeded random cycle and path searches (required edges, excluded
+    vertices, caps) give the same value, emitted sequence, nodes and
+    timeout under both engines: once with the default budget and once
+    with a budget drawn below the nodes it took."""
     rng = random.Random(seed)
     searches = timeouts = partial = 0
     for g in graphs:
         edges = sorted(g.edge_set)
         for _ in range(per_graph):
-            ends, exclude = None, frozenset()
-            if rng.random() < 0.5:
-                ends = tuple(rng.sample(range(g.n), 2))
-                rest = [v for v in range(g.n) if v not in ends]
-                exclude = frozenset(rng.sample(rest, rng.choice((0, 0, 1, 2))))
-            required = [e for e in rng.sample(edges, rng.choice((0, 0, 1, 2, 3)))
-                        if exclude.isdisjoint(e)]
-            forbidden = [e for e in rng.sample(edges, rng.choice((0, 0, 1, 2, 4)))
-                         if e not in required]
+            ends, exclude, required = _random_constraints(rng, g, edges)
             cap = rng.choice((None, None, 1, 2, rng.randint(0, 5)))
-            collect = rng.random() < 0.6
-            want_prep = reference_prepare(g, required, forbidden, exclude)
-            prep = _prepare(g, required, forbidden, exclude)
+            want_prep = reference_prepare(g, required, exclude)
+            prep = _prepare(g, required, exclude)
             assert (prep is None) == (want_prep is None)
             if prep is None:
                 continue
             budget = 10 ** 9
             for _round in range(2):
+                want_found, found = [], []
                 want = _search_outcome(
-                    lambda emit: ReferenceSearch(
-                        g, *want_prep, budget,
-                        emit and (lambda e, p: emit((e, p))), cap,
-                        len(exclude)),
-                    ends, collect)
+                    ReferenceSearch(g, *want_prep, budget,
+                                    lambda e, p: want_found.append((e, p)),
+                                    cap, len(exclude)),
+                    ends)
                 got = _search_outcome(
-                    lambda emit: _Search(*prep, g.n - len(exclude), budget,
-                                         emit, cap),
-                    ends, collect)
-                # the kernel emits vertex tuples, the reference edge sets too
+                    _Search(*prep, g.n - len(exclude), budget, found.append,
+                            cap),
+                    ends)
+                # the enumerator emits vertex tuples, the reference edge sets too
                 walk_edges = path_edges if ends else cycle_edges
-                assert all(e == walk_edges(p) for e, p in want[2])
-                want = (*want[:2], [p for _e, p in want[2]], want[3])
-                assert got == want, (g, ends, required, forbidden, exclude,
-                                     cap, budget)
+                assert all(e == walk_edges(p) for e, p in want_found)
+                assert (got, found) == (want, [p for _e, p in want_found]), \
+                    (g, ends, required, exclude, cap, budget)
                 searches += 1
                 timeouts += want[1] is not None
                 partial += bool(want[1] and want[1][1])
-                if not want[3]:
+                if not want[2]:
                     break
-                budget = rng.randint(1, want[3])
+                budget = rng.randint(1, want[2])
     assert searches and timeouts and partial
 
 
 def test_neighbour_masks_built_once_per_graph(triangulations_by_n):
     """A graph's neighbour masks are built with it, and repeated searches,
-    forbidden edges and excluded vertices leave them as they were (the same
+    required edges and excluded vertices leave them as they were (the same
     object); the searches give the reference engine's results."""
     graphs = [PlaneGraph(g.rotation) for n in range(5, 9) for g in triangulations_by_n(n)]
     masks = [g.nbr_masks for g in graphs]
     _assert_same_searches(graphs, seed=15)
     for g in graphs:
         e = min(g.edge_set)
-        rounds = [(count_ham_cycles(g), count_ham_cycles(g, forbidden_edges=[e]),
+        rounds = [(count_ham_cycles(g), count_ham_cycles(g, required_edges=[e]),
                    count_ham_paths(g, 0, 1, exclude={2}),
-                   enumerate_ham_paths(g, 0, 2, forbidden_edges=[e]))
+                   enumerate_ham_paths(g, 0, 2, required_edges=[e]))
                   for _ in range(2)]
         assert rounds[0] == rounds[1]
         assert rounds[0][:2] == (naive_count_ham_cycles(g),
-                                 naive_count_ham_cycles(g, forbidden=[e]))
+                                 naive_count_ham_cycles(g, required=[e]))
     assert all(g.nbr_masks is m for g, m in zip(graphs, masks))
     assert all(g.nbr_masks == eager_tables(g)["nbr_masks"] for g in graphs)
 
@@ -414,6 +438,86 @@ def test_kernel_matches_reference_search(triangulations_by_n):
     graphs += [g for n in range(10, 12)
                for g in enumerate_triangulations(n, four)]
     _assert_same_searches(graphs, seed=14)
+
+
+def _reference_count(g, ends, exclude, required):
+    prep = reference_prepare(g, required, exclude)
+    if prep is None:
+        return 0
+    search = ReferenceSearch(g, *prep, 10 ** 9, None, None, len(exclude))
+    return search.run_cycles() if ends is None else search.run_paths(*ends)
+
+
+def _start_constraints(g):
+    """Required edges at the vertex a cycle count starts from: each edge
+    there, each two consecutive ones, and paths from it that must use an
+    edge there and one at their far end."""
+    s = max(range(g.n), key=lambda v: (g.degrees[v], -v))
+    ring = g.rotation[s]
+    for i, x in enumerate(ring):
+        y, z = ring[(i + 1) % len(ring)], ring[(i + 2) % len(ring)]
+        yield None, frozenset(), [(s, x)]
+        yield None, frozenset(), [(s, x), (s, y)]
+        if z != x:
+            yield (s, y), frozenset(), [(s, x), (y, z)]
+
+
+def test_counts_match_reference_search(triangulations_by_n):
+    """The memoised counts equal the backtracker's on every triangulation
+    with n <= 9, over seeded random cycle and path draws with required
+    edges and excluded vertices, and over required edges at the vertex a
+    cycle count starts from."""
+    rng = random.Random(25)
+    draws = found = 0
+    for n in range(4, 10):
+        for g in triangulations_by_n(n):
+            edges = sorted(g.edge_set)
+            cases = [_random_constraints(rng, g, edges) for _ in range(12)]
+            for ends, exclude, required in cases + list(_start_constraints(g)):
+                want = _reference_count(g, ends, exclude, required)
+                if ends is None:
+                    got = count_ham_cycles(g, required_edges=required)
+                else:
+                    got = count_ham_paths(g, *ends, required_edges=required,
+                                          exclude=exclude)
+                assert got == want, (g, ends, required, exclude)
+                draws += 1
+                found += want > 0
+    assert draws == 2304 and found > draws // 2
+
+
+def _backtracked_cycles(g):
+    return _Search(*_prepare(g, ()), g.n, 10 ** 9, lambda _p: None).run_cycles()
+
+
+@pytest.mark.parametrize("levels, size", [
+    (range(6, 12), 43), pytest.param(range(12, 13), 87, marks=pytest.mark.slow)])
+def test_cycle_counts_match_backtracker_four_connected(levels, size):
+    four = CorpusFilter(min_connectivity=4)
+    graphs = [g for n in levels for g in enumerate_triangulations(n, four)]
+    assert len(graphs) == size
+    for g in graphs:
+        assert count_ham_cycles(g) == _backtracked_cycles(g), g
+
+
+def test_cycle_counts_expand_each_state_once_from_a_vertex_of_largest_degree(
+        monkeypatch):
+    """A cycle count starts at a vertex of largest degree, lowest id among
+    ties, and is charged one node per state it expands: the 25
+    4-connected graphs with n = 11 take 27,619 nodes in all (the
+    backtracker from vertex 0 takes 116,154)."""
+    from hamforge import ham_enum
+
+    starts = []
+    real = ham_enum._count
+    monkeypatch.setattr(ham_enum, "_count",
+                        lambda *args: starts.append(args[4]) or real(*args))
+    nodes = 0
+    for g in enumerate_triangulations(11, CorpusFilter(min_connectivity=4)):
+        starts.clear()
+        nodes += _least_budget(lambda budget: count_ham_cycles(g, budget=budget))
+        assert set(starts) == {max(range(g.n), key=lambda v: (g.degrees[v], -v))}
+    assert nodes == 27619
 
 
 @pytest.mark.slow
