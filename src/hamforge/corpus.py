@@ -19,6 +19,7 @@ from .errors import (
 )
 from .plane_graph import (
     PlaneGraph,
+    _insert_edge,
     build,
     canonical_code,
     edge_key,
@@ -231,7 +232,7 @@ class _RotationView:
 
 def _split_rotation(g: PlaneGraph, v: int, i: int, j: int) -> _RotationView:
     """The rotation system of ``split_vertex(g, v, i, j)``, up to where each
-    cyclic order starts, edited from g's instead of traced from faces.
+    rotation starts, edited from g's instead of traced from faces.
 
     Only v, the new vertex, the two pivots and the neighbors that move to the
     new vertex get new rotations; every other vertex shares g's entries.
@@ -508,8 +509,9 @@ def _triangulation_level(n: int) -> tuple[PlaneGraph, ...]:
 
 
 def _link_rooted_code(g: PlaneGraph, v: int) -> tuple[int, ...]:
-    """``outer_rooted_code`` of g minus v, bounded by the link of v, from
-    g's rotation with v cut out of its neighbors' instead of a built region.
+    """The canonical code of g minus v rooted on its outer face, the link
+    of v, from g's rotation with v cut out of its neighbors' instead of a
+    built region.
 
     The id v stays, with no neighbors and never reached; the code names
     vertices by visiting order, so the ids of the others need no shift.
@@ -616,22 +618,22 @@ def flippable_edges(g: PlaneGraph) -> list[tuple[int, int]]:
 
 
 def _flip_partners(g: PlaneGraph, u: int, v: int):
-    f1 = g.faces[g.face_of(u, v)]
-    f2 = g.faces[g.face_of(v, u)]
-    x = next(w for w in f1 if w not in (u, v))
-    y = next(w for w in f2 if w not in (u, v))
-    return x, y
+    """The third vertices of the faces on (u, v) and on (v, u): the face
+    traced through directed edge (u, v) turns at v to the neighbour after u."""
+    ru, rv = g.rotation[u], g.rotation[v]
+    return rv[(rv.index(u) + 1) % len(rv)], ru[(ru.index(v) + 1) % len(ru)]
 
 
 def flip_edge(g: PlaneGraph, u: int, v: int) -> PlaneGraph:
-    """Replace diagonal uv of its surrounding quadrilateral by the other one."""
+    """Replace diagonal uv of its surrounding quadrilateral by the other one,
+    drawn in g's rotation through the quadrilateral (entering x from v)."""
     x, y = _flip_partners(g, u, v)
     if x == y or g.has_edge(x, y):
         raise ValueError(f"edge {u}-{v} is not flippable")
-    keep = [f for f in g.faces
-            if set(f) != {u, v, x} and set(f) != {u, v, y}]
-    keep += [(u, x, y), (v, y, x)]
-    return plane_graph_from_faces(keep)
+    rotation = list(g.rotation)
+    rotation[u] = tuple(w for w in rotation[u] if w != v)
+    rotation[v] = tuple(w for w in rotation[v] if w != u)
+    return build(_insert_edge(rotation, x, v, y, u))
 
 
 def random_triangulation(n: int, seed: int, flt: CorpusFilter | None = None) -> PlaneGraph:

@@ -182,7 +182,10 @@ class _Search:
     z stays passable only while it keeps ``need[z]`` free neighbours: 2,
     or 1 for the far end of a path (no way out needed) and for a neighbour
     of the cycle's start (the closing edge is a way out).  The neighbours
-    of v below that are its *critical* ones, found once per node.  Every
+    of v below that are its *critical* ones, found once per node.  A path
+    that covers all n vertices is a Hamiltonian path or cycle holding its
+    required edges (the proof is ``_count``'s, whose steps are these), so
+    the only test at a leaf is the cycle's direction rule.  Every
     node entered counts against the budget, and ``nodes`` and ``count``
     stay readable after the search, also after a timeout, whose
     ``partial`` is the number emitted.  ``emit`` gets the vertex tuple of
@@ -228,16 +231,8 @@ class _Search:
             if nodes > budget:
                 raise SearchTimeout(budget, partial=count)
             if depth == n:
-                if end is None:
-                    # required edges at the two closure vertices resolve here
-                    done = nb[v] >> start & 1 and path[1] < v and \
-                        all(x in (path[1], v) for x in req_at[start]) and \
-                        all(x in (path[-2], start) for x in req_at[v])
-                else:
-                    done = v == end and \
-                        all(x == path[-2] for x in req_at[v]) and \
-                        all(x == path[1] for x in req_at[start])
-                if done:
+                # each cycle once, in one direction
+                if end is not None or path[1] < v:
                     count += 1
                     emit(tuple(path))
                 return

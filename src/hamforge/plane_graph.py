@@ -120,6 +120,10 @@ class PlaneGraph:
     parent has built.  Instances are immutable.
     ``is_triangulation`` is set iff every face is a triangle.  Use
     :func:`build` to construct from untrusted rotation tables.
+    The graph edits write the new rotation from the parent's: the graph
+    rebuilt from its faces, up to where each rotation starts.  What an edit
+    does not touch keeps the parent's start, so an edited graph's outer
+    face, face 0, is the parent's face 0 wherever that face survives.
     """
 
     __slots__ = ("n", "rotation", "outer_face_index", "faces", "nbr_masks",
@@ -218,12 +222,6 @@ class PlaneGraph:
 
     # -- basic queries --
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.rotation[v]
-
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
-
     def has_edge(self, u: int, v: int) -> bool:
         return self.nbr_masks[u] >> v & 1 == 1
 
@@ -233,10 +231,6 @@ class PlaneGraph:
 
     def min_degree(self) -> int:
         return min(self.degrees)
-
-    def face_of(self, u: int, v: int) -> int:
-        """Index of the face traced through directed edge (u, v)."""
-        return self._face_at[(u, v)]
 
     def face_index(self, vertices) -> int | None:
         """Lowest index of a face bounded by the cyclic sequence ``vertices``
@@ -284,11 +278,6 @@ class PlaneGraph:
         return f"<{kind} n={self.n} m={sum(self.degrees) // 2}>"
 
     # -- derived graphs --
-
-    def mirror(self) -> PlaneGraph:
-        """The reflected embedding (all rotations reversed)."""
-        return PlaneGraph([tuple(reversed(r)) for r in self.rotation],
-                          require_connected=False)
 
     def rooted_at_face(self, face_vertices) -> PlaneGraph:
         """Same embedding with the face on these vertices as the outer face."""
@@ -619,10 +608,6 @@ class NearTriangulation:
         out = self.graph.outer_face_index
         return all(len(f) == 3 for i, f in enumerate(self.graph.faces) if i != out)
 
-    def interior_vertices(self) -> list[int]:
-        on_cycle = set(self.outer_cycle.vertices)
-        return [v for v in range(self.graph.n) if v not in on_cycle]
-
     def to_origin(self, v: int) -> int:
         return v if self.origin is None else self.origin[v]
 
@@ -711,6 +696,7 @@ def contract_interior(g: PlaneGraph, c: Cycle):
     Returns ``(graph, new_vertex, origin)`` where ``origin[new_id]`` is the
     old id for kept vertices and ``None`` for the new vertex.  The new vertex
     is adjacent to exactly the cycle vertices that had interior neighbors.
+    g's rotation is edited (``_merge``), up to where each rotation starts.
     """
     return _contract_disc(g, c, *disc_faces(g, c))
 
@@ -726,67 +712,94 @@ def _contract_disc(g: PlaneGraph, c: Cycle, inside: set[int], disc: int):
         raise EmptyInterior(f"{c.vertices} bounds a face")
     if _reach(g.nbr_masks, inner & -inner, inner) != inner:
         raise DisconnectedInterior(f"interior of {c.vertices} is disconnected")
-    vs = c.vertices
-    starts = [i for i, v in enumerate(vs) if g.nbr_masks[v] & inner]
-    if len(starts) < 2:
+    if sum(1 for v in c.vertices if g.nbr_masks[v] & inner) < 2:
         raise DisconnectedInterior("interior attaches to fewer than 2 cycle vertices")
-
-    keep = [v for v in range(g.n) if not inner >> v & 1]
-    relabel = {old: new for new, old in enumerate(keep)}
-    star = len(keep)
-
-    new_faces = [tuple(relabel[w] for w in f)
-                 for i, f in enumerate(g.faces) if i not in inside]
-    # fan faces: between consecutive attachments along the cycle, one face
-    # through the new vertex and the cycle stretch between them
-    for i, j in zip(starts, starts[1:] + [starts[0] + len(vs)]):
-        new_faces.append((star,) + tuple(relabel[v] for v in (vs + vs)[i:j + 1]))
-
-    g2 = plane_graph_from_faces(new_faces)
-    origin = keep + [None]
-    return g2, star, origin
+    return _merge(g, inner, inside)
 
 
 def contract_edge(g: PlaneGraph, u: int, v: int):
     """Contract edge uv of a triangulation (endpoints with 2 common neighbors).
 
     Returns ``(graph, merged_vertex, origin)`` with ``origin[new_id]`` the old
-    id, and ``None`` marking the merged vertex.
+    id, and ``None`` marking the merged vertex.  g's rotation is edited
+    (``_merge``), up to where each rotation starts.
     """
     if not g.has_edge(u, v):
         raise NotACycle(f"{u}-{v} is not an edge")
     if len(g.common_neighbors(u, v)) != 2:
         raise NotContractible(f"{u}-{v} has {len(g.common_neighbors(u, v))} common neighbors")
-    keep = [w for w in range(g.n) if w not in (u, v)]
+    return _merge(g, 1 << u | 1 << v)
+
+
+def _merge(g: PlaneGraph, merged: int, inside=frozenset()):
+    """Merge the connected vertex set of the bitmask ``merged`` into one new
+    last vertex: ``(graph, new vertex, origin)``.
+
+    Each kept vertex keeps g's rotation, relabelled and starting where g's
+    starts, with each run of merged neighbours made one entry for the new
+    vertex and the edges whose two faces are both in ``inside`` dropped.
+    The new vertex's rotation comes from face walks: the face leaving it
+    towards a neighbour a returns to it from the neighbour that a follows
+    around it.
+    """
+    keep = [v for v in range(g.n) if not merged >> v & 1]
+    star = len(keep)
     relabel = {old: new for new, old in enumerate(keep)}
-    merged = len(keep)
-
-    def rename(w):
-        return merged if w in (u, v) else relabel[w]
-
-    new_faces = []
-    for f in g.faces:
-        if u in f and v in f:
-            continue  # the two faces on uv collapse
-        new_faces.append(tuple(rename(w) for w in f))
-    g2 = plane_graph_from_faces(new_faces)
-    return g2, merged, keep + [None]
+    face_at = g._face_at if inside else None
+    rotation = []
+    for v in keep:
+        out = []
+        for w in g.rotation[v]:
+            if merged >> w & 1:
+                if not out or out[-1] != star:
+                    out.append(star)
+            elif not (inside and face_at[(v, w)] in inside
+                      and face_at[(w, v)] in inside):
+                out.append(relabel[w])
+        if len(out) > 1 and out[0] == out[-1] == star:
+            out.pop()
+        rotation.append(tuple(out))
+    succ = {}
+    for a, nbrs in enumerate(rotation):
+        if star in nbrs:
+            u, v = star, a
+            while v != star:
+                around = rotation[v]
+                u, v = v, around[(around.index(u) + 1) % len(around)]
+            succ[u] = a
+    around = [min(succ)]
+    for _ in range(len(succ) - 1):
+        around.append(succ[around[-1]])
+    rotation.append(tuple(around))
+    return build(rotation), star, keep + [None]
 
 
 def add_edge_in_face(g: PlaneGraph, u: int, v: int) -> PlaneGraph:
-    """Add chord uv inside a face containing both (splits that face)."""
+    """Add chord uv inside the first face containing both (splits that face).
+
+    Each end goes into the other's rotation right after the vertex the face
+    enters it from; no other rotation changes.
+    """
     if g.has_edge(u, v):
         raise MultiEdge(f"{u}-{v} already present")
-    for i, f in enumerate(g.faces):
+    for f in g.faces:
         if u in f and v in f:
-            iu, iv = f.index(u), f.index(v)
-            a = f[iu:] + f[:iu]
-            cut = a.index(v)
-            f1, f2 = a[:cut + 1], a[cut:] + (u,)
-            new_faces = [g.faces[j] for j in range(len(g.faces)) if j != i]
-            new_faces += [f1, f2]
-            return plane_graph_from_faces(new_faces)
+            walk = f[f.index(u):] + f[:f.index(u)]
+            return build(_insert_edge(g.rotation, u, walk[-1], v,
+                                      walk[walk.index(v) - 1]))
     raise NotACycle(f"no face contains both {u} and {v}")
+
+
+def _insert_edge(rotation, u: int, after_u: int, v: int, after_v: int) -> list:
+    """``rotation`` with v put right after ``after_u`` around u and u right
+    after ``after_v`` around v: edge uv drawn through the face that enters
+    u from ``after_u`` and v from ``after_v``."""
+    rotation = list(rotation)
+    for a, after, b in ((u, after_u, v), (v, after_v, u)):
+        nbrs = rotation[a]
+        k = nbrs.index(after) + 1
+        rotation[a] = nbrs[:k] + (b,) + nbrs[k:]
+    return rotation
 
 
 # ---------------------------------------------------------------------------
@@ -800,10 +813,6 @@ class BridgeInfo:
     vertices: frozenset[int]
     edges: frozenset[Edge]
     attachments: frozenset[int]
-
-    @property
-    def is_chord(self) -> bool:
-        return self.vertices == self.attachments
 
 
 @dataclass(frozen=True)
@@ -1079,15 +1088,6 @@ def triangulation_from_code(code) -> PlaneGraph:
         link.append(after)
     rotation[1] = tuple(link)
     return build(rotation)
-
-
-def outer_rooted_code(g: PlaneGraph) -> tuple[int, ...]:
-    """Canonical form that additionally fixes the designated outer face."""
-    f = g.outer_face
-    k = len(f)
-    roots = [(f[i], f[(i + 1) % k]) for i in range(k)]
-    roots += [(f[(i + 1) % k], f[i]) for i in range(k)]
-    return canonical_code(g, roots=roots)
 
 
 def is_isomorphic(g1: PlaneGraph, g2: PlaneGraph) -> bool:

@@ -27,7 +27,11 @@ lemmas on rebuilt restrictions: ``reference_two_ham_paths_uw`` /
 ``_uv`` and ``restriction_faces_rebuilt``, and the closures and
 contractions that built a closure to learn a side of a cycle:
 ``reference_closure``, ``reference_closure_containing`` and
-``reference_contract_interior``.
+``reference_contract_interior``, and the graph edits as they were when
+they rebuilt their result from its faces: ``contract_interior_rebuilt``,
+``contract_edge_rebuilt``, ``add_edge_in_face_rebuilt`` and
+``flip_edge_rebuilt``.  ``mirror`` and ``outer_rooted_code`` are small
+helpers only the tests use.
 """
 
 from __future__ import annotations
@@ -43,7 +47,9 @@ from hamforge.errors import (
     DisconnectedInterior,
     EmptyInterior,
     HypothesisViolated,
+    MultiEdge,
     NotACycle,
+    NotContractible,
     SearchExhausted,
     SearchTimeout,
 )
@@ -56,7 +62,9 @@ from hamforge.plane_graph import (
     _connected_after_removal,
     block_chain,
     build,
+    canonical_code,
     canonical_cycle,
+    disc_faces,
     edge_key,
     mask_bits,
     path_edges,
@@ -74,6 +82,21 @@ from hamforge.tutte import (
     tutte_path,
     tutte_path_two_edges,
 )
+
+
+def mirror(g: PlaneGraph) -> PlaneGraph:
+    """The reflected embedding (all rotations reversed)."""
+    return PlaneGraph([tuple(reversed(r)) for r in g.rotation],
+                      require_connected=False)
+
+
+def outer_rooted_code(g: PlaneGraph) -> tuple[int, ...]:
+    """Canonical form that additionally fixes the designated outer face."""
+    f = g.outer_face
+    k = len(f)
+    roots = [(f[i], f[(i + 1) % k]) for i in range(k)]
+    roots += [(f[(i + 1) % k], f[i]) for i in range(k)]
+    return canonical_code(g, roots=roots)
 
 
 def adjacency_sets(g: PlaneGraph) -> tuple[frozenset[int], ...]:
@@ -426,7 +449,7 @@ def square_regions_loop(n_max: int):
     new: the loop the cached region levels replace."""
     from hamforge.corpus import enumerate_triangulations
     from hamforge.errors import HamforgeError
-    from hamforge.plane_graph import Cycle, NearTriangulation, outer_rooted_code
+    from hamforge.plane_graph import Cycle, NearTriangulation
 
     seen = set()
     for n in range(5, n_max + 2):
@@ -949,7 +972,7 @@ def reference_contract_interior(g, c, v=None):
     if v is not None:
         g = _rooted_on_side_of(g, c, v)
     cl = reference_closure(g, c)
-    inner = set(cl.to_origin(z) for z in cl.interior_vertices())
+    inner = {cl.to_origin(z) for z in range(cl.graph.n) if z not in cl.outer_cycle}
     if not inner:
         raise EmptyInterior(f"{c.vertices} bounds a face")
     if not nx.is_connected(to_nx(g).subgraph(inner)):
@@ -1358,3 +1381,72 @@ class ReferenceSearch:
         if self.emit is not None:
             edges = frozenset(edge_key(u, v) for u, v in zip(path, path[1:]))
             self.emit(edges, tuple(path))
+
+
+# ---------------------------------------------------------------------------
+# graph edits rebuilt from their faces
+# ---------------------------------------------------------------------------
+
+def contract_interior_rebuilt(g, c, v=None):
+    """``contract_interior`` (``_containing`` given v) as it was when the
+    contracted graph was rebuilt from its faces: g's faces outside c and
+    one fan face per pair of consecutive attachments on c."""
+    inside, disc = disc_faces(g, c, v)
+    inner = disc & ~vertex_mask(c.vertices)
+    if not inner:
+        raise EmptyInterior(f"{c.vertices} bounds a face")
+    if not nx.is_connected(to_nx(g).subgraph(mask_bits(inner))):
+        raise DisconnectedInterior(f"interior of {c.vertices} is disconnected")
+    vs = c.vertices
+    starts = [i for i, z in enumerate(vs) if g.nbr_masks[z] & inner]
+    if len(starts) < 2:
+        raise DisconnectedInterior("interior attaches to fewer than 2 cycle vertices")
+    keep = [z for z in range(g.n) if not inner >> z & 1]
+    relabel = {old: new for new, old in enumerate(keep)}
+    star = len(keep)
+    new_faces = [tuple(relabel[w] for w in f)
+                 for i, f in enumerate(g.faces) if i not in inside]
+    for i, j in zip(starts, starts[1:] + [starts[0] + len(vs)]):
+        new_faces.append((star,) + tuple(relabel[z] for z in (vs + vs)[i:j + 1]))
+    return plane_graph_from_faces(new_faces), star, keep + [None]
+
+
+def contract_edge_rebuilt(g, u, v):
+    """``contract_edge`` rebuilt from g's faces, the two on uv dropped."""
+    if not g.has_edge(u, v):
+        raise NotACycle(f"{u}-{v} is not an edge")
+    if len(g.common_neighbors(u, v)) != 2:
+        raise NotContractible(f"{u}-{v} has {len(g.common_neighbors(u, v))} common neighbors")
+    keep = [w for w in range(g.n) if w not in (u, v)]
+    relabel = {old: new for new, old in enumerate(keep)}
+    merged = len(keep)
+    new_faces = [tuple(merged if w in (u, v) else relabel[w] for w in f)
+                 for f in g.faces if not (u in f and v in f)]
+    return plane_graph_from_faces(new_faces), merged, keep + [None]
+
+
+def add_edge_in_face_rebuilt(g, u, v):
+    """``add_edge_in_face`` rebuilt from g's faces, the first face holding
+    both ends split in two."""
+    if g.has_edge(u, v):
+        raise MultiEdge(f"{u}-{v} already present")
+    for i, f in enumerate(g.faces):
+        if u in f and v in f:
+            iu = f.index(u)
+            a = f[iu:] + f[:iu]
+            cut = a.index(v)
+            new_faces = [h for j, h in enumerate(g.faces) if j != i]
+            return plane_graph_from_faces(new_faces + [a[:cut + 1], a[cut:] + (u,)])
+    raise NotACycle(f"no face contains both {u} and {v}")
+
+
+def flip_edge_rebuilt(g, u, v):
+    """``flip_edge`` rebuilt from g's faces, the two triangles on uv
+    replaced by the two on xy."""
+    face_at = g._face_at
+    x = next(w for w in g.faces[face_at[(u, v)]] if w not in (u, v))
+    y = next(w for w in g.faces[face_at[(v, u)]] if w not in (u, v))
+    if x == y or g.has_edge(x, y):
+        raise ValueError(f"edge {u}-{v} is not flippable")
+    keep = [f for f in g.faces if set(f) != {u, v, x} and set(f) != {u, v, y}]
+    return plane_graph_from_faces(keep + [(u, x, y), (v, y, x)])

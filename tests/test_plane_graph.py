@@ -1,11 +1,15 @@
 import itertools
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hamforge import plane_graph, replay
 from hamforge.corpus import (
     cycle_graph,
     double_wheel,
+    flip_edge,
     icosahedron,
     k4,
     octahedron,
@@ -18,6 +22,7 @@ from hamforge.errors import (
     DisconnectedGraph,
     DisconnectedInterior,
     EmptyInterior,
+    HamforgeError,
     InconsistentRotation,
     MultiEdge,
     NonPlanarTrace,
@@ -29,10 +34,12 @@ from hamforge.plane_graph import (
     NearTriangulation,
     PlaneGraph,
     _blocks_and_cuts,
+    add_edge_in_face,
     block_chain,
     bridges,
     build,
     canonical_code,
+    canonical_cycle,
     closure,
     closure_containing,
     contract_edge,
@@ -46,12 +53,17 @@ from hamforge.plane_graph import (
     vertex_connectivity_flow,
     vertex_mask,
 )
-
 from hamforge.structures import enumerate_cycles, separating_cycles
+from hamforge.verification import SUITE_RUNNERS
 
 from .oracles import (
+    add_edge_in_face_rebuilt,
+    contract_edge_rebuilt,
+    contract_interior_rebuilt,
     eager_tables,
+    flip_edge_rebuilt,
     full_traversal_canonical_code,
+    mirror,
     neighbour_answers,
     nx_connectivity,
     nx_isomorphic,
@@ -147,7 +159,7 @@ def test_closure_octahedron_equator():
 def _interior(g, c):
     """Vertices strictly inside ``c``, in g's ids, read off its closure."""
     cl = closure(g, c)
-    return [cl.to_origin(v) for v in cl.interior_vertices()]
+    return [cl.to_origin(v) for v in range(cl.graph.n) if v not in cl.outer_cycle]
 
 
 def _cycles4(g):
@@ -180,7 +192,7 @@ def test_closure_double_wheel_arc():
 
 
 def test_closure_orientation_mirror():
-    g = double_wheel(8).mirror()
+    g = mirror(double_wheel(8))
     c = Cycle((6, 0, 7, 3))
     cl = closure(g, c)
     assert cl.graph.n == 6
@@ -313,6 +325,160 @@ def test_disc_faces_match_reference_closures(triangulations_by_n):
     assert sides > 1000, sides
 
 
+# -- graph edits against the face rebuild ------------------------------------
+
+EDITS = ("contract_edge", "contract_interior", "contract_interior_containing",
+         "add_edge_in_face")
+# the constructors that are given their graph as faces
+FACE_INPUTS = {"double_wheel", "k4", "icosahedron", "wheel", "telescope_tower",
+               "two_pocket_worm", "suite_lemma_diamond4"}
+
+
+def _cyclic(seq):
+    """A cyclic sequence of distinct entries, turned to start at its least."""
+    i = seq.index(min(seq))
+    return tuple(seq[i:]) + tuple(seq[:i])
+
+
+def _raised_or(f, *args):
+    """``f(*args)``, or the class of the error it raised."""
+    try:
+        return f(*args)
+    except (HamforgeError, ValueError) as exc:
+        return type(exc)
+
+
+def _assert_same_edit(g, got, want):
+    """``got`` is the face rebuild ``want`` up to where each rotation
+    starts: same size, new vertex, origin, cyclic rotations and faces.  A
+    vertex whose neighbours the edit left alone keeps g's rotation exactly,
+    and g's face 0 stays face 0 wherever it survives."""
+    if isinstance(want, PlaneGraph):
+        got, want = ((h, None, list(range(h.n))) for h in (got, want))
+    (h, star, origin), (h0, star0, origin0) = got, want
+    assert (h.n, star, origin) == (h0.n, star0, origin0)
+    assert [_cyclic(r) for r in h.rotation] == [_cyclic(r) for r in h0.rotation]
+    assert {canonical_cycle(f) for f in h.faces} == {canonical_cycle(f) for f in h0.faces}
+    for new, old in enumerate(origin):
+        back = tuple(origin[w] for w in h.rotation[new])
+        if old is not None and set(back) == set(g.rotation[old]):
+            assert back == g.rotation[old], (g.rotation, old)
+    fwd = {old: new for new, old in enumerate(origin) if old is not None}
+    face0 = tuple(fwd.get(w, -1) for w in g.faces[0])
+    if _cyclic(face0) in {_cyclic(f) for f in h.faces}:
+        assert h.faces[0] == face0, g.rotation
+
+
+def _check_edit(edit, rebuilt, g, *args) -> str:
+    """The name of the edit, or of the error class that both it and its
+    face rebuild raised; a graph it gives must be the rebuild's."""
+    got, want = _raised_or(edit, g, *args), _raised_or(rebuilt, g, *args)
+    if isinstance(want, type) or isinstance(got, type):
+        assert got is want, (edit.__name__, g.rotation, args, got, want)
+        return got.__name__
+    _assert_same_edit(g, got, want)
+    return edit.__name__
+
+
+def test_edits_match_face_rebuild(triangulations_by_n):
+    """On the full levels n <= 9, contracting every vertex pair, flipping
+    every edge, contracting every facial triangle and both sides of every
+    separating 3- and 4-cycle, and (n <= 8) adding a chord between every
+    non-adjacent pair of g and across the large face of g - z give the graph
+    the face rebuild gave, up to where each rotation starts, or raise its
+    error."""
+    seen = Counter()
+    for n in range(4, 10):
+        for g in triangulations_by_n(n):
+            for u, v in itertools.combinations(range(n), 2):
+                seen[_check_edit(contract_edge, contract_edge_rebuilt, g, u, v)] += 1
+                if g.has_edge(u, v):
+                    seen[_check_edit(flip_edge, flip_edge_rebuilt, g, u, v)] += 1
+                elif n <= 8:
+                    seen[_check_edit(add_edge_in_face, add_edge_in_face_rebuilt,
+                                     g, u, v)] += 1
+            cycles = [Cycle(f) for f in g.faces]
+            cycles += separating_cycles(g, 3) + separating_cycles(g, 4)
+            for c in cycles:
+                seen[_check_edit(contract_interior, contract_interior_rebuilt, g, c)] += 1
+            for c in cycles[len(g.faces):]:
+                disc = disc_faces(g, c)[1]
+                near = mask_bits(disc & ~vertex_mask(c.vertices))[:1]
+                far = mask_bits(((1 << n) - 1) & ~disc)[:1]
+                for v in near + far:
+                    seen[_check_edit(contract_interior_containing,
+                                     contract_interior_rebuilt, g, c, v)] += 1
+            if n <= 8:
+                for z in range(n):
+                    h = g.delete_vertices({z})[0]
+                    for u, v in itertools.combinations(max(h.faces, key=len), 2):
+                        seen[_check_edit(add_edge_in_face, add_edge_in_face_rebuilt,
+                                         h, u, v)] += 1
+    assert seen == {
+        "contract_edge": 924, "flip_edge": 893, "contract_interior": 1201,
+        "contract_interior_containing": 2197, "add_edge_in_face": 446,
+        "NotACycle": 1104, "NotContractible": 492, "ValueError": 523,
+        "EmptyInterior": 965, "DisconnectedInterior": 243, "MultiEdge": 882}
+
+
+def _spy_on_edits(monkeypatch):
+    """The (name, args) of every edit replay makes from now on."""
+    calls = []
+    for name in EDITS:
+        def spy(*args, _edit=getattr(replay, name), _name=name):
+            calls.append((_name, args))
+            return _edit(*args)
+        monkeypatch.setattr(replay, name, spy)
+    return calls
+
+
+def _run_replay_suites():
+    for suite in ("lemma-2edge", "theorem1", "theorem2", "lemma-diamond4"):
+        assert all(row.ok for row in SUITE_RUNNERS[suite]())
+
+
+def test_suite_edits_match_face_rebuild(monkeypatch):
+    """Every edit the replay suites make at their defaults gives the graph
+    the face rebuild gave, up to where each rotation starts."""
+    calls = _spy_on_edits(monkeypatch)
+    _run_replay_suites()
+    rebuilt = {"contract_edge": contract_edge_rebuilt,
+               "contract_interior": contract_interior_rebuilt,
+               "contract_interior_containing": contract_interior_rebuilt,
+               "add_edge_in_face": add_edge_in_face_rebuilt}
+    for name, args in calls:
+        assert _check_edit(getattr(plane_graph, name), rebuilt[name], *args) == name
+    assert Counter(name for name, _args in calls) == {
+        "contract_interior": 18, "contract_edge": 9, "add_edge_in_face": 9,
+        "contract_interior_containing": 8}
+
+
+def test_replay_suites_build_from_faces_only_what_is_given_as_faces(monkeypatch):
+    """At their defaults the replay suites call ``plane_graph_from_faces``
+    only from the constructors of graphs given as faces, and never from
+    inside a graph edit: an edit writes its rotation from the parent's."""
+    original = plane_graph.plane_graph_from_faces
+    callers = []
+
+    def spy(*args, **kwargs):
+        frame = sys._getframe(1)
+        callers.append(frame.f_code.co_name)
+        while frame is not None:
+            assert frame.f_code.co_name not in EDITS + ("_merge", "_contract_disc",
+                                                        "flip_edge")
+            frame = frame.f_back
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("hamforge") and \
+                getattr(module, "plane_graph_from_faces", None) is original:
+            monkeypatch.setattr(module, "plane_graph_from_faces", spy)
+    calls = _spy_on_edits(monkeypatch)
+    _run_replay_suites()
+    assert len(calls) == 44
+    assert callers and set(callers) <= FACE_INPUTS, Counter(callers)
+
+
 # -- blocks and bridges -------------------------------------------------------
 
 def test_block_chain_path_graph():
@@ -403,7 +569,8 @@ def test_bridges_k4_ham_path():
     path = (0, 1, 2, 3)
     from hamforge.plane_graph import path_edges
     dec = bridges(g, path, path_edges(path))
-    assert all(b.is_chord and len(b.attachments) == 2 for b in dec.bridges)
+    assert all(b.vertices == b.attachments and len(b.attachments) == 2
+               for b in dec.bridges)
     assert len(dec.bridges) == 3
 
 
@@ -435,7 +602,7 @@ def test_bridges_octahedron_cycle_oracle():
     dec = bridges(g, range(6), cyc)
     # oracle: all non-cycle edges are chords of the spanning cycle
     assert len(dec.bridges) == len(g.edge_set) - 6
-    assert all(b.is_chord for b in dec.bridges)
+    assert all(b.vertices == b.attachments for b in dec.bridges)
 
 
 # -- canonical forms -----------------------------------------------------------

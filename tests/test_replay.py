@@ -287,7 +287,7 @@ def test_replay_suites_build_closures_only_where_searched(monkeypatch):
     """The replay suites at their defaults build 34 closures: one per square
     ``_enclosing_square`` returns (28), the nested-chain ladders (4) and the
     worm's pocket regions (2).  The square search itself builds no graph.
-    Each of the 315 side questions runs the face search once: 271 candidate
+    Each of the 314 side questions runs the face search once: 270 candidate
     squares, 26 contractions, 6 closures on a vertex's side and 12 vertex
     sets (diamond sizes and pockets)."""
     from hamforge import plane_graph, replay
@@ -331,7 +331,7 @@ def test_replay_suites_build_closures_only_where_searched(monkeypatch):
     assert counts["_enclosing_square"] == 28
     assert counts["closure_of_disc"] == 34
     assert counts["graphs built in the square search"] == 0
-    assert counts["_side_faces"] == counts["disc_faces"] == 315
+    assert counts["_side_faces"] == counts["disc_faces"] == 314
 
 
 def test_lemma_2edge_edge_branch_matches_its_own_loop():

@@ -74,7 +74,7 @@ def test_k4_interior_three_attachment_bridge():
     f = g.outer_face
     verify_tutte(g, f, Cycle(f))              # the outer triangle as a path
     bridge = next(b for b in bridges(g, f, path_edges(f)).bridges
-                  if not b.is_chord)
+                  if b.vertices != b.attachments)
     assert len(bridge.attachments) == 3
 
 
@@ -289,7 +289,7 @@ def test_uv_two_interior_pair_branch(triangulations_by_n):
         g = nt.graph
         if g.n != 8 or separating_cycles(g, 3):
             continue
-        interior = nt.interior_vertices()
+        interior = [v for v in range(g.n) if v not in nt.outer_cycle]
         if sum(1 for v in interior if g.degrees[v] >= 5) < 2:
             continue
         res = two_ham_paths_uv(nt)
