@@ -14,6 +14,7 @@ import csv
 import inspect
 import itertools
 import json
+import os
 import sys
 import time
 
@@ -27,7 +28,7 @@ from .structures import (
     max_common_neighborhood_pair,
     separating_cycles,
 )
-from .verification import SUITE_RUNNERS, SUITES, TUTTE_N_MAX, graph_id
+from .verification import N_MAX_LIMITS, SUITE_RUNNERS, SUITES, graph_id
 
 EX_USAGE = 64
 EX_DATA = 65
@@ -105,8 +106,9 @@ def cmd_verify(args) -> int:
         print(f"error: suite {args.suite!r} does not take {', '.join(refused)}",
               file=sys.stderr)
         return EX_USAGE
-    if args.suite == "tutte" and args.n_max is not None and args.n_max > TUTTE_N_MAX:
-        print(f"error: suite 'tutte' supports --n-max up to {TUTTE_N_MAX}, "
+    limit = N_MAX_LIMITS.get(args.suite)
+    if args.n_max is not None and limit is not None and args.n_max > limit:
+        print(f"error: suite {args.suite!r} supports --n-max up to {limit}, "
               f"got {args.n_max}", file=sys.stderr)
         return EX_USAGE
     kwargs = {kw: getattr(args, dest) for dest, kw in given.items()}
@@ -264,14 +266,33 @@ def main(argv=None) -> int:
         return EX_USAGE
     parser = make_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify":
-        return cmd_verify(args)
-    if args.command == "count":
-        return cmd_count(args)
-    if args.command == "analyze":
-        return cmd_analyze(args)
-    parser.print_help()
-    return EX_USAGE
+    commands = {"verify": cmd_verify, "count": cmd_count, "analyze": cmd_analyze}
+    if args.command not in commands:
+        parser.print_help()
+        return EX_USAGE
+    try:
+        code = commands[args.command](args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (``hamforge verify euler | head -1``): an
+        # operational error, not a counterexample
+        _detach_stdout()
+        print("error: standard output was closed before the report ended",
+              file=sys.stderr)
+        return 2
+    return code
+
+
+def _detach_stdout():
+    """Point the stdout file descriptor at the null device, so the flush at
+    interpreter exit does not raise the broken pipe again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
 
 
 if __name__ == "__main__":

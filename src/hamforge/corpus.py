@@ -539,13 +539,18 @@ def _square_region_level(n: int, separating: bool = True
     With ``separating=False`` regions with a separating triangle are left
     out before they are keyed.  Isomorphic regions agree on that, so the
     pairs kept are those of the full level without them, in the same order.
+    One listing of g's triangles serves all its degree-4 vertices, and is
+    dropped with the loop: the level graphs are kept for the life of the
+    process and hold no table of it.
     """
     out = {}
     for g in enumerate_triangulations(n):
+        triangles = None if separating else g.triangles()
         for v in range(g.n):
             if g.degrees[v] != 4:
                 continue
-            if separating or not link_region_has_separating_triangle(g, v):
+            if triangles is None or not link_region_has_separating_triangle(
+                    g, v, triangles):
                 out.setdefault(_link_rooted_code(g, v), (g, v))
     return tuple(out.values())
 

@@ -118,6 +118,9 @@ class PlaneGraph:
     edge).  They are properties over slots: a ``__getattr__`` would make
     every other attribute read slower.  ``with_outer_face`` copies share whatever their
     parent has built.  Instances are immutable.
+    The slot ``_region`` holds a region graph's ``RegionTables``: None
+    until a square-region lemma reads it (``region_tables``), so no other
+    graph, and none of the corpus levels a process keeps, pays for one.
     ``is_triangulation`` is set iff every face is a triangle.  Use
     :func:`build` to construct from untrusted rotation tables.
     The graph edits write the new rotation from the parent's: the graph
@@ -129,7 +132,7 @@ class PlaneGraph:
     __slots__ = ("n", "rotation", "outer_face_index", "faces", "nbr_masks",
                  "degrees", "is_triangulation", "connected",
                  # the tables built on first read; None until then
-                 "_built_edge_set", "_built_face_at")
+                 "_built_edge_set", "_built_face_at", "_region")
 
     def __init__(self, rotation, outer_face_index=0, require_connected=True):
         rotation = tuple(tuple(nbrs) for nbrs in rotation)
@@ -155,7 +158,7 @@ class PlaneGraph:
         self.rotation = rotation
         self.nbr_masks = tuple(masks)
         self.degrees = tuple(len(r) for r in rotation)
-        self._built_edge_set = self._built_face_at = None
+        self._built_edge_set = self._built_face_at = self._region = None
 
         full = (1 << n) - 1
         self.connected = _reach(self.nbr_masks, full & 1, full) == full
@@ -290,7 +293,8 @@ class PlaneGraph:
         """Same embedding with face ``index`` as the outer face.
 
         The copy shares the parent's embedding and every table the parent
-        has built so far; it builds the others itself when they are read.
+        has built so far, its ``RegionTables`` too; it builds the others
+        itself when they are read.
         """
         if not 0 <= index < max(1, len(self.faces)):
             raise ValueError("outer face index out of range")
@@ -375,6 +379,35 @@ def restriction_faces(g: PlaneGraph, exclude: int) -> list[tuple[tuple[int, ...]
             seen.update(zip(walk[-1:] + walk[:-1], walk))
             out.append((tuple(walk), skipped))
     return out
+
+
+class RegionTables:
+    """What the square-region lemmas read of one region graph more than
+    once: its 3-cycles (``triangles``, as ``PlaneGraph.triangles`` lists
+    them), and per bitmask ``exclude`` of dropped vertices the faces
+    (``faces``, from ``restriction_faces``) and the blocks and cut
+    vertices (``blocks``, from ``_blocks_and_cuts``) of g minus them.
+
+    None of these depends on the outer face, so every labelling of a
+    region, and every peel level or block that drops the same vertices,
+    reads one entry.  A region graph is short-lived; a corpus graph is
+    kept for the life of the process (``lru_cache``) and never gets one.
+    """
+
+    __slots__ = ("triangles", "faces", "blocks")
+
+    def __init__(self, g: PlaneGraph):
+        self.triangles = g.triangles()
+        self.faces: dict[int, list[tuple[tuple[int, ...], bool]]] = {}
+        self.blocks: dict[int, tuple[list[frozenset[Edge]], set[int]]] = {}
+
+
+def region_tables(g: PlaneGraph) -> RegionTables:
+    """g's ``RegionTables``, made on the first call and kept on g (and on
+    the ``with_outer_face`` copies taken after it)."""
+    if g._region is None:
+        g._region = RegionTables(g)
+    return g._region
 
 
 def mask_bits(mask: int) -> list[int]:
@@ -590,6 +623,9 @@ class NearTriangulation:
     All faces other than the outer one are triangles exactly when
     ``is_near_triangulation`` is set.  ``origin`` maps the local vertex ids
     back to the ids of the graph this region was cut from, when relevant.
+    ``graph`` is the graph given when the cycle bounds its outer face
+    already, else its ``with_outer_face`` copy; so the labellings of one
+    region share one graph and the ``RegionTables`` on it.
     """
 
     __slots__ = ("graph", "outer_cycle", "origin")
@@ -599,7 +635,8 @@ class NearTriangulation:
         face_index = graph.face_index(outer_cycle.vertices)
         if face_index is None:
             raise NotACycle(f"{outer_cycle.vertices} does not bound a face")
-        self.graph = graph.with_outer_face(face_index)
+        self.graph = (graph if face_index == graph.outer_face_index
+                      else graph.with_outer_face(face_index))
         self.outer_cycle = outer_cycle
         self.origin = tuple(origin) if origin is not None else None
 
@@ -933,10 +970,11 @@ class BlockChain:
         return len(self.blocks)
 
 
-def block_chain(g: PlaneGraph, a: int, b: int,
-                exclude=frozenset()) -> BlockChain:
+def block_chain(g: PlaneGraph, a: int, b: int, exclude=frozenset(),
+                edge_blocks=None) -> BlockChain:
     """Order the blocks of g minus the ``exclude`` vertices along the a-b
-    path of the block tree.
+    path of the block tree.  ``edge_blocks``, when the caller holds them,
+    are the blocks ``_blocks_and_cuts`` gives for that graph.
 
     Raises NotAChain if any block lies off that path, or if a or b sits in
     the middle of the chain.
@@ -946,7 +984,8 @@ def block_chain(g: PlaneGraph, a: int, b: int,
     gone = vertex_mask(exclude)
     if not _connected_after_removal(g, gone):
         raise NotAChain("graph is not connected")
-    edge_blocks, _cuts = _blocks_and_cuts(g, gone)
+    if edge_blocks is None:
+        edge_blocks, _cuts = _blocks_and_cuts(g, gone)
     if not edge_blocks:
         raise NotAChain("no edges")
     vertex_sets = [frozenset(itertools.chain.from_iterable(e)) for e in edge_blocks]

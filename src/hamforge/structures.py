@@ -132,8 +132,9 @@ def separating_cycles(g: PlaneGraph, length: int) -> list[Cycle]:
     return out
 
 
-def has_separating_triangle(g: PlaneGraph) -> bool:
-    """Whether ``separating_cycles(g, 3)`` is non-empty.
+def has_separating_triangle(g: PlaneGraph, triangles=None) -> bool:
+    """Whether ``separating_cycles(g, 3)`` is non-empty.  ``triangles``,
+    when the caller holds it, is ``g.triangles()``.
 
     Two shapes are answered by a count of the 3-cycles that bound no face;
     any other graph is searched, stopping at the first separating triangle.
@@ -158,11 +159,13 @@ def has_separating_triangle(g: PlaneGraph) -> bool:
     """
     if g.n <= 3:
         return False
+    if triangles is None:
+        triangles = g.triangles()
     if g.is_triangulation:
-        return len(g.triangles()) != len(g.faces)
+        return len(triangles) != len(g.faces)
     if _is_square_region(g):
-        return len(g.triangles()) != len(g.faces) - 1
-    return any(not _connected_after_removal(g, vertex_mask(t)) for t in g.triangles())
+        return len(triangles) != len(g.faces) - 1
+    return any(not _connected_after_removal(g, vertex_mask(t)) for t in triangles)
 
 
 def is_four_connected_triangulation(g: PlaneGraph) -> bool:
@@ -177,9 +180,11 @@ def _is_square_region(g: PlaneGraph) -> bool:
             and all(len(f) == 3 for i, f in enumerate(g.faces) if i != out))
 
 
-def link_region_has_separating_triangle(g: PlaneGraph, v: int) -> bool:
+def link_region_has_separating_triangle(g: PlaneGraph, v: int, triangles) -> bool:
     """``has_separating_triangle`` of the square region g - v bounded by the
     link of v, read off the triangulation g without building the region.
+    ``triangles`` is ``g.triangles()``: one listing serves every degree-4
+    vertex of g.
 
     The region's 3-cycles are those of g avoiding v and its triangular
     faces are those of g avoiding v, so it has a separating triangle
@@ -188,7 +193,7 @@ def link_region_has_separating_triangle(g: PlaneGraph, v: int) -> bool:
     if not g.is_triangulation or g.n < 5 or g.degrees[v] != 4:
         raise ValueError("link regions are cut from degree-4 vertices of "
                          "triangulations with n >= 5")
-    avoiding = sum(1 for t in g.triangles() if v not in t)
+    avoiding = sum(1 for t in triangles if v not in t)
     return avoiding > len(g.faces) - 4
 
 

@@ -12,7 +12,10 @@ The two-Hamiltonian-paths lemmas work on the region they are given.  Each
 restriction they need (a block, a peel level, an apex deletion) is the
 region plus a bitmask of excluded vertices: its faces come from
 ``restriction_faces`` and its Hamiltonian Tutte paths from the shared
-search with ``exclude``, so neither lemma builds a graph.
+search with ``exclude``, so neither lemma builds a graph.  The region's
+triangles, and its faces and blocks per excluded set, are kept on the
+region graph (``RegionTables``) and read by every labelling and level
+that needs them.
 """
 
 from __future__ import annotations
@@ -46,6 +49,7 @@ from .plane_graph import (
     edge_key,
     mask_bits,
     path_edges,
+    region_tables,
     restriction_faces,
     vertex_mask,
 )
@@ -286,9 +290,25 @@ def _require_square_region(r: NearTriangulation):
         raise HypothesisViolated("outer_4cycle")
     if not r.is_near_triangulation:
         raise HypothesisViolated("near_triangulation")
-    if has_separating_triangle(r.graph):
+    if has_separating_triangle(r.graph, region_tables(r.graph).triangles):
         raise HypothesisViolated("no_separating_triangles")
     return r.outer_cycle.vertices
+
+
+def _faces_without(g: PlaneGraph, exclude: int):
+    """``restriction_faces(g, exclude)``, traced once per region graph."""
+    faces = region_tables(g).faces
+    if exclude not in faces:
+        faces[exclude] = restriction_faces(g, exclude)
+    return faces[exclude]
+
+
+def _blocks_without(g: PlaneGraph, exclude: int):
+    """``_blocks_and_cuts(g, exclude)``, found once per region graph."""
+    blocks = region_tables(g).blocks
+    if exclude not in blocks:
+        blocks[exclude] = _blocks_and_cuts(g, exclude)
+    return blocks[exclude]
 
 
 def _is_path_between(g: PlaneGraph, keep, a, b):
@@ -336,7 +356,8 @@ def two_ham_paths_uw(r: NearTriangulation, budget=None):
     if witness is not None:
         return PathWitness(witness)
 
-    chain = block_chain(g, u, w, exclude={v, x})
+    chain = block_chain(g, u, w, exclude={v, x},
+                        edge_blocks=_blocks_without(g, vertex_mask((v, x)))[0])
     s = next(i for i, bvs in enumerate(chain.blocks) if len(bvs) >= 3)
     full = (1 << g.n) - 1
     firsts, seconds = [], []     # each block's path, from its entry
@@ -347,7 +368,7 @@ def two_ham_paths_uw(r: NearTriangulation, budget=None):
             seconds.append((entry, exit_))
             continue
         others = full & ~vertex_mask(bvs)
-        cands = [f for f, new in restriction_faces(g, others)
+        cands = [f for f, new in _faces_without(g, others)
                  if new and entry in f and exit_ in f]
         if len(cands) != 1:
             raise SearchExhausted(
@@ -412,13 +433,14 @@ def _check_square_level(g: PlaneGraph, exclude: int, outer) -> None:
     avoid ``exclude`` as the level has triangular faces."""
     c = Cycle(outer)
     c.validate(g)
-    faces = [f for f, _new in restriction_faces(g, exclude)]
+    faces = [f for f, _new in _faces_without(g, exclude)]
     want = c.canonical()
     if not any(len(f) == 4 and canonical_cycle(f) == want for f in faces):
         raise NotACycle(f"{c.vertices} does not bound a face")
     if sum(1 for f in faces if len(f) != 3) != 1:
         raise HypothesisViolated("near_triangulation")
-    triangles = sum(1 for t in g.triangles() if not exclude & vertex_mask(t))
+    triangles = sum(1 for a, b, z in region_tables(g).triangles
+                    if not (exclude >> a | exclude >> b | exclude >> z) & 1)
     if triangles != len(faces) - 1:
         raise HypothesisViolated("no_separating_triangles")
 
@@ -492,10 +514,10 @@ def _uv_level(g: PlaneGraph, exclude: int, u, v, w, x, budget):
     for apex, other in ((u, v), (v, u)):
         drop = exclude | vertex_mask((w, x, apex))
         if (n - 3 < 3 or not _connected_after_removal(g, drop)
-                or _blocks_and_cuts(g, drop)[1]):
+                or _blocks_without(g, drop)[1]):
             continue
         # the face merging the deleted vertices' faces is the outer cycle
-        cands = [f for f, new in restriction_faces(g, drop) if new]
+        cands = [f for f, new in _faces_without(g, drop) if new]
         if len(cands) != 1 or len(set(cands[0])) != len(cands[0]):
             continue
         res = _uv_two_connected_case(g, exclude, Cycle(cands[0]), apex, other,

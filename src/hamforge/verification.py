@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .corpus import (
+    MAX_N,
     CorpusFilter,
     _square_region_level,
     cycle_graph,
@@ -308,10 +309,22 @@ def _max_certificates_check(g: PlaneGraph):
 
 
 def _dichotomy_reports(suite, kind, n_max, budget):
+    """The rows of one two-path lemma on the 8 labellings of each
+    ``dichotomy_regions(n_max)`` region, each checked against the exact
+    number of Hamiltonian paths it speaks about.
+
+    What depends only on the region is done once per region, not once per
+    row: its ``graph_id``; its graph, which every labelling's
+    ``NearTriangulation`` keeps since the labellings bound one outer face,
+    with the ``RegionTables`` the lemmas keep on it; and the exact count
+    per dropped pair, which fixes the (unordered) endpoint pair, so two
+    u-w and four u-v counts serve the region's rows.
+    """
     for nt in dichotomy_regions(n_max):
         g = nt.graph
         gid = graph_id(g)
         base = nt.outer_cycle.vertices
+        counts = {}
         for rot in range(4):
             for refl in (False, True):
                 vs = base[rot:] + base[:rot]
@@ -329,7 +342,11 @@ def _dichotomy_reports(suite, kind, n_max, budget):
                     else:
                         drop, a, b = {w, x}, u, v
                         res = two_ham_paths_uv(nt2, budget=budget)
-                    cnt = count_ham_paths(g, a, b, exclude=drop, budget=budget)
+                    key = frozenset(drop)
+                    if key not in counts:
+                        counts[key] = count_ham_paths(g, a, b, exclude=drop,
+                                                      budget=budget)
+                    cnt = counts[key]
                     if isinstance(res, PathPair):
                         ok = cnt >= 2
                     else:
@@ -498,6 +515,20 @@ def suite_theorem2(**_kw):
                     "family": len(fam)}
     yield _row("theorem2", gw, graph_id(gw), "worm_pockets", worm_pockets, star=starw)
 
+
+# The largest n_max each corpus suite runs: the corpus stops at MAX_N (and
+# tutte at TUTTE_N_MAX), and the two-path suites cut their regions from
+# level n_max + 1.  lemma-2edge and theorem1 run double wheels of any size.
+N_MAX_LIMITS = {
+    "euler": MAX_N,
+    "connectivity": MAX_N,
+    "tutte": TUTTE_N_MAX,
+    "lemma-edgesetF": MAX_N,
+    "lemma-uwpath": MAX_N - 1,
+    "lemma-uvpath": MAX_N - 1,
+    "lemma-4edges": MAX_N,
+    "conjecture": MAX_N,
+}
 
 SUITE_RUNNERS = {
     "euler": suite_euler,

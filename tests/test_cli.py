@@ -1,5 +1,7 @@
+import functools
 import inspect
 import json
+import sys
 
 import pytest
 
@@ -138,6 +140,51 @@ def test_verify_tutte_rejects_n_max_above_its_maximum(capsys):
     code, out, err = run(capsys, "verify", "tutte", "--n-max", "11")
     assert code == 64 and out == ""
     assert "--n-max" in err and "up to 10" in err
+
+
+@pytest.mark.parametrize("suite, limit", [
+    ("euler", 14), ("connectivity", 14), ("tutte", 10), ("lemma-edgesetF", 14),
+    ("lemma-uwpath", 13), ("lemma-uvpath", 13), ("lemma-4edges", 14),
+    ("conjecture", 14)])
+def test_verify_refuses_n_max_above_the_corpus_limit(capsys, monkeypatch,
+                                                     suite, limit):
+    """``--n-max`` above what a corpus suite can build is a usage error
+    before the suite starts; at the limit the suite is run."""
+    from hamforge.verification import N_MAX_LIMITS, SUITE_RUNNERS
+
+    assert N_MAX_LIMITS[suite] == limit
+    started = []
+
+    @functools.wraps(SUITE_RUNNERS[suite])
+    def runner(**kwargs):
+        started.append(kwargs["n_max"])
+        return iter(())
+
+    monkeypatch.setitem(SUITE_RUNNERS, suite, runner)
+    code, out, err = run(capsys, "verify", suite, "--n-max", str(limit + 1))
+    assert code == 64 and out == "" and started == []
+    assert f"up to {limit}, got {limit + 1}" in err
+    assert run(capsys, "verify", suite, "--n-max", str(limit))[0] == 0
+    assert started == [limit]
+
+
+def test_closed_stdout_exits_operational(capsys, monkeypatch):
+    """A reader that goes away (``hamforge verify euler | head -1``) ends
+    the run with exit 2 and one line on stderr, not a traceback and not
+    the counterexample code 1."""
+    class Closed:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    code = main(["verify", "euler", "--n-max", "5"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "closed" in err
 
 
 def test_verify_tutte_acts_on_small_n_max(capsys):

@@ -394,7 +394,8 @@ def test_restriction_faces_match_rebuilt_restrictions(triangulations_by_n,
     """``restriction_faces`` gives the faces of the rebuilt restriction, in
     order and from the same edge, and flags as new exactly those
     ``face_index`` finds in no face of g: on every exclusion the two lemmas
-    make on the labelings of the ``dichotomy_regions(10)`` regions, and on
+    make on the labelings of the ``dichotomy_regions(10)`` regions (each
+    distinct one traced once per region graph and kept: 916), and on
     every 1- and 2-vertex exclusion of the n <= 9 corpus.  Every face a
     peel level walks on its own is one of them.
 
@@ -422,7 +423,8 @@ def test_restriction_faces_match_rebuilt_restrictions(triangulations_by_n,
         for lab in _labelings(nt):
             for lemma in (two_ham_paths_uw, two_ham_paths_uv):
                 _outcome_repr(lemma, lab)
-    assert len(made) > 1000 and len(walked) > 500
+    assert len({(id(g), exclude) for g, exclude in made}) == len(made) == 916
+    assert len(walked) > 500
     for g, exclude in made:
         assert restriction_faces(g, exclude) == \
             restriction_faces_rebuilt(g, mask_bits(exclude))
@@ -445,6 +447,82 @@ def test_restriction_faces_match_rebuilt_restrictions(triangulations_by_n,
                             assert new and _bare_cycle_face(g, exclude, f)
                             parted.add((n, drop))
     assert (4, (0,)) in parted
+
+
+def test_shared_region_tables_match_fresh_regions(monkeypatch):
+    """The 8 labelings of a region and both lemmas read one region graph
+    and the ``RegionTables`` kept on it.  On every ``dichotomy_regions(10)``
+    region, each kept entry (the triangles, and the faces and the blocks
+    and cut vertices per excluded set) equals what a freshly built
+    ``link_region`` gives, and so do the hypothesis answers of each
+    labeling and of each peel level, each lemma's outcome, and the exact
+    count of every row of the two suites, which share one count per
+    region and dropped pair."""
+    from hamforge import corpus, tutte
+    from hamforge.plane_graph import _blocks_and_cuts
+    from hamforge.verification import SUITE_RUNNERS, graph_id, link_region
+
+    counts = {}
+    for suite in ("lemma-uwpath", "lemma-uvpath"):
+        for row in SUITE_RUNNERS[suite]():
+            counts.setdefault(row.graph_id, []).append((row.operation, row.payload))
+
+    def answer(check, *args):
+        try:
+            return repr(check(*args))
+        except HamforgeError as exc:
+            return repr(exc)
+
+    levels = []
+    real_level = tutte._check_square_level
+
+    def level_spy(g, exclude, outer):
+        levels.append((exclude, outer, answer(real_level, g, exclude, outer)))
+        real_level(g, exclude, outer)
+
+    monkeypatch.setattr(tutte, "_check_square_level", level_spy)
+    pairs = [p for n in range(5, 12)
+             for p in corpus._square_region_level(n, separating=False)]
+    assert len(pairs) == 97
+    rows = masks = checked_levels = 0
+    for g, v in pairs:
+        shared = link_region(g, v)
+        levels.clear()
+        outcomes = []
+        for lab in _labelings(shared):
+            assert lab.graph is shared.graph
+            for lemma in (two_ham_paths_uw, two_ham_paths_uv):
+                outcomes.append(_outcome_repr(lemma, lab))
+        tables = shared.graph._region
+        fresh = link_region(g, v).graph
+        assert fresh is not shared.graph and fresh._region is None
+        assert tables.triangles == fresh.triangles()
+        for exclude, faces in tables.faces.items():
+            assert faces == restriction_faces(fresh, exclude)
+        for exclude, blocks in tables.blocks.items():
+            assert blocks == _blocks_and_cuts(fresh, exclude)
+        masks += len(tables.faces) + len(tables.blocks)
+        assert has_separating_triangle(shared.graph, tables.triangles) \
+            == has_separating_triangle(fresh)
+        for exclude, outer, got in levels:
+            assert got == answer(real_level, link_region(g, v).graph, exclude, outer)
+        checked_levels += len(levels)
+        alone = []
+        for lab in _labelings(shared):
+            for lemma in (two_ham_paths_uw, two_ham_paths_uv):
+                own = NearTriangulation(link_region(g, v).graph, lab.outer_cycle)
+                assert answer(tutte._require_square_region, lab) == \
+                    answer(tutte._require_square_region, own)
+                alone.append(_outcome_repr(lemma, own))
+        assert outcomes == alone
+        for operation, payload in counts.pop(graph_id(shared.graph)):
+            p, q, r, t = payload["outer"]
+            drop, a, b = ({q, t}, p, r) if operation == "dichotomy_uw" else ({r, t}, p, q)
+            assert payload["count"] == count_ham_paths(
+                link_region(g, v).graph, a, b, exclude=drop)
+            rows += 1
+    assert counts == {} and rows == 772 + 776
+    assert (masks, checked_levels) == (916 + 640, 914)
 
 
 def test_one_covering_face_search_per_witness(monkeypatch):

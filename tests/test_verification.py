@@ -284,5 +284,30 @@ def test_dichotomy_level_keys_no_region_with_a_separating_triangle(monkeypatch):
     levels = [corpus._square_region_level.__wrapped__(n, separating=False)
               for n in range(5, 12)]
     assert sum(map(len, levels)) == 97
-    assert keyed and not any(link_region_has_separating_triangle(g, v)
+    assert keyed and not any(link_region_has_separating_triangle(g, v, g.triangles())
                              for g, v in keyed)
+
+
+def test_corpus_levels_hold_no_region_tables(monkeypatch):
+    """The two-path suites keep their ``RegionTables`` on the region graphs
+    they cut, never on the corpus graphs those are cut from: the levels
+    stay cached for the life of the process, so after both suites at their
+    defaults every level graph's table slot is still None, while each of
+    the 97 region graphs of each suite holds one."""
+    regions = []
+    original = verification.link_region
+
+    def cut(g, v):
+        nt = original(g, v)
+        regions.append(nt.graph)
+        return nt
+
+    monkeypatch.setattr(verification, "link_region", cut)
+    for suite in ("lemma-uwpath", "lemma-uvpath"):
+        assert all(row.ok for row in SUITE_RUNNERS[suite]())
+    assert len(regions) == 2 * 97
+    assert all(g._region is not None for g in regions)
+    levels = [g for n in range(4, 12) for g in corpus._triangulation_level(n)]
+    levels += [g for n in range(6, 12) for g in corpus._four_connected_level(n)]
+    assert len(levels) == 1555 + 43
+    assert all(g._region is None for g in levels)
