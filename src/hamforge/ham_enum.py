@@ -50,12 +50,20 @@ def search_budget(budget=None) -> int:
     return budget
 
 
-def _prepare(g: PlaneGraph, required_edges, exclude=frozenset()):
+def masks_without(nb, exclude: int) -> list[int]:
+    """The neighbour masks ``nb`` with the vertices of the bitmask
+    ``exclude`` dropped: their own masks 0, and their bits cleared in the
+    others."""
+    keep = ~exclude
+    return [0 if exclude >> v & 1 else m & keep for v, m in enumerate(nb)]
+
+
+def _prepare(g: PlaneGraph, required_edges, exclude=frozenset(), masks=None):
     """The neighbour masks the search may use and each vertex's required
     neighbours, or None when some vertex has more than two of those.  The
-    masks are ``g.nbr_masks``, built with the graph, or a copy without the
-    excluded vertices.  Edges are looked up in the masks too, so no edge
-    table is built."""
+    masks are ``g.nbr_masks``, built with the graph, or without the
+    excluded vertices: ``masks`` when the caller keeps them, else a copy.
+    Edges are looked up in the masks too, so no edge table is built."""
     req = frozenset(edge_key(*e) for e in required_edges)
     n = g.n
     for e in req:
@@ -66,8 +74,8 @@ def _prepare(g: PlaneGraph, required_edges, exclude=frozenset()):
             raise ValueError(f"required edge {e} has an excluded end")
     nb = g.nbr_masks
     if exclude:
-        keep = ~sum(1 << z for z in exclude)
-        nb = [0 if v in exclude else m & keep for v, m in enumerate(nb)]
+        nb = masks if masks is not None else masks_without(
+            nb, sum(1 << z for z in exclude))
     req_at = [[] for _ in range(n)]
     for u, v in req:
         req_at[u].append(v)
@@ -328,7 +336,7 @@ def first_ham_cycle(g: PlaneGraph, required_edges=(), budget=None):
     return out[0][0] if out else None
 
 
-def _path_search(g, a, b, required_edges, exclude):
+def _path_search(g, a, b, required_edges, exclude, masks=None):
     """The masks and required neighbours for the a-b paths of g minus
     ``exclude``, and the number of vertices they cover; None when some
     vertex has more than two required edges."""
@@ -338,7 +346,7 @@ def _path_search(g, a, b, required_edges, exclude):
             raise ValueError(f"path endpoint {z} is excluded")
         if not 0 <= z < g.n:
             raise ValueError(f"excluded vertex {z} not in graph")
-    prep = _prepare(g, required_edges, exclude)
+    prep = _prepare(g, required_edges, exclude, masks)
     return None if prep is None else (*prep, g.n - len(exclude))
 
 
@@ -354,12 +362,14 @@ def count_ham_paths(g: PlaneGraph, a: int, b: int, required_edges=(),
 
 
 def enumerate_ham_paths(g: PlaneGraph, a: int, b: int, required_edges=(),
-                        budget=None, cap=None, exclude=()):
+                        budget=None, cap=None, exclude=(), masks=None):
     """Deterministic list of the Hamiltonian a-b paths of g minus
     ``exclude``, each a vertex tuple from a to b in g's ids (``path_edges``
     gives its edge set).  The search takes the steps it takes on the
-    relabeled subgraph: same paths, same order, same budget."""
-    prep = _path_search(g, a, b, required_edges, exclude)
+    relabeled subgraph: same paths, same order, same budget.  ``masks``,
+    when given, is ``masks_without(g.nbr_masks, ...)`` of the excluded
+    vertices, kept by a caller that searches one restriction many times."""
+    prep = _path_search(g, a, b, required_edges, exclude, masks)
     found = []
     if prep is not None:
         _Search(*prep, search_budget(budget), found.append,
@@ -372,25 +382,29 @@ def enumerate_ham_paths(g: PlaneGraph, a: int, b: int, required_edges=(),
 # ---------------------------------------------------------------------------
 
 def is_ham_cycle(g: PlaneGraph, edges) -> bool:
-    """Edge-set check: spanning, 2-regular, connected, edges exist."""
-    edges = set(edge_key(*e) for e in edges)
-    if len(edges) != g.n or not edges <= g.edge_set:
-        return False
-    deg = [0] * g.n
-    nbr = [[] for _ in range(g.n)]
+    """Whether ``edges`` are the edge set of a Hamiltonian cycle of g.
+
+    Checked on neighbour masks, with no edge table built: every pair is an
+    edge of g (a loop, a non-edge or an id out of range is not; an edge
+    given in both orientations counts once), every vertex gets exactly two
+    distinct neighbours, and the walk from vertex 0 along them covers all
+    g.n vertices before it returns.
+    """
+    n, nb = g.n, g.nbr_masks
+    got = [0] * n
     for u, v in edges:
-        deg[u] += 1
-        deg[v] += 1
-        nbr[u].append(v)
-        nbr[v].append(u)
-    if any(d != 2 for d in deg):
+        if not (0 <= u < n and 0 <= v < n and nb[u] >> v & 1):
+            return False
+        got[u] |= 1 << v
+        got[v] |= 1 << u
+    if any(m.bit_count() != 2 for m in got):
         return False
-    seen = {0}
-    v, prev = nbr[0][0], 0
-    while v != 0:
-        seen.add(v)
-        v, prev = (nbr[v][0] if nbr[v][0] != prev else nbr[v][1]), v
-    return len(seen) == g.n
+    # 2-regular: a union of cycles, one of them through 0
+    prev, v, seen = 0, got[0].bit_length() - 1, 1
+    while v:
+        prev, v = v, (got[v] ^ 1 << prev).bit_length() - 1
+        seen += 1
+    return seen == n
 
 
 @dataclass

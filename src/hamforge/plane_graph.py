@@ -385,8 +385,13 @@ class RegionTables:
     """What the square-region lemmas read of one region graph more than
     once: its 3-cycles (``triangles``, as ``PlaneGraph.triangles`` lists
     them), and per bitmask ``exclude`` of dropped vertices the faces
-    (``faces``, from ``restriction_faces``) and the blocks and cut
-    vertices (``blocks``, from ``_blocks_and_cuts``) of g minus them.
+    (``faces``, from ``restriction_faces``), the blocks and cut vertices
+    (``blocks``, from ``_blocks_and_cuts``) and the neighbour masks
+    (``masks``, from ``ham_enum.masks_without``) of g minus them.
+    ``square_fault`` is None until ``tutte._require_square_region`` asks,
+    then the hypothesis the region fails, or "" when it holds: with the
+    outer cycle a 4-cycle, both the near-triangulation and the
+    separating-triangle answer are the graph's own.
 
     None of these depends on the outer face, so every labelling of a
     region, and every peel level or block that drops the same vertices,
@@ -394,12 +399,14 @@ class RegionTables:
     kept for the life of the process (``lru_cache``) and never gets one.
     """
 
-    __slots__ = ("triangles", "faces", "blocks")
+    __slots__ = ("triangles", "faces", "blocks", "masks", "square_fault")
 
     def __init__(self, g: PlaneGraph):
         self.triangles = g.triangles()
         self.faces: dict[int, list[tuple[tuple[int, ...], bool]]] = {}
         self.blocks: dict[int, tuple[list[frozenset[Edge]], set[int]]] = {}
+        self.masks: dict[int, list[int]] = {}
+        self.square_fault: str | None = None
 
 
 def region_tables(g: PlaneGraph) -> RegionTables:

@@ -13,9 +13,9 @@ restriction they need (a block, a peel level, an apex deletion) is the
 region plus a bitmask of excluded vertices: its faces come from
 ``restriction_faces`` and its Hamiltonian Tutte paths from the shared
 search with ``exclude``, so neither lemma builds a graph.  The region's
-triangles, and its faces and blocks per excluded set, are kept on the
-region graph (``RegionTables``) and read by every labelling and level
-that needs them.
+triangles and square-region answer, and its faces, blocks and neighbour
+masks per excluded set, are kept on the region graph (``RegionTables``)
+and read by every labelling and level that needs them.
 """
 
 from __future__ import annotations
@@ -31,8 +31,10 @@ from .errors import (
     TutteViolation,
 )
 from .ham_enum import (
-    enumerate_ham_cycles_raw,
+    _has_cycles,
+    _Search,
     enumerate_ham_paths,
+    masks_without,
     search_budget,
 )
 from .plane_graph import (
@@ -46,6 +48,7 @@ from .plane_graph import (
     block_chain,
     bridges,
     canonical_cycle,
+    cycle_edges,
     edge_key,
     mask_bits,
     path_edges,
@@ -195,7 +198,8 @@ def _tutte_search(g: PlaneGraph, x: int, y: int, required, constraint_edges,
     # covers graphs where the guarantee is only the Tutte condition
     for p in enumerate_ham_paths(g, x, y, required_edges=required,
                                  budget=budget, cap=1,
-                                 exclude=mask_bits(exclude)):
+                                 exclude=mask_bits(exclude),
+                                 masks=_masks_without(g, exclude)):
         return TuttePathCert(path=p, constraint_edges=constraint_edges,
                              is_hamiltonian=True)
     if hamiltonian:
@@ -286,12 +290,21 @@ def tutte_path_two_edges(g_or_nt, c: Cycle | None, u: int, v: int, e, f,
 # ---------------------------------------------------------------------------
 
 def _require_square_region(r: NearTriangulation):
+    """The outer cycle's vertices, once the square-region hypotheses hold.
+    Past the 4-cycle test the answer is the region graph's, so its 8
+    labellings share one (``RegionTables.square_fault``)."""
     if len(r.outer_cycle) != 4:
         raise HypothesisViolated("outer_4cycle")
-    if not r.is_near_triangulation:
-        raise HypothesisViolated("near_triangulation")
-    if has_separating_triangle(r.graph, region_tables(r.graph).triangles):
-        raise HypothesisViolated("no_separating_triangles")
+    tables = region_tables(r.graph)
+    if tables.square_fault is None:
+        if not r.is_near_triangulation:
+            tables.square_fault = "near_triangulation"
+        elif has_separating_triangle(r.graph, tables.triangles):
+            tables.square_fault = "no_separating_triangles"
+        else:
+            tables.square_fault = ""
+    if tables.square_fault:
+        raise HypothesisViolated(tables.square_fault)
     return r.outer_cycle.vertices
 
 
@@ -301,6 +314,17 @@ def _faces_without(g: PlaneGraph, exclude: int):
     if exclude not in faces:
         faces[exclude] = restriction_faces(g, exclude)
     return faces[exclude]
+
+
+def _masks_without(g: PlaneGraph, exclude: int):
+    """g's neighbour masks without the bitmask ``exclude``: g's own for
+    none, else built once per region graph."""
+    if not exclude:
+        return g.nbr_masks
+    masks = region_tables(g).masks
+    if exclude not in masks:
+        masks[exclude] = masks_without(g.nbr_masks, exclude)
+    return masks[exclude]
 
 
 def _blocks_without(g: PlaneGraph, exclude: int):
@@ -392,11 +416,22 @@ def two_ham_paths_uw(r: NearTriangulation, budget=None):
 
 
 def is_ham_path_of(g: PlaneGraph, seq, a, b, exclude=frozenset()) -> bool:
-    """Hamiltonian a-b path of g minus ``exclude``."""
-    want = set(range(g.n)) - set(exclude)
-    return (set(seq) == want and len(seq) == len(want) and seq[0] == a
-            and seq[-1] == b
-            and all(g.has_edge(p, q) for p, q in zip(seq, seq[1:])))
+    """Hamiltonian a-b path of g minus ``exclude``, checked on masks: every
+    id in range and none twice, the ids those of g minus ``exclude`` (an
+    excluded id out of range excludes nothing), a first and b last, and
+    each step an edge of g."""
+    n, nb = g.n, g.nbr_masks
+    want = (1 << n) - 1
+    for z in exclude:
+        if 0 <= z < n:
+            want &= ~(1 << z)
+    seen = 0
+    for p in seq:
+        if not 0 <= p < n or seen >> p & 1:
+            return False
+        seen |= 1 << p
+    return (seen == want and seq[0] == a and seq[-1] == b
+            and all(nb[p] >> q & 1 for p, q in zip(seq, seq[1:])))
 
 
 def two_ham_paths_uv(r: NearTriangulation, budget=None):
@@ -592,42 +627,92 @@ def _uv_two_connected_case(g, exclude, d, apex, other, u, v, w, x, budget):
 # Hamiltonian cycles through prescribed triangle edges
 # ---------------------------------------------------------------------------
 
+class TriangleEdgeSearch:
+    """``ham_cycle_through_triangle_edges`` asked of one graph g, once per
+    call, for as many triples as the caller has.
+
+    What does not depend on the triple is done once per graph: each
+    triangle's checks, kept per vertex tuple once they pass (a triangle
+    that fails is checked, and raises, again on every call), the
+    separating-triangle test, the budget, and ``_has_cycles``.  Each
+    (e1, e2) pair is tried in sorted order; a pair that repeats an edge
+    or gives a vertex three required edges is dropped before any table is
+    built.  Every other pair runs one ``_Search`` on ``g.nbr_masks`` with
+    ``cap=1`` and its own node budget, and only the cycle it returns gets
+    an edge set.
+    """
+
+    __slots__ = ("g", "budget", "separating", "has_cycles", "checked")
+
+    def __init__(self, g: PlaneGraph, budget=None, separating=None):
+        self.g = g
+        self.budget = budget          # resolved when first needed
+        self.separating = separating  # likewise tested
+        self.has_cycles = _has_cycles(g.nbr_masks, g.n)
+        self.checked = {}
+
+    def _triangle(self, t: Cycle):
+        """t's canonical vertex tuple and sorted edges, once t is checked."""
+        got = self.checked.get(t.vertices)
+        if got is None:
+            t.validate(self.g)
+            if len(t) != 3:
+                raise HypothesisViolated("triangles_only")
+            got = self.checked[t.vertices] = (t.canonical(), sorted(t.edges()))
+        return got
+
+    def __call__(self, t: Cycle, t1: Cycle, t2: Cycle):
+        key, _ = self._triangle(t)
+        key1, edges1 = self._triangle(t1)
+        key2, edges2 = self._triangle(t2)
+        if key == key1 or key == key2 or key1 == key2:
+            raise HypothesisViolated("distinct_triangles")
+        g = self.g
+        if self.separating is None:
+            self.separating = has_separating_triangle(g)
+        if self.separating:
+            raise HypothesisViolated("no_separating_triangles")
+        self.budget = budget = search_budget(self.budget)
+        u, v, w = t.vertices
+        base = [edge_key(u, v), edge_key(u, w)]
+        if self.has_cycles:
+            for e1 in edges1:
+                for e2 in edges2:
+                    # uv and uw hold u's two required edges: an edge at u
+                    # repeats one or adds a third, and v or w in both e1
+                    # and e2 gets a third
+                    ends = (*e1, *e2)
+                    if (e1 == e2 or u in ends or ends.count(v) == 2
+                            or ends.count(w) == 2):
+                        continue
+                    req_at = [()] * g.n
+                    for a, b in (*base, e1, e2):
+                        req_at[a] += (b,)
+                        req_at[b] += (a,)
+                    found = []
+                    _Search(g.nbr_masks, req_at, g.n, budget, found.append,
+                            cap=1)._run(0, None)
+                    if found:
+                        return cycle_edges(found[0]), e1, e2
+        raise SearchExhausted(
+            f"no Hamiltonian cycle through {base} plus edges of {t1.vertices}, {t2.vertices}")
+
+
 def ham_cycle_through_triangle_edges(g: PlaneGraph, t: Cycle, t1: Cycle,
                                      t2: Cycle, budget=None, separating=None):
     """A Hamiltonian cycle through uv, uw (u the first vertex of t) and one
-    edge from each of t1, t2, all four distinct.
+    edge from each of t1, t2, all four distinct: the first found over the
+    (e1, e2) pairs in sorted order, each pair's search with its own
+    ``budget`` of nodes.
 
     Returns (cycle edge set, e1, e2).  Existence is the Jackson-Yu theorem
     for triangulations without separating triangles, so exhausting the
     search raises SearchExhausted as a counterexample alarm.  A caller
-    that asks about many triples of one graph passes that graph's
-    ``has_separating_triangle(g)`` as ``separating``; None asks here.
+    that knows ``has_separating_triangle(g)`` passes it as ``separating``;
+    None asks here.  This is one call of ``TriangleEdgeSearch``, which a
+    caller with many triples of one graph keeps instead.
     """
-    for tri in (t, t1, t2):
-        tri.validate(g)
-        if len(tri) != 3:
-            raise HypothesisViolated("triangles_only")
-    keys = {canonical_cycle(tri.vertices) for tri in (t, t1, t2)}
-    if len(keys) != 3:
-        raise HypothesisViolated("distinct_triangles")
-    if separating is None:
-        separating = has_separating_triangle(g)
-    if separating:
-        raise HypothesisViolated("no_separating_triangles")
-    u, v, w = t.vertices
-    base = [edge_key(u, v), edge_key(u, w)]
-    budget = search_budget(budget)
-    for e1 in sorted(t1.edges()):
-        for e2 in sorted(t2.edges()):
-            need = base + [e1, e2]
-            if len(set(need)) != 4:
-                continue
-            found = enumerate_ham_cycles_raw(g, required_edges=need,
-                                             budget=budget, cap=1)
-            if found:
-                return found[0][0], e1, e2
-    raise SearchExhausted(
-        f"no Hamiltonian cycle through {base} plus edges of {t1.vertices}, {t2.vertices}")
+    return TriangleEdgeSearch(g, budget, separating)(t, t1, t2)
 
 
 # ---------------------------------------------------------------------------

@@ -59,8 +59,8 @@ from .replay import (disjoint_diamond_family, lemma_2edge_family, nested_chain,
 from .structures import DiamondCert, has_separating_triangle
 from .tutte import (
     PathPair,
+    TriangleEdgeSearch,
     diamond_region_paths,
-    ham_cycle_through_triangle_edges,
     tutte_path,
     two_ham_paths_uv,
     two_ham_paths_uw,
@@ -406,11 +406,13 @@ def suite_lemma_diamond4(budget=None, **_kw):
 def triangle_edge_cycles(g: PlaneGraph, rng: random.Random, budget) -> RunReport:
     """The ``lemma-4edges`` row of one graph: on up to ``TRIANGLE_SAMPLES``
     distinct face triples (t, t1, t2) drawn from ``rng``, a Hamiltonian cycle
-    through two edges of t and one each of t1 and t2, re-verified.  The graph
-    is tested for separating triangles once, not once per triple."""
+    through two edges of t and one each of t1 and t2, re-verified.  One
+    ``TriangleEdgeSearch`` serves every triple: the graph is tested for
+    separating triangles once, and each face becomes a ``Cycle`` and is
+    checked once."""
     def sampled_triples():
-        separating = has_separating_triangle(g)
-        faces = list(g.faces)
+        search = TriangleEdgeSearch(g, budget, has_separating_triangle(g))
+        faces = [Cycle(f) for f in g.faces]
         triples = set()
         limit = min(TRIANGLE_SAMPLES,
                     len(faces) * (len(faces) - 1) * (len(faces) - 2))
@@ -422,10 +424,8 @@ def triangle_edge_cycles(g: PlaneGraph, rng: random.Random, budget) -> RunReport
         failures = []
         for t, t1, t2 in sorted(triples):
             try:
-                cyc, e1, e2 = ham_cycle_through_triangle_edges(
-                    g, Cycle(faces[t]), Cycle(faces[t1]), Cycle(faces[t2]),
-                    budget=budget, separating=separating)
-                u, v, w = faces[t]
+                cyc, e1, e2 = search(faces[t], faces[t1], faces[t2])
+                u, v, w = faces[t].vertices
                 need = {edge_key(u, v), edge_key(u, w), e1, e2}
                 if len(need) != 4 or not need <= cyc or not is_ham_cycle(g, cyc):
                     failures.append((t, t1, t2, "re-verify"))

@@ -30,8 +30,13 @@ contractions that built a closure to learn a side of a cycle:
 ``reference_contract_interior``, and the graph edits as they were when
 they rebuilt their result from its faces: ``contract_interior_rebuilt``,
 ``contract_edge_rebuilt``, ``add_edge_in_face_rebuilt`` and
-``flip_edge_rebuilt``.  ``mirror`` and ``outer_rooted_code`` are small
-helpers only the tests use.
+``flip_edge_rebuilt``, and the triangle-edge cycle search and the
+Hamiltonicity checks before they ran on neighbour masks:
+``reference_ham_cycle_through_triangle_edges``, one constrained
+enumeration per (e1, e2) pair with every check per triple, and
+``reference_is_ham_cycle`` / ``reference_is_ham_path_of``, on edge and
+vertex sets.  ``mirror`` and ``outer_rooted_code`` are small helpers only
+the tests use.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from hamforge.errors import (
     SearchExhausted,
     SearchTimeout,
 )
-from hamforge.ham_enum import search_budget
+from hamforge.ham_enum import enumerate_ham_cycles_raw, search_budget
 from hamforge.plane_graph import (
     Cycle,
     NearTriangulation,
@@ -78,7 +83,6 @@ from hamforge.tutte import (
     _is_path_between,
     _require_square_region,
     clockwise_order_ok,
-    is_ham_path_of,
     tutte_path,
     tutte_path_two_edges,
 )
@@ -737,7 +741,7 @@ def reference_two_ham_paths_uw(r, budget=None):
 
     p1, p2 = assemble(big_first), assemble(big_second)
     for p in (p1, p2):
-        if not is_ham_path_of(g, p, u, w, exclude={v, x}):
+        if not reference_is_ham_path_of(g, p, u, w, exclude={v, x}):
             raise SearchExhausted(f"assembled path is not Hamiltonian: {p}")
     return PathPair(graph_n=g.n, a=u, b=w, first=p1, second=p2)
 
@@ -807,7 +811,7 @@ def reference_two_ham_paths_uv(r, budget=None):
         else:
             first, second = first + (v,), second + (v,)
         for p in (first, second):
-            if not is_ham_path_of(g, p, u, v, exclude={w, x}):
+            if not reference_is_ham_path_of(g, p, u, v, exclude={w, x}):
                 raise SearchExhausted(f"peel-extended path invalid: {p}")
         return PathPair(graph_n=g.n, a=u, b=v, first=first, second=second)
 
@@ -887,9 +891,9 @@ def _reference_uv_two_connected_case(g, sub, origin, fwd, d, apex, other, u, v, 
                 else:
                     first = tuple(reversed(p1)) + (v,)           # u .. v1 v
                     second = q + (v,)                            # u .. v2 v
-                if not is_ham_path_of(g, first, u, v, exclude={w, x}):
+                if not reference_is_ham_path_of(g, first, u, v, exclude={w, x}):
                     continue
-                if not is_ham_path_of(g, second, u, v, exclude={w, x}):
+                if not reference_is_ham_path_of(g, second, u, v, exclude={w, x}):
                     continue
                 if path_edges(first) == path_edges(second):
                     continue
@@ -1015,7 +1019,7 @@ def reference_theorem2_tree(g, chain, budget=None) -> FrozensetCycleTree:
     """``theorem2_tree`` before its cycles became edge bitmasks: every cycle
     a frozenset of labeled-edge tuples, each leaf certified here."""
     from hamforge.errors import ChainBroken
-    from hamforge.ham_enum import first_ham_cycle, is_ham_cycle
+    from hamforge.ham_enum import first_ham_cycle
 
     cap = budget if budget is not None else 10 ** 6
     t = chain.t
@@ -1069,7 +1073,7 @@ def reference_theorem2_tree(g, chain, budget=None) -> FrozensetCycleTree:
     own = {e: e for e in g.edge_set}
     for cyc in frontier:
         edges = _interned(own, (edge_key(a, b) for a, b in cyc))
-        if not is_ham_cycle(g, edges):
+        if not reference_is_ham_cycle(g, edges):
             raise ChainBroken(t, "leaf is not a Hamiltonian cycle")
         if edges not in seen:
             seen.add(edges)
@@ -1450,3 +1454,72 @@ def flip_edge_rebuilt(g, u, v):
         raise ValueError(f"edge {u}-{v} is not flippable")
     keep = [f for f in g.faces if set(f) != {u, v, x} and set(f) != {u, v, y}]
     return plane_graph_from_faces(keep + [(u, x, y), (v, y, x)])
+
+
+# ---------------------------------------------------------------------------
+# cycles through triangle edges and the Hamiltonicity checks, on sets
+# ---------------------------------------------------------------------------
+
+def reference_is_ham_cycle(g: PlaneGraph, edges) -> bool:
+    """Edge-set check: spanning, 2-regular, connected, edges exist."""
+    edges = set(edge_key(*e) for e in edges)
+    if len(edges) != g.n or not edges <= g.edge_set:
+        return False
+    deg = [0] * g.n
+    nbr = [[] for _ in range(g.n)]
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+        nbr[u].append(v)
+        nbr[v].append(u)
+    if any(d != 2 for d in deg):
+        return False
+    seen = {0}
+    v, prev = nbr[0][0], 0
+    while v != 0:
+        seen.add(v)
+        v, prev = (nbr[v][0] if nbr[v][0] != prev else nbr[v][1]), v
+    return len(seen) == g.n
+
+
+def reference_is_ham_path_of(g: PlaneGraph, seq, a, b, exclude=frozenset()) -> bool:
+    """Hamiltonian a-b path of g minus ``exclude``."""
+    want = set(range(g.n)) - set(exclude)
+    return (set(seq) == want and len(seq) == len(want) and seq[0] == a
+            and seq[-1] == b
+            and all(g.has_edge(p, q) for p, q in zip(seq, seq[1:])))
+
+
+def reference_ham_cycle_through_triangle_edges(g: PlaneGraph, t: Cycle,
+                                               t1: Cycle, t2: Cycle,
+                                               budget=None, separating=None):
+    """A Hamiltonian cycle through uv, uw (u the first vertex of t) and one
+    edge from each of t1, t2, all four distinct: (cycle edge set, e1, e2),
+    or SearchExhausted."""
+    from hamforge.structures import has_separating_triangle
+
+    for tri in (t, t1, t2):
+        tri.validate(g)
+        if len(tri) != 3:
+            raise HypothesisViolated("triangles_only")
+    keys = {canonical_cycle(tri.vertices) for tri in (t, t1, t2)}
+    if len(keys) != 3:
+        raise HypothesisViolated("distinct_triangles")
+    if separating is None:
+        separating = has_separating_triangle(g)
+    if separating:
+        raise HypothesisViolated("no_separating_triangles")
+    u, v, w = t.vertices
+    base = [edge_key(u, v), edge_key(u, w)]
+    budget = search_budget(budget)
+    for e1 in sorted(t1.edges()):
+        for e2 in sorted(t2.edges()):
+            need = base + [e1, e2]
+            if len(set(need)) != 4:
+                continue
+            found = enumerate_ham_cycles_raw(g, required_edges=need,
+                                             budget=budget, cap=1)
+            if found:
+                return found[0][0], e1, e2
+    raise SearchExhausted(
+        f"no Hamiltonian cycle through {base} plus edges of {t1.vertices}, {t2.vertices}")

@@ -43,6 +43,7 @@ from .oracles import (
     naive_count_ham_cycles,
     naive_count_ham_paths,
     permutation_count_ham_cycles,
+    reference_is_ham_cycle,
     reference_prepare,
     region_paths_loop,
 )
@@ -167,6 +168,53 @@ def test_family_dedupes():
     assert fam.add(cyc, "a")
     assert not fam.add(cyc, "b")
     assert len(fam) == 1
+
+
+def _cycle_variants(g, cyc):
+    """Edge lists around the Hamiltonian cycle ``cyc`` of g that a check
+    must get right: the cycle, reversed edges, an edge
+    in both orientations, and each edge swapped for a loop, a negative or
+    out-of-range id, a non-edge, a chord at one end, or nothing."""
+    edges = sorted(cyc)
+    n = g.n
+    yield edges
+    yield [(v, u) for u, v in edges]
+    yield edges + [edges[0][::-1]]
+    yield edges + [(0, 0)]
+    for i, (u, v) in enumerate(edges):
+        rest = edges[:i] + edges[i + 1:]
+        yield rest                                   # an open Hamiltonian path
+        yield rest + [(u, u)]
+        yield rest + [(u, v - n)]                    # negative: v's mask by wrap-around
+        yield rest + [(v - n, u)]
+        yield rest + [(u, n)]
+        yield rest + [(n, u)]
+        for w in range(n):
+            if w not in (u, v):
+                # a chord at u (one vertex of degree 3) or a non-edge
+                yield rest + [(u, w)]
+
+
+def test_is_ham_cycle_matches_reference(triangulations_by_n):
+    """The mask check gives the edge-set reference's answer on every
+    Hamiltonian cycle of every triangulation with n <= 7, each with the
+    variants of ``_cycle_variants``; on two disjoint triangles; and on the
+    empty set."""
+    checked = {True: 0, False: 0}
+    for n in range(4, 8):
+        for g in triangulations_by_n(n):
+            for cyc, _p in enumerate_ham_cycles_raw(g):
+                for edges in _cycle_variants(g, cyc):
+                    got = is_ham_cycle(g, edges)
+                    assert got == reference_is_ham_cycle(g, edges), edges
+                    checked[got] += 1
+    assert checked == {True: 396, False: 9527}    # 132 cycles
+    g = octahedron()
+    two = [e for f in ((4, 3, 0), (5, 2, 1)) for e in cycle_edges(f)]
+    assert {f for f in g.faces} >= {(4, 3, 0), (5, 2, 1)}
+    for edges in (two, [], [(0, 1)]):
+        assert not is_ham_cycle(g, edges)
+        assert not reference_is_ham_cycle(g, edges)
 
 
 def _excluding_cases(triangulations_by_n):

@@ -31,7 +31,11 @@ from hamforge.replay import (
 )
 
 from .golden import GOLDEN
-from .oracles import reference_theorem2_tree, two_edge_family_loop
+from .oracles import (
+    reference_ham_cycle_through_triangle_edges,
+    reference_theorem2_tree,
+    two_edge_family_loop,
+)
 
 
 def test_lemma_2edge_octahedron_base():
@@ -244,6 +248,39 @@ def test_replay_families_match_golden():
                 branches.update(entry.get("branch") for entry in fam.log)
     assert (branches["case1"], branches["trunk_splice"], branches["case2"]) == (19, 17, 4)
     assert digest.hexdigest() == GOLDEN["replay families n_max=11"]
+
+
+def test_case2_exchange_triples_match_reference(monkeypatch):
+    """Every triangle-edge triple ``_case2_exchange`` asks during the
+    ``theorem1`` and ``lemma-2edge`` suites at their defaults and the
+    ``replay families n_max=11`` runs gets the reference's answer, or
+    raises the reference's error: 6 triples, whose triangles come in the
+    order the construction names their vertices, not as faces list them."""
+    from hamforge import replay
+    from hamforge.verification import SUITE_RUNNERS
+
+    from .test_tutte import _triangle_outcome
+
+    asked = []
+    real = replay.ham_cycle_through_triangle_edges
+
+    def spy(*args):
+        asked.append((args, _triangle_outcome(real, *args)))
+        return real(*args)
+
+    monkeypatch.setattr(replay, "ham_cycle_through_triangle_edges", spy)
+    list(SUITE_RUNNERS["theorem1"]())
+    list(SUITE_RUNNERS["lemma-2edge"]())
+    flt = CorpusFilter(min_connectivity=4)
+    for g in (g for n in range(6, 12) for g in enumerate_triangulations(n, flt)):
+        a, b, c = g.faces[0]
+        for t in (None, 4):
+            theorem1_family(g, t=t)
+            lemma_2edge_family(g, edge_key(a, b), edge_key(b, c), t=t)
+    assert len(asked) == 6
+    for args, got in asked:
+        assert got == _triangle_outcome(
+            reference_ham_cycle_through_triangle_edges, *args)
 
 
 def test_theorem2_tree_peak_memory():

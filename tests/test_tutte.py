@@ -18,7 +18,7 @@ from hamforge.errors import (
     SearchExhausted,
     TutteViolation,
 )
-from hamforge.ham_enum import count_ham_paths, is_ham_cycle
+from hamforge.ham_enum import count_ham_paths, enumerate_ham_paths, is_ham_cycle
 from hamforge.plane_graph import (
     Cycle,
     NearTriangulation,
@@ -35,9 +35,11 @@ from hamforge.tutte import (
     OuterPlanarWitness,
     PathPair,
     PathWitness,
+    TriangleEdgeSearch,
     clockwise_order_ok,
     diamond_region_paths,
     ham_cycle_through_triangle_edges,
+    is_ham_path_of,
     tutte_path,
     tutte_path_two_edges,
     two_ham_paths_uv,
@@ -49,6 +51,9 @@ from hamforge.verification import dichotomy_regions
 from .golden import GOLDEN
 from .oracles import (
     nx_outerplanar,
+    reference_ham_cycle_through_triangle_edges,
+    reference_is_ham_path_of,
+    reference_prepare,
     reference_tutte_path,
     reference_tutte_path_two_edges,
     reference_two_ham_paths_uv,
@@ -452,13 +457,14 @@ def test_restriction_faces_match_rebuilt_restrictions(triangulations_by_n,
 def test_shared_region_tables_match_fresh_regions(monkeypatch):
     """The 8 labelings of a region and both lemmas read one region graph
     and the ``RegionTables`` kept on it.  On every ``dichotomy_regions(10)``
-    region, each kept entry (the triangles, and the faces and the blocks
-    and cut vertices per excluded set) equals what a freshly built
-    ``link_region`` gives, and so do the hypothesis answers of each
-    labeling and of each peel level, each lemma's outcome, and the exact
-    count of every row of the two suites, which share one count per
-    region and dropped pair."""
-    from hamforge import corpus, tutte
+    region, each kept entry (the triangles, the square-region answer, and
+    the faces, the blocks and cut vertices and the neighbour masks per
+    excluded set) equals what a freshly built ``link_region`` gives, and
+    so do the hypothesis answers of each labeling and of each peel level,
+    each lemma's outcome, and the exact count of every row of the two
+    suites, which share one count per region and dropped pair.  The
+    lemmas' path searches read the kept masks: the search copies none."""
+    from hamforge import corpus, ham_enum, tutte
     from hamforge.plane_graph import _blocks_and_cuts
     from hamforge.verification import SUITE_RUNNERS, graph_id, link_region
 
@@ -466,6 +472,10 @@ def test_shared_region_tables_match_fresh_regions(monkeypatch):
     for suite in ("lemma-uwpath", "lemma-uvpath"):
         for row in SUITE_RUNNERS[suite]():
             counts.setdefault(row.graph_id, []).append((row.operation, row.payload))
+    copies = []
+    real_copy = ham_enum.masks_without
+    monkeypatch.setattr(ham_enum, "masks_without", lambda *a: (
+        copies.append(a) or real_copy(*a)))
 
     def answer(check, *args):
         try:
@@ -484,7 +494,7 @@ def test_shared_region_tables_match_fresh_regions(monkeypatch):
     pairs = [p for n in range(5, 12)
              for p in corpus._square_region_level(n, separating=False)]
     assert len(pairs) == 97
-    rows = masks = checked_levels = 0
+    rows = masks = kept_masks = checked_levels = 0
     for g, v in pairs:
         shared = link_region(g, v)
         levels.clear()
@@ -501,9 +511,14 @@ def test_shared_region_tables_match_fresh_regions(monkeypatch):
             assert faces == restriction_faces(fresh, exclude)
         for exclude, blocks in tables.blocks.items():
             assert blocks == _blocks_and_cuts(fresh, exclude)
+        for exclude, nb in tables.masks.items():
+            assert nb == [0 if exclude >> z & 1 else m & ~exclude
+                          for z, m in enumerate(fresh.nbr_masks)]
         masks += len(tables.faces) + len(tables.blocks)
+        kept_masks += len(tables.masks)
         assert has_separating_triangle(shared.graph, tables.triangles) \
             == has_separating_triangle(fresh)
+        assert tables.square_fault == ""
         for exclude, outer, got in levels:
             assert got == answer(real_level, link_region(g, v).graph, exclude, outer)
         checked_levels += len(levels)
@@ -514,15 +529,60 @@ def test_shared_region_tables_match_fresh_regions(monkeypatch):
                 assert answer(tutte._require_square_region, lab) == \
                     answer(tutte._require_square_region, own)
                 alone.append(_outcome_repr(lemma, own))
-        assert outcomes == alone
+        assert outcomes == alone and copies == []
         for operation, payload in counts.pop(graph_id(shared.graph)):
             p, q, r, t = payload["outer"]
             drop, a, b = ({q, t}, p, r) if operation == "dichotomy_uw" else ({r, t}, p, q)
             assert payload["count"] == count_ham_paths(
                 link_region(g, v).graph, a, b, exclude=drop)
             rows += 1
+        copies.clear()     # the counts here copy; the lemmas' searches must not
     assert counts == {} and rows == 772 + 776
     assert (masks, checked_levels) == (916 + 640, 914)
+    assert kept_masks == 552
+
+
+def test_square_region_answered_once_per_region_graph(monkeypatch):
+    """``_require_square_region`` answers once per region graph: over the
+    8 labelings of every ``square_boundary_regions(8)`` region, separating
+    triangles included, and of a bare 4-cycle (not a near triangulation),
+    each labeling gets what the two checks give on it, every labeling of
+    one region the same, and ``has_separating_triangle`` runs once per
+    region graph.  An outer cycle that is not a 4-cycle is refused on
+    every call."""
+    from hamforge import tutte
+    from hamforge.verification import square_boundary_regions
+
+    asked = []
+    real = tutte.has_separating_triangle
+    monkeypatch.setattr(tutte, "has_separating_triangle", lambda g, triangles: (
+        asked.append(g) or real(g, triangles)))
+
+    def answer(nt):
+        try:
+            tutte._require_square_region(nt)
+        except HypothesisViolated as exc:
+            return exc.which
+        return ""
+
+    regions = list(square_boundary_regions(8))
+    regions.append(NearTriangulation(cycle_graph(4), Cycle((0, 1, 2, 3))))
+    seen = {}
+    for nt in regions:
+        for lab in _labelings(nt):
+            want = ("near_triangulation" if not lab.is_near_triangulation else
+                    "no_separating_triangles" if real(lab.graph) else "")
+            assert answer(lab) == want
+            seen.setdefault(id(nt.graph), set()).add(want)
+    assert all(len(answers) == 1 for answers in seen.values())
+    assert sorted(set().union(*seen.values())) == [
+        "", "near_triangulation", "no_separating_triangles"]
+    assert len(asked) == len(regions) - 1 == len({id(g) for g in asked})
+
+    g = octahedron()
+    tri = NearTriangulation(g, Cycle(g.outer_face))
+    for _ in range(2):
+        assert answer(tri) == "outer_4cycle"
 
 
 def test_one_covering_face_search_per_witness(monkeypatch):
@@ -567,6 +627,55 @@ def test_one_covering_face_search_per_witness(monkeypatch):
 
 # -- cycles through triangle edges ---------------------------------------------------
 
+def _path_variants(g, p, drop):
+    """Vertex sequences around the Hamiltonian path ``p`` of g minus
+    ``drop`` that a check must get right: the path, reversed, with a
+    vertex repeated, dropped, swapped with its neighbour (a non-edge step
+    or the same set in another order), or replaced by an excluded vertex,
+    a negative id or an id out of range."""
+    n = g.n
+    yield p
+    yield p[::-1]
+    yield p + p[-1:]
+    yield p[:-1]
+    for i in range(len(p)):
+        yield p[:i] + p[i + 1:]
+        yield p[:i] + (p[i],) + p[i:]
+        for z in (*drop, p[i] - n, n):
+            yield p[:i] + (z,) + p[i + 1:]
+        if i + 1 < len(p):
+            yield p[:i] + (p[i + 1], p[i]) + p[i + 2:]
+
+
+def test_is_ham_path_of_matches_reference(triangulations_by_n):
+    """The mask check gives the set reference's answer on every
+    Hamiltonian path, between every pair, of every triangulation with
+    n <= 7 minus each vertex pair (and minus nothing for n <= 6), each
+    with the variants of ``_path_variants``, and with ``exclude`` also
+    naming ids out of range; both fail alike on an empty sequence with
+    every vertex excluded."""
+    checked = {True: 0, False: 0}
+    for n in range(4, 8):
+        for g in triangulations_by_n(n):
+            drops = list(itertools.combinations(range(n), 2))
+            if n <= 6:
+                drops.append(())
+            for drop in drops:
+                rest = [z for z in range(n) if z not in drop]
+                for a, b in itertools.combinations(rest, 2):
+                    for p in enumerate_ham_paths(g, a, b, exclude=drop):
+                        for seq in _path_variants(g, p, drop):
+                            for exclude in (set(drop), set(drop) | {n, -1}):
+                                got = is_ham_path_of(g, seq, a, b, exclude)
+                                assert got == reference_is_ham_path_of(
+                                    g, seq, a, b, exclude), (seq, exclude)
+                                checked[got] += 1
+    assert checked == {True: 6766, False: 130148}
+    g = k4()
+    for check in (is_ham_path_of, reference_is_ham_path_of):
+        with pytest.raises(IndexError):
+            check(g, (), 0, 1, exclude=range(4))
+
 def test_ham_cycle_through_triangles_octahedron():
     g = octahedron()
     faces = [f for f in g.faces]
@@ -603,6 +712,148 @@ def test_ham_cycle_through_triangles_rejects_separating_triangles(triangulations
     t, t1, t2 = (Cycle(f) for f in g.faces[:3])
     with pytest.raises(HypothesisViolated, match="no_separating_triangles"):
         ham_cycle_through_triangle_edges(g, t, t1, t2)
+
+
+def _triangle_outcome(search, *args, **kwargs):
+    """A triangle-edge answer as (sorted cycle, e1, e2), or the error's
+    class and message."""
+    try:
+        cyc, e1, e2 = search(*args, **kwargs)
+    except HamforgeError as exc:
+        return type(exc).__name__, str(exc)
+    return sorted(cyc), e1, e2
+
+
+def test_triangle_edge_search_matches_reference_on_every_triple(triangulations_by_n):
+    """One ``TriangleEdgeSearch`` per graph, as the suite keeps it, and the
+    one-shot ``ham_cycle_through_triangle_edges`` give the reference's
+    answer or error on every ordered triple of distinct faces of each
+    4-connected triangulation with n <= 8 (3,696 triples).  So do inputs
+    that fail a check: a face repeated or given from another vertex, a
+    4-cycle, a non-cycle, and searches on graphs with a separating
+    triangle, asked with ``separating=False`` so that they run (some
+    exhaust)."""
+    compared = 0
+    for n in range(6, 9):
+        for g in triangulations_by_n(n):
+            if has_separating_triangle(g):
+                continue
+            faces = [Cycle(f) for f in g.faces]
+            search = TriangleEdgeSearch(g)
+            for t, t1, t2 in itertools.permutations(faces, 3):
+                want = _triangle_outcome(
+                    reference_ham_cycle_through_triangle_edges, g, t, t1, t2)
+                assert _triangle_outcome(search, t, t1, t2) == want
+                assert _triangle_outcome(
+                    ham_cycle_through_triangle_edges, g, t, t1, t2) == want
+                compared += 1
+    assert compared == 336 + 720 + 2 * 1320
+
+    g = octahedron()
+    f0, f1, f2 = (Cycle(f) for f in g.faces[:3])
+    a, b, c = f0.vertices
+    odd = [(f0, Cycle((b, c, a)), f1), (f0, Cycle((a, c, b)), f2),
+           (f0, f1, f1), (Cycle(g.rotation[0]), f1, f2),
+           (f0, Cycle((a, b)), f2), (f0, f1, Cycle((0, 2, 1))),
+           (Cycle((0, 1, 2, 3)), f1, f2), (f0, f1, Cycle((0, 5, 1)))]
+    search = TriangleEdgeSearch(g)
+    outcomes = []
+    for triple in odd:
+        want = _triangle_outcome(reference_ham_cycle_through_triangle_edges,
+                                 g, *triple)
+        for _ in range(2):     # a failed check is not kept
+            assert _triangle_outcome(search, *triple) == want
+        outcomes.append("found" if isinstance(want[0], list) else want[0])
+    assert outcomes == ["HypothesisViolated"] * 4 + ["NotACycle"] * 2 + [
+        "HypothesisViolated", "found"]
+
+    outcomes = set()
+    for g in triangulations_by_n(7):
+        if not has_separating_triangle(g):
+            continue
+        faces = [Cycle(f) for f in g.faces]
+        search = TriangleEdgeSearch(g, separating=False)
+        for t, t1, t2 in itertools.permutations(faces[:6], 3):
+            want = _triangle_outcome(reference_ham_cycle_through_triangle_edges,
+                                     g, t, t1, t2, separating=False)
+            assert _triangle_outcome(search, t, t1, t2) == want
+            assert _triangle_outcome(ham_cycle_through_triangle_edges,
+                                     g, t, t1, t2) == _triangle_outcome(
+                reference_ham_cycle_through_triangle_edges, g, t, t1, t2)
+            outcomes.add("found" if isinstance(want[0], list) else want[0])
+    assert outcomes == {"found", "SearchExhausted"}
+
+
+def _suite_triangle_answers(monkeypatch):
+    """Run ``lemma-4edges`` at its defaults, recording each graph, triple
+    and answer its ``TriangleEdgeSearch`` gives, in suite order."""
+    from hamforge.verification import SUITE_RUNNERS
+
+    asked = []
+    real = TriangleEdgeSearch.__call__
+
+    def spy(self, t, t1, t2):
+        answer = real(self, t, t1, t2)
+        asked.append((self.g, (t, t1, t2), answer))
+        return answer
+
+    monkeypatch.setattr(TriangleEdgeSearch, "__call__", spy)
+    rows = list(SUITE_RUNNERS["lemma-4edges"]())
+    assert len(rows) == 18 and all(r.ok for r in rows)
+    return asked
+
+
+def test_suite_triangle_answers_match_golden_and_reference(monkeypatch):
+    """The cycles ``lemma-4edges`` finds, which its payload omits: the
+    sha256 over ``repr((sorted(cycle), e1, e2))`` and a newline for each of
+    the 1,800 sampled triples of the suite at its defaults (n <= 10), in
+    suite order, is pinned, and each answer is the reference's."""
+    asked = _suite_triangle_answers(monkeypatch)
+    digest = hashlib.sha256()
+    for g, triple, (cyc, e1, e2) in asked:
+        digest.update(repr((sorted(cyc), e1, e2)).encode() + b"\n")
+        assert (cyc, e1, e2) == reference_ham_cycle_through_triangle_edges(
+            g, *triple)
+    assert len(asked) == 1800
+    assert digest.hexdigest() == GOLDEN["triangle-edge answers n_max=10"]
+
+
+def test_suite_triangle_search_work(monkeypatch):
+    """``lemma-4edges`` at its defaults pays for search nodes, not for
+    scaffolding: of the 3,769 (e1, e2) pairs its 1,800 triples reach that
+    repeat no edge, the 1,650 that give a vertex three required edges are
+    dropped before a table is built, and the other 2,119 run one search
+    each, 38,716 nodes in all.  The pairs are recounted here on the
+    reference's ``reference_prepare``."""
+    from hamforge import tutte
+
+    searches = []
+
+    class SearchSpy(tutte._Search):
+        __slots__ = ()
+
+        def _run(self, start, end):
+            searches.append(self)
+            return super()._run(start, end)
+
+    monkeypatch.setattr(tutte, "_Search", SearchSpy)
+    asked = _suite_triangle_answers(monkeypatch)
+    pairs = dropped = 0
+    for g, (t, t1, t2), (_cyc, e1, e2) in asked:
+        u, v, w = t.vertices
+        base = [edge_key(u, v), edge_key(u, w)]
+        for pair in itertools.product(sorted(t1.edges()), sorted(t2.edges())):
+            need = base + list(pair)
+            if len(set(need)) == 4:
+                pairs += 1
+                dropped += reference_prepare(g, need) is None
+            if pair == (e1, e2):
+                break
+    assert (len(asked), pairs, dropped) == (1800, 3769, 1650)
+    assert len(searches) == pairs - dropped == 2119
+    masks = {id(g.nbr_masks) for g, _triple, _answer in asked}
+    assert all(s.cap == 1 and id(s.nb) in masks for s in searches)
+    assert sum(s.nodes for s in searches) == 38716
 
 
 # -- diamond regions ------------------------------------------------------------------
