@@ -8,7 +8,6 @@ from .plane_graph import (
     bridges,
     build,
     canonical_code,
-    closure,
     contract_edge,
     contract_interior,
     is_isomorphic,
@@ -42,7 +41,6 @@ from .structures import (  # noqa: E402
     PairCert,
     find_diamonds,
     max_common_neighborhood_pair,
-    saturates,
     separating_cycles,
 )
 from .indset import (  # noqa: E402
@@ -61,7 +59,6 @@ from .tutte import (  # noqa: E402
     diamond_region_paths,
     ham_cycle_through_triangle_edges,
     tutte_path,
-    tutte_path_two_edges,
     two_ham_paths_uv,
     two_ham_paths_uw,
     verify_tutte,

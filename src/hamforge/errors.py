@@ -138,10 +138,6 @@ class SearchExhausted(HamforgeError):
     implementation bug or a counterexample to a published theorem."""
 
 
-class BadOrder(HamforgeError):
-    """Vertices/edges not in the required cyclic order on the outer cycle."""
-
-
 # --- enumeration --------------------------------------------------------------
 
 class SearchTimeout(OperationalError):

@@ -58,24 +58,21 @@ def masks_without(nb, exclude: int) -> list[int]:
     return [0 if exclude >> v & 1 else m & keep for v, m in enumerate(nb)]
 
 
-def _prepare(g: PlaneGraph, required_edges, exclude=frozenset(), masks=None):
+def _prepare(g: PlaneGraph, required_edges, exclude: int = 0):
     """The neighbour masks the search may use and each vertex's required
     neighbours, or None when some vertex has more than two of those.  The
-    masks are ``g.nbr_masks``, built with the graph, or without the
-    excluded vertices: ``masks`` when the caller keeps them, else a copy.
-    Edges are looked up in the masks too, so no edge table is built."""
+    masks are ``g.nbr_masks``, built with the graph, or a copy without the
+    vertices of the bitmask ``exclude``.  Edges are looked up in the masks
+    too, so no edge table is built."""
     req = frozenset(edge_key(*e) for e in required_edges)
     n = g.n
     for e in req:
         u, w = e
         if not (0 <= u < n and 0 <= w < n and g.has_edge(u, w)):
             raise ValueError(f"required edge {e} not in graph")
-        if not exclude.isdisjoint(e):
+        if (exclude >> u | exclude >> w) & 1:
             raise ValueError(f"required edge {e} has an excluded end")
-    nb = g.nbr_masks
-    if exclude:
-        nb = masks if masks is not None else masks_without(
-            nb, sum(1 << z for z in exclude))
+    nb = masks_without(g.nbr_masks, exclude) if exclude else g.nbr_masks
     req_at = [[] for _ in range(n)]
     for u, v in req:
         req_at[u].append(v)
@@ -336,24 +333,29 @@ def first_ham_cycle(g: PlaneGraph, required_edges=(), budget=None):
     return out[0][0] if out else None
 
 
-def _path_search(g, a, b, required_edges, exclude, masks=None):
-    """The masks and required neighbours for the a-b paths of g minus
-    ``exclude``, and the number of vertices they cover; None when some
-    vertex has more than two required edges."""
-    exclude = frozenset(exclude)
-    for z in sorted(exclude):
-        if z in (a, b):
+def _path_search(g, a, b, required_edges, exclude: int):
+    """The masks and required neighbours for the a-b paths of g minus the
+    vertices of the bitmask ``exclude``, and the number of vertices they
+    cover; None when some vertex has more than two required edges."""
+    n = g.n
+    for z in (a, b):
+        if not 0 <= z < n:
+            raise ValueError(f"path endpoint {z} not in graph")
+        if exclude >> z & 1:
             raise ValueError(f"path endpoint {z} is excluded")
-        if not 0 <= z < g.n:
-            raise ValueError(f"excluded vertex {z} not in graph")
-    prep = _prepare(g, required_edges, exclude, masks)
-    return None if prep is None else (*prep, g.n - len(exclude))
+    high = exclude >> n    # negative when exclude is: -1 holds every id
+    if high:
+        z = n + (high & -high).bit_length() - 1
+        raise ValueError(f"excluded vertex {z} not in graph")
+    prep = _prepare(g, required_edges, exclude)
+    return None if prep is None else (*prep, n - exclude.bit_count())
 
 
 def count_ham_paths(g: PlaneGraph, a: int, b: int, required_edges=(),
-                    budget=None, exclude=()) -> int:
-    """Exact number of Hamiltonian a-b paths of g minus ``exclude``.  A
-    timeout's ``partial`` is the number of paths completed before it."""
+                    budget=None, exclude: int = 0) -> int:
+    """Exact number of Hamiltonian a-b paths of g minus the vertices of the
+    bitmask ``exclude``.  A timeout's ``partial`` is the number of paths
+    completed before it."""
     prep = _path_search(g, a, b, required_edges, exclude)
     budget = search_budget(budget)
     if prep is None or not _has_paths(prep[1], a, b):
@@ -362,14 +364,13 @@ def count_ham_paths(g: PlaneGraph, a: int, b: int, required_edges=(),
 
 
 def enumerate_ham_paths(g: PlaneGraph, a: int, b: int, required_edges=(),
-                        budget=None, cap=None, exclude=(), masks=None):
-    """Deterministic list of the Hamiltonian a-b paths of g minus
-    ``exclude``, each a vertex tuple from a to b in g's ids (``path_edges``
-    gives its edge set).  The search takes the steps it takes on the
-    relabeled subgraph: same paths, same order, same budget.  ``masks``,
-    when given, is ``masks_without(g.nbr_masks, ...)`` of the excluded
-    vertices, kept by a caller that searches one restriction many times."""
-    prep = _path_search(g, a, b, required_edges, exclude, masks)
+                        budget=None, cap=None, exclude: int = 0):
+    """Deterministic list of the Hamiltonian a-b paths of g minus the
+    vertices of the bitmask ``exclude``, each a vertex tuple from a to b in
+    g's ids (``path_edges`` gives its edge set).  The search takes the
+    steps it takes on the relabeled subgraph: same paths, same order, same
+    budget."""
+    prep = _path_search(g, a, b, required_edges, exclude)
     found = []
     if prep is not None:
         _Search(*prep, search_budget(budget), found.append,

@@ -385,9 +385,8 @@ class RegionTables:
     """What the square-region lemmas read of one region graph more than
     once: its 3-cycles (``triangles``, as ``PlaneGraph.triangles`` lists
     them), and per bitmask ``exclude`` of dropped vertices the faces
-    (``faces``, from ``restriction_faces``), the blocks and cut vertices
-    (``blocks``, from ``_blocks_and_cuts``) and the neighbour masks
-    (``masks``, from ``ham_enum.masks_without``) of g minus them.
+    (``faces``, from ``restriction_faces``) and the blocks and cut
+    vertices (``blocks``, from ``_blocks_and_cuts``) of g minus them.
     ``square_fault`` is None until ``tutte._require_square_region`` asks,
     then the hypothesis the region fails, or "" when it holds: with the
     outer cycle a 4-cycle, both the near-triangulation and the
@@ -399,13 +398,12 @@ class RegionTables:
     kept for the life of the process (``lru_cache``) and never gets one.
     """
 
-    __slots__ = ("triangles", "faces", "blocks", "masks", "square_fault")
+    __slots__ = ("triangles", "faces", "blocks", "square_fault")
 
     def __init__(self, g: PlaneGraph):
         self.triangles = g.triangles()
         self.faces: dict[int, list[tuple[tuple[int, ...], bool]]] = {}
         self.blocks: dict[int, tuple[list[frozenset[Edge]], set[int]]] = {}
-        self.masks: dict[int, list[int]] = {}
         self.square_fault: str | None = None
 
 
@@ -704,7 +702,15 @@ def disc_faces(g: PlaneGraph, c: Cycle, v: int | None = None) -> tuple[set[int],
 
 def closure_of_disc(g: PlaneGraph, c: Cycle, inside: set[int], disc: int) -> NearTriangulation:
     """The closure of ``c`` from its side as ``disc_faces`` gives it: the
-    vertices of ``disc`` and the edges with a face in ``inside``."""
+    vertices of ``disc`` and the edges with a face in ``inside``, with
+    ``c`` as its outer cycle and the id mapping back to ``g``.
+
+    It is not g restricted to the disc's vertices: an edge of g drawn
+    outside the disc between two of its vertices is left out.  The replays
+    rely on that: in a double wheel the closure of a square u-v-w-x around
+    the rim leaves out the chord u-w, and only then does the region minus
+    v, x fall into the run of 2-vertex blocks that ``_find_run`` looks for.
+    """
     keep = mask_bits(disc)
     relabel = {old: new for new, old in enumerate(keep)}
     face_at = g._face_at
@@ -713,20 +719,6 @@ def closure_of_disc(g: PlaneGraph, c: Cycle, inside: set[int], disc: int) -> Nea
                 for v in keep]
     cyc = Cycle(tuple(relabel[v] for v in c.vertices))
     return NearTriangulation(PlaneGraph(rotation), cyc, origin=keep)
-
-
-def closure(g: PlaneGraph, c: Cycle) -> NearTriangulation:
-    """The subgraph inside the closed disc bounded by ``c``.
-
-    The interior side is the one away from the designated outer face; the
-    result has ``c`` as its outer cycle and carries the id mapping back to
-    ``g``.  It is not g restricted to the disc's vertices: an edge of g drawn
-    outside the disc between two of its vertices is left out.  The replays
-    rely on that: in a double wheel the closure of a square u-v-w-x around
-    the rim leaves out the chord u-w, and only then does the region minus
-    v, x fall into the run of 2-vertex blocks that ``_find_run`` looks for.
-    """
-    return closure_of_disc(g, c, *disc_faces(g, c))
 
 
 def closure_containing(g: PlaneGraph, c: Cycle, v: int) -> NearTriangulation:
@@ -977,22 +969,21 @@ class BlockChain:
         return len(self.blocks)
 
 
-def block_chain(g: PlaneGraph, a: int, b: int, exclude=frozenset(),
+def block_chain(g: PlaneGraph, a: int, b: int, exclude: int = 0,
                 edge_blocks=None) -> BlockChain:
-    """Order the blocks of g minus the ``exclude`` vertices along the a-b
-    path of the block tree.  ``edge_blocks``, when the caller holds them,
-    are the blocks ``_blocks_and_cuts`` gives for that graph.
+    """Order the blocks of g minus the vertices of the bitmask ``exclude``
+    along the a-b path of the block tree.  ``edge_blocks``, when the caller
+    holds them, are the blocks ``_blocks_and_cuts`` gives for that graph.
 
     Raises NotAChain if any block lies off that path, or if a or b sits in
     the middle of the chain.
     """
     if a == b:
         raise NotAChain("endpoints coincide")
-    gone = vertex_mask(exclude)
-    if not _connected_after_removal(g, gone):
+    if not _connected_after_removal(g, exclude):
         raise NotAChain("graph is not connected")
     if edge_blocks is None:
-        edge_blocks, _cuts = _blocks_and_cuts(g, gone)
+        edge_blocks, _cuts = _blocks_and_cuts(g, exclude)
     if not edge_blocks:
         raise NotAChain("no edges")
     vertex_sets = [frozenset(itertools.chain.from_iterable(e)) for e in edge_blocks]

@@ -103,7 +103,8 @@ def _junction_chain(g: PlaneGraph, cl: NearTriangulation, c: Cycle, v: int, x: i
     """
     u, _v, w, _x = c.vertices
     fwd = {z: i for i, z in enumerate(cl.origin)}
-    chain = block_chain(cl.graph, fwd[u], fwd[w], exclude={fwd[v], fwd[x]})
+    chain = block_chain(cl.graph, fwd[u], fwd[w],
+                        exclude=1 << fwd[v] | 1 << fwd[x])
     blocks = tuple(frozenset(cl.to_origin(z) for z in b) for b in chain.blocks)
     endpoints = tuple(cl.to_origin(z) for z in chain.endpoints)
     return blocks, endpoints
@@ -347,7 +348,7 @@ def _case1_splice(g, cyc: Cycle, cl: NearTriangulation, fam: HamFamily, cap, e, 
                                                   cap=cap):
         p_loc, q_loc = _cycle_neighbors(cyc_edges, star)
         p, q = origin[p_loc], origin[q_loc]
-        drop = [cl_fwd[z] for z in cyc.vertices if z not in (p, q)]
+        drop = vertex_mask(cl_fwd[z] for z in cyc.vertices if z not in (p, q))
         trunk = {edge_key(origin[p2], origin[q2])
                  for p2, q2 in _drop_vertex(cyc_edges, star)}
         for pathseq in enumerate_ham_paths(cl.graph, cl_fwd[p], cl_fwd[q],
@@ -479,8 +480,8 @@ def _theorem1_trunk_splice(g, cyc: Cycle, cl, fam: HamFamily, cap) -> int:
     trunk = [edge_key(origin[a], origin[b])
              for a, b in zip(cert.path, cert.path[1:])]
     cl_fwd = {z: i for i, z in enumerate(cl.origin)}
-    drop = {cl_fwd[v], cl_fwd[x]}
-    if not _connected_after_removal(cl.graph, vertex_mask(drop)):
+    drop = 1 << cl_fwd[v] | 1 << cl_fwd[x]
+    if not _connected_after_removal(cl.graph, drop):
         fam.log.append({"branch": "trunk_splice", "skipped": "region disconnected"})
         return 0
     added = 0
@@ -648,7 +649,7 @@ def _pocket_paths(g, cert, cl: NearTriangulation, a, b):
         if out[0][0] != a:
             out = [tuple(reversed(out[0]))]
     if not out:
-        drop = [q for q in vs if cl.to_origin(q) not in (a, b)]
+        drop = vertex_mask(q for q in vs if cl.to_origin(q) not in (a, b))
         paths = enumerate_ham_paths(cl.graph, fwd[a], fwd[b], cap=2, exclude=drop)
         out = [tuple(cl.to_origin(z) for z in p) for p in paths]
     return out[:2]
@@ -907,7 +908,7 @@ def theorem2_tree(g: PlaneGraph, chain: NestedChain, budget=None) -> CycleTree:
                 raise ChainBroken(level, "pocket vertex not on the cycle")
             a, b = sorted(q for i in mask_bits(zbits) for q in edges[i] if q != z)
             rest = cyc ^ zbits
-            paths = _ladder_paths(ladder, cvs, a, b, cap)
+            paths = _ladder_paths(ladder, cvs, a, b, cap - len(nxt))
             if not paths:
                 raise ChainBroken(level, f"no completion between {a} and {b}")
             level_branching.append(len(paths))
@@ -949,8 +950,8 @@ def _labeled_edge(a, b):
 def _ladder_paths(ladder: Ladder, cycle_vertices, a, b, cap):
     """Hamiltonian a-b paths of the ladder minus the other two outer
     vertices, as label sequences, at most ``cap`` of them."""
-    drop = [i for i, lab in enumerate(ladder.labels)
-            if lab in cycle_vertices and lab not in (a, b)]
+    drop = vertex_mask(i for i, lab in enumerate(ladder.labels)
+                       if lab in cycle_vertices and lab not in (a, b))
     paths = enumerate_ham_paths(ladder.graph, ladder.local(a), ladder.local(b),
                                 cap=cap, exclude=drop)
     return [tuple(ladder.labels[z] for z in p) for p in paths]

@@ -1,4 +1,4 @@
-"""Structural objects: separating cycles, diamonds, saturation, common
+"""Structural objects: separating cycles, diamonds, independence, common
 neighborhoods.
 
 The two diamond patterns are fixed here as adjacency lists and treated as
@@ -253,7 +253,7 @@ def _find_diamond6(g: PlaneGraph) -> list[DiamondCert]:
 
 
 # ---------------------------------------------------------------------------
-# saturation and common neighborhoods
+# independence and common neighborhoods
 # ---------------------------------------------------------------------------
 
 def check_independent(g: PlaneGraph, s) -> None:
@@ -261,22 +261,6 @@ def check_independent(g: PlaneGraph, s) -> None:
     for u, v in itertools.combinations(s, 2):
         if g.has_edge(u, v):
             raise SNotIndependent(f"{u} and {v} are adjacent")
-
-
-def saturates(g: PlaneGraph, s, obj) -> bool:
-    """Whether independent set s saturates a 4/5-cycle (two vertices on it)
-    or a diamond-6-cycle (three crucial vertices in s)."""
-    check_independent(g, s)
-    s = set(s)
-    if isinstance(obj, Cycle):
-        if len(obj) not in (4, 5):
-            raise ValueError("saturation is defined for 4- and 5-cycles")
-        return len(s & set(obj.vertices)) == 2
-    if isinstance(obj, DiamondCert):
-        if obj.kind != "diamond6":
-            raise ValueError("saturation is defined for diamond-6-cycles")
-        return len(s & set(obj.crucial)) >= 3
-    raise TypeError(f"cannot saturate {type(obj).__name__}")
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,9 @@ restriction they need (a block, a peel level, an apex deletion) is the
 region plus a bitmask of excluded vertices: its faces come from
 ``restriction_faces`` and its Hamiltonian Tutte paths from the shared
 search with ``exclude``, so neither lemma builds a graph.  The region's
-triangles and square-region answer, and its faces, blocks and neighbour
-masks per excluded set, are kept on the region graph (``RegionTables``)
-and read by every labelling and level that needs them.
+triangles and square-region answer, and its faces and blocks per excluded
+set, are kept on the region graph (``RegionTables``) and read by every
+labelling and level that needs them.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import (
-    BadOrder,
     HypothesisViolated,
     NotACycle,
     SearchExhausted,
@@ -34,7 +33,6 @@ from .ham_enum import (
     _has_cycles,
     _Search,
     enumerate_ham_paths,
-    masks_without,
     search_budget,
 )
 from .plane_graph import (
@@ -197,9 +195,7 @@ def _tutte_search(g: PlaneGraph, x: int, y: int, required, constraint_edges,
     # prefer one and return it unchecked; the pure lexicographic fallback
     # covers graphs where the guarantee is only the Tutte condition
     for p in enumerate_ham_paths(g, x, y, required_edges=required,
-                                 budget=budget, cap=1,
-                                 exclude=mask_bits(exclude),
-                                 masks=_masks_without(g, exclude)):
+                                 budget=budget, cap=1, exclude=exclude):
         return TuttePathCert(path=p, constraint_edges=constraint_edges,
                              is_hamiltonian=True)
     if hamiltonian:
@@ -213,8 +209,7 @@ def _tutte_search(g: PlaneGraph, x: int, y: int, required, constraint_edges,
         if _check_tutte(g, p, constraint_edges) is None:
             return TuttePathCert(path=p, constraint_edges=constraint_edges,
                                  is_hamiltonian=len(p) == g.n)
-    kind = "C-Tutte" if len(required) == 1 else "uCv-Tutte"
-    raise SearchExhausted(f"no {x}-{y} {kind} path through "
+    raise SearchExhausted(f"no {x}-{y} C-Tutte path through "
                           f"{', '.join(map(str, required))} (n={g.n})")
 
 
@@ -267,24 +262,6 @@ def clockwise_order_ok(c: Cycle, u: int, e, f, v: int) -> bool:
     return se < sf and pos[v] >= sf + 1
 
 
-def tutte_path_two_edges(g_or_nt, c: Cycle | None, u: int, v: int, e, f,
-                         hamiltonian: bool = False, budget=None) -> TuttePathCert:
-    """A uCv-Tutte path between u and v through both e and f.
-
-    Requires u, e, f, v in clockwise order on the outer cycle (BadOrder
-    otherwise); the Tutte constraint subgraph is the clockwise u-to-v
-    subpath of the outer cycle.
-    """
-    g, c = _graph_and_cycle(g_or_nt, c)
-    e, f = edge_key(*e), edge_key(*f)
-    if e not in c.edges() or f not in c.edges():
-        raise HypothesisViolated("edges_on_outer_cycle")
-    if not clockwise_order_ok(c, u, e, f, v):
-        raise BadOrder(f"{u}, {e}, {f}, {v} not in clockwise order on {c.vertices}")
-    return _tutte_search(g, u, v, (e, f), path_edges(c.subpath(u, v)),
-                         hamiltonian, budget)
-
-
 # ---------------------------------------------------------------------------
 # region graphs with outer 4-cycles: the two-Hamiltonian-paths lemmas
 # ---------------------------------------------------------------------------
@@ -314,17 +291,6 @@ def _faces_without(g: PlaneGraph, exclude: int):
     if exclude not in faces:
         faces[exclude] = restriction_faces(g, exclude)
     return faces[exclude]
-
-
-def _masks_without(g: PlaneGraph, exclude: int):
-    """g's neighbour masks without the bitmask ``exclude``: g's own for
-    none, else built once per region graph."""
-    if not exclude:
-        return g.nbr_masks
-    masks = region_tables(g).masks
-    if exclude not in masks:
-        masks[exclude] = masks_without(g.nbr_masks, exclude)
-    return masks[exclude]
 
 
 def _blocks_without(g: PlaneGraph, exclude: int):
@@ -380,8 +346,9 @@ def two_ham_paths_uw(r: NearTriangulation, budget=None):
     if witness is not None:
         return PathWitness(witness)
 
-    chain = block_chain(g, u, w, exclude={v, x},
-                        edge_blocks=_blocks_without(g, vertex_mask((v, x)))[0])
+    gone = 1 << v | 1 << x
+    chain = block_chain(g, u, w, exclude=gone,
+                        edge_blocks=_blocks_without(g, gone)[0])
     s = next(i for i, bvs in enumerate(chain.blocks) if len(bvs) >= 3)
     full = (1 << g.n) - 1
     firsts, seconds = [], []     # each block's path, from its entry
@@ -409,22 +376,19 @@ def two_ham_paths_uw(r: NearTriangulation, budget=None):
     pair = []
     for blocks in (firsts, seconds):
         p = (u,) + tuple(z for path in blocks for z in path[1:])
-        if not is_ham_path_of(g, p, u, w, exclude={v, x}):
+        if not is_ham_path_of(g, p, u, w, exclude=gone):
             raise SearchExhausted(f"assembled path is not Hamiltonian: {p}")
         pair.append(p)
     return PathPair(graph_n=g.n, a=u, b=w, first=pair[0], second=pair[1])
 
 
-def is_ham_path_of(g: PlaneGraph, seq, a, b, exclude=frozenset()) -> bool:
-    """Hamiltonian a-b path of g minus ``exclude``, checked on masks: every
-    id in range and none twice, the ids those of g minus ``exclude`` (an
-    excluded id out of range excludes nothing), a first and b last, and
-    each step an edge of g."""
+def is_ham_path_of(g: PlaneGraph, seq, a, b, exclude: int = 0) -> bool:
+    """Hamiltonian a-b path of g minus the vertices of the bitmask
+    ``exclude``, checked on masks: every id in range and none twice, the
+    ids those of g minus ``exclude`` (a bit at or above g.n excludes
+    nothing), a first and b last, and each step an edge of g."""
     n, nb = g.n, g.nbr_masks
-    want = (1 << n) - 1
-    for z in exclude:
-        if 0 <= z < n:
-            want &= ~(1 << z)
+    want = ((1 << n) - 1) & ~exclude
     seen = 0
     for p in seq:
         if not 0 <= p < n or seen >> p & 1:
@@ -517,13 +481,13 @@ def _uv_level(g: PlaneGraph, exclude: int, u, v, w, x, budget):
         below = exclude | 1 << peel
         _check_square_level(g, below, outer)
         res = _uv_level(g, below, *outer, budget)
+        rest = exclude | vertex_mask((w, x))
         if isinstance(res, OuterPlanarWitness):
             # g minus exclude, w and x is outer planar iff the face at peel
             # that is not the triangle on peel's two neighbours here, stay
             # and anchor, visits every vertex.  The face of (stay, peel)
             # runs on to anchor and then to anchor's next kept neighbour
             # after peel: stay when it is that triangle.
-            rest = exclude | vertex_mask((w, x))
             rot = g.rotation[anchor]
             k = rot.index(peel) + 1
             while rest >> rot[k % len(rot)] & 1:
@@ -538,9 +502,8 @@ def _uv_level(g: PlaneGraph, exclude: int, u, v, w, x, budget):
             first, second = (u,) + res.first, (u,) + res.second
         else:
             first, second = res.first + (v,), res.second + (v,)
-        off = mask_bits(exclude | vertex_mask((w, x)))
         for p in (first, second):
-            if not is_ham_path_of(g, p, u, v, exclude=off):
+            if not is_ham_path_of(g, p, u, v, exclude=rest):
                 raise SearchExhausted(f"peel-extended path invalid: {p}")
         return PathPair(graph_n=n, a=u, b=v, first=first, second=second)
 
@@ -563,7 +526,8 @@ def _uv_level(g: PlaneGraph, exclude: int, u, v, w, x, budget):
                           f"(outer {u},{v},{w},{x}, n={n})")
 
 
-def _uv_two_connected_case(g, exclude, d, apex, other, u, v, w, x, budget):
+def _uv_two_connected_case(g, exclude: int, d, apex, other, u, v, w, x,
+                           budget):
     """The Thomassen + Thomas-Yu construction for the 2-connected branch,
     on the level (g minus the bitmask ``exclude``) minus w, x and the apex,
     whose outer cycle is ``d``.
@@ -589,7 +553,7 @@ def _uv_two_connected_case(g, exclude, d, apex, other, u, v, w, x, budget):
     e_opts = sorted(e for e in d.edges() if y in e)
     f_opts = sorted(e for e in d.edges() if a1 in e)
     drop = exclude | vertex_mask((w, x, apex))
-    off = mask_bits(exclude | vertex_mask((w, x)))
+    off = exclude | vertex_mask((w, x))
     for e in e_opts:
         try:
             p1 = _tutte_search(g, a1, other, (e,), d.edges(), True, budget,
@@ -801,7 +765,7 @@ def diamond_region_paths(r: NearTriangulation, z: int, dprime: DiamondCert,
     paths_by_pair = {}
     for a, b in itertools.combinations(sorted(cvs), 2):
         paths = enumerate_ham_paths(g, a, b, budget=budget,
-                                    exclude=set(cvs) - {a, b})
+                                    exclude=vertex_mask(cvs) ^ 1 << a ^ 1 << b)
         counts[(a, b)] = len(paths)
         paths_by_pair[(a, b)] = paths
 

@@ -337,16 +337,15 @@ def _dichotomy_reports(suite, kind, n_max, budget):
                 def dichotomy():
                     nt2 = NearTriangulation(g, Cycle(vs))
                     if kind == "uw":
-                        drop, a, b = {v, x}, u, w
+                        drop, a, b = 1 << v | 1 << x, u, w
                         res = two_ham_paths_uw(nt2, budget=budget)
                     else:
-                        drop, a, b = {w, x}, u, v
+                        drop, a, b = 1 << w | 1 << x, u, v
                         res = two_ham_paths_uv(nt2, budget=budget)
-                    key = frozenset(drop)
-                    if key not in counts:
-                        counts[key] = count_ham_paths(g, a, b, exclude=drop,
-                                                      budget=budget)
-                    cnt = counts[key]
+                    if drop not in counts:
+                        counts[drop] = count_ham_paths(g, a, b, exclude=drop,
+                                                       budget=budget)
+                    cnt = counts[drop]
                     if isinstance(res, PathPair):
                         ok = cnt >= 2
                     else:

@@ -35,8 +35,8 @@ Hamiltonicity checks before they ran on neighbour masks:
 ``reference_ham_cycle_through_triangle_edges``, one constrained
 enumeration per (e1, e2) pair with every check per triple, and
 ``reference_is_ham_cycle`` / ``reference_is_ham_path_of``, on edge and
-vertex sets.  ``mirror`` and ``outer_rooted_code`` are small helpers only
-the tests use.
+vertex sets.  ``mirror``, ``outer_rooted_code`` and ``saturates`` are
+small helpers only the tests use.
 """
 
 from __future__ import annotations
@@ -48,9 +48,9 @@ from dataclasses import dataclass, field
 import networkx as nx
 
 from hamforge.errors import (
-    BadOrder,
     DisconnectedInterior,
     EmptyInterior,
+    HamforgeError,
     HypothesisViolated,
     MultiEdge,
     NotACycle,
@@ -84,7 +84,6 @@ from hamforge.tutte import (
     _require_square_region,
     clockwise_order_ok,
     tutte_path,
-    tutte_path_two_edges,
 )
 
 
@@ -92,6 +91,24 @@ def mirror(g: PlaneGraph) -> PlaneGraph:
     """The reflected embedding (all rotations reversed)."""
     return PlaneGraph([tuple(reversed(r)) for r in g.rotation],
                       require_connected=False)
+
+
+def saturates(g: PlaneGraph, s, obj) -> bool:
+    """Whether independent set s saturates a 4/5-cycle (two vertices on it)
+    or a diamond-6-cycle (three crucial vertices in s)."""
+    from hamforge.structures import DiamondCert, check_independent
+
+    check_independent(g, s)
+    s = set(s)
+    if isinstance(obj, Cycle):
+        if len(obj) not in (4, 5):
+            raise ValueError("saturation is defined for 4- and 5-cycles")
+        return len(s & set(obj.vertices)) == 2
+    if isinstance(obj, DiamondCert):
+        if obj.kind != "diamond6":
+            raise ValueError("saturation is defined for diamond-6-cycles")
+        return len(s & set(obj.crucial)) >= 3
+    raise TypeError(f"cannot saturate {type(obj).__name__}")
 
 
 def outer_rooted_code(g: PlaneGraph) -> tuple[int, ...]:
@@ -566,10 +583,17 @@ def reference_tutte_path(g, c, x, y, e, hamiltonian=False):
     raise SearchExhausted(f"no {x}-{y} C-Tutte path through {e} (n={g.n})")
 
 
-def reference_tutte_path_two_edges(g, c, u, v, e, f, hamiltonian=False):
-    """``tutte_path_two_edges`` on a bare graph as its own search: the same
-    two stages through both e and f, Tutte for the clockwise u-v subpath."""
-    from hamforge.errors import BadOrder, HypothesisViolated, SearchExhausted
+class BadOrder(HamforgeError):
+    """Vertices/edges not in the required cyclic order on the outer cycle."""
+
+
+def reference_tutte_path_two_edges(g, c, u, v, e, f, hamiltonian=False,
+                                   budget=None):
+    """The Thomas-Yu uCv-Tutte path on a bare graph as its own search: a
+    Hamiltonian u-v path through both e and f, else (unless
+    ``hamiltonian``) the lexicographically first one that is Tutte for the
+    clockwise u-v subpath; each Hamiltonian search within ``budget``."""
+    from hamforge.errors import HypothesisViolated, SearchExhausted
     from hamforge.ham_enum import enumerate_ham_paths
     from hamforge.plane_graph import path_edges
     from hamforge.tutte import (
@@ -587,7 +611,8 @@ def reference_tutte_path_two_edges(g, c, u, v, e, f, hamiltonian=False):
     if not clockwise_order_ok(c, u, e, f, v):
         raise BadOrder(f"{u}, {e}, {f}, {v} not in clockwise order on {c.vertices}")
     constraint = c.subpath(u, v)
-    for p in enumerate_ham_paths(g, u, v, required_edges=[e, f], cap=1):
+    for p in enumerate_ham_paths(g, u, v, required_edges=[e, f], cap=1,
+                                 budget=budget):
         return verify_tutte(g, p, constraint)
     if hamiltonian:
         raise SearchExhausted(
@@ -692,7 +717,7 @@ def reference_two_ham_paths_uw(r, budget=None):
     if witness is not None:
         return PathWitness(witness)
 
-    chain = block_chain(g, u, w, exclude={v, x})
+    chain = block_chain(g, u, w, exclude=1 << v | 1 << x)
     s = next(i for i, bvs in enumerate(chain.blocks) if len(bvs) >= 3)
     pieces_before = []
     pieces_after = []
@@ -879,8 +904,9 @@ def _reference_uv_two_connected_case(g, sub, origin, fwd, d, apex, other, u, v, 
                 if f == e or not clockwise_order_ok(dd, others, e, f, a2s):
                     continue
                 try:
-                    cert2 = tutte_path_two_edges(sub, dd, others, a2s, e, f,
-                                                 hamiltonian=True, budget=budget)
+                    cert2 = reference_tutte_path_two_edges(
+                        sub, dd, others, a2s, e, f, hamiltonian=True,
+                        budget=budget)
                 except (SearchExhausted, BadOrder):
                     continue
                 p1 = tuple(origin[z] for z in cert1.path)        # a1 .. other
@@ -1047,7 +1073,7 @@ def reference_theorem2_tree(g, chain, budget=None) -> FrozensetCycleTree:
                 raise ChainBroken(level, "pocket vertex not on the cycle")
             a, b = sorted(q for e in zedges for q in e if q != z)
             rest = set(cyc) - set(zedges)
-            paths = _ladder_paths(ladder, cvs, a, b, cap)
+            paths = _ladder_paths(ladder, cvs, a, b, cap - len(nxt))
             if not paths:
                 raise ChainBroken(level, f"no completion between {a} and {b}")
             level_branching.append(len(paths))
@@ -1106,8 +1132,8 @@ def _ladder_paths(ladder, cycle_vertices, a, b, cap):
     vertices, as label sequences, at most ``cap`` of them."""
     from hamforge.ham_enum import enumerate_ham_paths
 
-    drop = [i for i, lab in enumerate(ladder.labels)
-            if lab in cycle_vertices and lab not in (a, b)]
+    drop = vertex_mask(i for i, lab in enumerate(ladder.labels)
+                       if lab in cycle_vertices and lab not in (a, b))
     paths = enumerate_ham_paths(ladder.graph, ladder.local(a), ladder.local(b),
                                 cap=cap, exclude=drop)
     return [tuple(ladder.labels[z] for z in p) for p in paths]

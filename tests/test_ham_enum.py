@@ -35,6 +35,7 @@ from hamforge.plane_graph import (
     cycle_edges,
     edge_key,
     path_edges,
+    vertex_mask,
 )
 
 from .oracles import (
@@ -242,10 +243,10 @@ def test_excluding_search_matches_region_loop(triangulations_by_n):
     disconnected = paths = 0
     for g, drop, a, b in _excluding_cases(triangulations_by_n):
         want = region_paths_loop(g, drop, a, b)
-        got = enumerate_ham_paths(g, a, b, exclude=drop)
+        got = enumerate_ham_paths(g, a, b, exclude=vertex_mask(drop))
         assert got == (want or []), (g, drop, a, b)
-        assert count_ham_paths(g, a, b, exclude=drop) == len(got)
-        assert enumerate_ham_paths(g, a, b, cap=1, exclude=drop) == \
+        assert count_ham_paths(g, a, b, exclude=vertex_mask(drop)) == len(got)
+        assert enumerate_ham_paths(g, a, b, cap=1, exclude=vertex_mask(drop)) == \
             (region_paths_loop(g, drop, a, b, cap=1) or [])
         disconnected += want is None
         paths += len(got)
@@ -288,12 +289,13 @@ def test_excluding_search_takes_the_loops_node_count():
                                              budget=budget))
         if need == 1:
             continue
-        enumerate_ham_paths(nt.graph, a, b, exclude=drop, budget=need)
+        gone = vertex_mask(drop)
+        enumerate_ham_paths(nt.graph, a, b, exclude=gone, budget=need)
         with pytest.raises(SearchTimeout):
-            enumerate_ham_paths(nt.graph, a, b, exclude=drop, budget=need - 1)
-        count_ham_paths(nt.graph, a, b, exclude=drop, budget=need)
+            enumerate_ham_paths(nt.graph, a, b, exclude=gone, budget=need - 1)
+        count_ham_paths(nt.graph, a, b, exclude=gone, budget=need)
         with pytest.raises(SearchTimeout) as timeout:
-            count_ham_paths(nt.graph, a, b, exclude=drop, budget=1)
+            count_ham_paths(nt.graph, a, b, exclude=gone, budget=1)
         assert timeout.value.partial == 0
         checked += 1
     assert checked >= 5
@@ -316,7 +318,7 @@ def test_count_timeout_partial_counts_the_completed_paths(triangulations_by_n):
     for g in triangulations_by_n(7)[::3]:
         for search in (lambda budget: count_ham_cycles(g, budget=budget),
                        lambda budget: count_ham_paths(g, 0, 1, budget=budget),
-                       lambda budget: count_ham_paths(g, 2, 5, exclude={0},
+                       lambda budget: count_ham_paths(g, 2, 5, exclude=1 << 0,
                                                       budget=budget)):
             count, need = search(None), _least_budget(search)
             partials = []
@@ -331,13 +333,33 @@ def test_count_timeout_partial_counts_the_completed_paths(triangulations_by_n):
 
 
 def test_excluded_endpoint_rejected():
+    """An excluded endpoint is rejected, and so is a mask with a bit at or
+    above n, or a negative one (it holds every id above n), naming the
+    first vertex it holds that g lacks."""
     o = octahedron()
     with pytest.raises(ValueError, match="endpoint 2 is excluded"):
-        enumerate_ham_paths(o, 0, 2, exclude={2, 3})
+        enumerate_ham_paths(o, 0, 2, exclude=1 << 2 | 1 << 3)
     with pytest.raises(ValueError, match="endpoint 0 is excluded"):
-        count_ham_paths(o, 0, 2, exclude={0})
-    with pytest.raises(ValueError, match="vertex 9 not in graph"):
-        count_ham_paths(o, 0, 2, exclude={9})
+        count_ham_paths(o, 0, 2, exclude=1 << 0)
+    for gone, z in ((1 << 9, 9), (1 << 3 | 1 << 7 | 1 << 9, 7), (-1 << 2, 6)):
+        for search in (enumerate_ham_paths, count_ham_paths):
+            with pytest.raises(ValueError, match=f"vertex {z} not in graph"):
+                search(o, 0, 1, exclude=gone)
+
+
+def test_path_endpoints_out_of_range_rejected():
+    """An endpoint outside 0..n-1 is a ValueError naming it, at either
+    end, before the excluded mask is read."""
+    g = double_wheel(8)
+    for bad in (-1, g.n):
+        for search in (enumerate_ham_paths, count_ham_paths):
+            for a, b in ((bad, 3), (3, bad)):
+                with pytest.raises(ValueError,
+                                   match=f"path endpoint {bad} not in graph"):
+                    search(g, a, b)
+                with pytest.raises(ValueError,
+                                   match=f"path endpoint {bad} not in graph"):
+                    search(g, a, b, exclude=1 << 5)
 
 
 def test_required_edge_with_excluded_end_rejected():
@@ -347,7 +369,7 @@ def test_required_edge_with_excluded_end_rejected():
     message = re.escape(f"required edge {e} has an excluded end")
     for search in (enumerate_ham_paths, count_ham_paths):
         with pytest.raises(ValueError, match=message):
-            search(o, a, b, required_edges=[e], exclude={e[1]})
+            search(o, a, b, required_edges=[e], exclude=1 << e[1])
 
 
 def test_required_edges_checked_without_an_edge_table(monkeypatch):
@@ -371,7 +393,7 @@ def test_required_edges_checked_without_an_edge_table(monkeypatch):
             count_ham_cycles(o, required_edges=[bad])
     with pytest.raises(ValueError, match=re.escape(
             "required edge (1, 5) has an excluded end")):
-        count_ham_paths(o, 0, 4, required_edges=[(1, 5)], exclude={5})
+        count_ham_paths(o, 0, 4, required_edges=[(1, 5)], exclude=1 << 5)
     assert built == []
 
 
@@ -429,7 +451,7 @@ def _assert_same_searches(graphs, seed, per_graph=16):
             ends, exclude, required = _random_constraints(rng, g, edges)
             cap = rng.choice((None, None, 1, 2, rng.randint(0, 5)))
             want_prep = reference_prepare(g, required, exclude)
-            prep = _prepare(g, required, exclude)
+            prep = _prepare(g, required, vertex_mask(exclude))
             assert (prep is None) == (want_prep is None)
             if prep is None:
                 continue
@@ -469,7 +491,7 @@ def test_neighbour_masks_built_once_per_graph(triangulations_by_n):
     for g in graphs:
         e = min(g.edge_set)
         rounds = [(count_ham_cycles(g), count_ham_cycles(g, required_edges=[e]),
-                   count_ham_paths(g, 0, 1, exclude={2}),
+                   count_ham_paths(g, 0, 1, exclude=1 << 2),
                    enumerate_ham_paths(g, 0, 2, required_edges=[e]))
                   for _ in range(2)]
         assert rounds[0] == rounds[1]
@@ -527,7 +549,7 @@ def test_counts_match_reference_search(triangulations_by_n):
                     got = count_ham_cycles(g, required_edges=required)
                 else:
                     got = count_ham_paths(g, *ends, required_edges=required,
-                                          exclude=exclude)
+                                          exclude=vertex_mask(exclude))
                 assert got == want, (g, ends, required, exclude)
                 draws += 1
                 found += want > 0
@@ -594,7 +616,7 @@ def test_searches_leave_no_reference_cycles():
         lambda: count_ham_cycles(g),
         lambda: enumerate_ham_cycles_raw(g, cap=3),
         lambda: first_ham_cycle(g),
-        lambda: count_ham_paths(g, 0, 5, exclude={1}),
+        lambda: count_ham_paths(g, 0, 5, exclude=1 << 1),
         lambda: enumerate_ham_paths(g, 0, 5, cap=2),
         timed_out,
     ]

@@ -40,8 +40,8 @@ from hamforge.plane_graph import (
     build,
     canonical_code,
     canonical_cycle,
-    closure,
     closure_containing,
+    closure_of_disc,
     contract_edge,
     contract_interior,
     contract_interior_containing,
@@ -150,7 +150,7 @@ def test_connectivity_matches_networkx_and_flow(triangulations_by_n):
 def test_closure_octahedron_equator():
     o = octahedron()
     eq = next(c for c in _cycles4(o) if _separates(o, c))
-    cl = closure(o, eq)
+    cl = closure_of_disc(o, eq, *disc_faces(o, eq))
     assert cl.graph.n == 5            # one apex inside
     assert cl.is_near_triangulation
     assert len(_interior(o, eq)) == 1
@@ -158,7 +158,7 @@ def test_closure_octahedron_equator():
 
 def _interior(g, c):
     """Vertices strictly inside ``c``, in g's ids, read off its closure."""
-    cl = closure(g, c)
+    cl = closure_of_disc(g, c, *disc_faces(g, c))
     return [cl.to_origin(v) for v in range(cl.graph.n) if v not in cl.outer_cycle]
 
 
@@ -175,7 +175,8 @@ def _separates(g, c):
 def test_closure_facial_triangle_is_itself():
     o = octahedron()
     face = next(f for i, f in enumerate(o.faces) if i != o.outer_face_index)
-    cl = closure(o, Cycle(face))
+    c = Cycle(face)
+    cl = closure_of_disc(o, c, *disc_faces(o, c))
     assert cl.graph.n == 3
     assert _interior(o, Cycle(face)) == []
 
@@ -184,7 +185,7 @@ def test_closure_double_wheel_arc():
     # apex, rim_i, apex', rim_j with two rim vertices between them
     g = double_wheel(8)                      # rim 0..5, apexes 6, 7
     c = Cycle((6, 0, 7, 3))
-    cl = closure(g, c)
+    cl = closure_of_disc(g, c, *disc_faces(g, c))
     assert cl.graph.n == 6
     assert cl.is_near_triangulation
     inside = set(_interior(g, c))
@@ -194,14 +195,15 @@ def test_closure_double_wheel_arc():
 def test_closure_orientation_mirror():
     g = mirror(double_wheel(8))
     c = Cycle((6, 0, 7, 3))
-    cl = closure(g, c)
+    cl = closure_of_disc(g, c, *disc_faces(g, c))
     assert cl.graph.n == 6
 
 
 def test_closure_rejects_non_cycle():
     # rim vertices 0 and 2 are not adjacent in the octahedron
+    o, c = octahedron(), Cycle((0, 2, 4))
     with pytest.raises(NotACycle):
-        closure(octahedron(), Cycle((0, 2, 4)))
+        closure_of_disc(o, c, *disc_faces(o, c))
 
 
 def test_contract_interior_double_wheel_shrinks():
@@ -291,8 +293,8 @@ def test_disc_faces_match_reference_closures(triangulations_by_n):
     """On both sides of every separating 3- and 4-cycle of the full levels
     n <= 9, the telescope tower and the two-pocket worm, ``disc_faces``'s
     mask is the vertex set of the closure built the old way, and
-    ``closure`` / ``closure_containing`` and both contractions give what the
-    old closure-based code gave."""
+    ``closure_of_disc`` / ``closure_containing`` and both contractions give
+    what the old closure-based code gave."""
     graphs = [g for n in range(4, 10) for g in triangulations_by_n(n)]
     graphs += [telescope_tower(3)[0], two_pocket_worm()[0]]
     sides = 0
@@ -301,7 +303,7 @@ def test_disc_faces_match_reference_closures(triangulations_by_n):
             inside, disc = disc_faces(g, c)
             want = reference_closure(g, c)
             assert disc == vertex_mask(want.origin), (g.rotation, c)
-            got = closure(g, c)
+            got = closure_of_disc(g, c, *disc_faces(g, c))
             assert (got.graph.rotation, got.graph.outer_face_index, got.outer_cycle,
                     got.origin) == (want.graph.rotation, want.graph.outer_face_index,
                                     want.outer_cycle, want.origin)
@@ -514,7 +516,7 @@ def test_block_chain_rejects_pendant_block():
         block_chain(g, 0, 1)
 
 
-def _chain_or_message(g, a, b, exclude=frozenset()):
+def _chain_or_message(g, a, b, exclude=0):
     try:
         chain = block_chain(g, a, b, exclude=exclude)
     except NotAChain as exc:
@@ -556,7 +558,7 @@ def test_block_code_with_exclude_matches_vertex_deletion(triangulations_by_n):
                 want = (tuple(frozenset(origin[z] for z in blk) for blk in blocks),
                         tuple(origin[z] for z in cut_vertices),
                         tuple(origin[z] for z in endpoints))
-            got = _chain_or_message(g, a, b, exclude)
+            got = _chain_or_message(g, a, b, vertex_mask(exclude))
             assert got == want, (g.rotation, exclude, a, b)
             outcomes.add(got if isinstance(got, str) else "chain")
     assert outcomes == {"chain", "graph is not connected",

@@ -28,13 +28,12 @@ from hamforge.structures import (
     is_four_connected_triangulation,
     link_region_has_separating_triangle,
     max_common_neighborhood_pair,
-    saturates,
     separating_cycles,
 )
 
 from hamforge.verification import link_region, square_boundary_regions
 
-from .oracles import adjacency_sets, match_pattern
+from .oracles import adjacency_sets, match_pattern, saturates
 
 
 def test_separating_cycles_octahedron():

@@ -12,7 +12,6 @@ from hamforge.corpus import (
     wheel,
 )
 from hamforge.errors import (
-    BadOrder,
     HamforgeError,
     HypothesisViolated,
     SearchExhausted,
@@ -41,7 +40,6 @@ from hamforge.tutte import (
     ham_cycle_through_triangle_edges,
     is_ham_path_of,
     tutte_path,
-    tutte_path_two_edges,
     two_ham_paths_uv,
     two_ham_paths_uw,
     verify_tutte,
@@ -183,33 +181,21 @@ def test_tutte_search_exclude_acts_or_is_rejected():
                       exclude=1 << 4)
 
 
-def test_tutte_path_two_edges_wheel():
+def test_tutte_search_two_edges_wheel():
+    """The Hamiltonian uCv-Tutte search the uv lemma's 2-connected branch
+    runs: a u-v path through two outer edges, Tutte for the u-v arc."""
+    from hamforge.tutte import _tutte_search
+
     g = wheel(6)                               # rim 0..5, hub 6
     c = Cycle(g.outer_face)
     vs = c.vertices
     u, v = vs[0], vs[4]
     e = edge_key(vs[1], vs[2])
     f = edge_key(vs[2], vs[3])
-    cert = tutte_path_two_edges(g, c, u, v, e, f)
+    cert = _tutte_search(g, u, v, (e, f), path_edges(c.subpath(u, v)), True,
+                         None)
     assert e in cert.edges() and f in cert.edges()
     assert cert.path[0] == u and cert.path[-1] == v
-
-
-def test_tutte_path_two_edges_bad_order():
-    g = wheel(6)
-    c = Cycle(g.outer_face)
-    vs = c.vertices
-    e = edge_key(vs[3], vs[4])
-    f = edge_key(vs[1], vs[2])                 # f before e going clockwise
-    with pytest.raises(BadOrder):
-        tutte_path_two_edges(g, c, vs[0], vs[5], e, f)
-
-
-def test_tutte_path_two_edges_bare_cycle():
-    g = cycle_graph(6)
-    c = Cycle(tuple(range(6)))
-    cert = tutte_path_two_edges(g, c, 0, 4, (1, 2), (2, 3))
-    assert tuple(cert.path) == (0, 1, 2, 3, 4)
 
 
 def test_clockwise_order_ok():
@@ -458,13 +444,12 @@ def test_shared_region_tables_match_fresh_regions(monkeypatch):
     """The 8 labelings of a region and both lemmas read one region graph
     and the ``RegionTables`` kept on it.  On every ``dichotomy_regions(10)``
     region, each kept entry (the triangles, the square-region answer, and
-    the faces, the blocks and cut vertices and the neighbour masks per
-    excluded set) equals what a freshly built ``link_region`` gives, and
-    so do the hypothesis answers of each labeling and of each peel level,
-    each lemma's outcome, and the exact count of every row of the two
-    suites, which share one count per region and dropped pair.  The
-    lemmas' path searches read the kept masks: the search copies none."""
-    from hamforge import corpus, ham_enum, tutte
+    the faces and the blocks and cut vertices per excluded set) equals
+    what a freshly built ``link_region`` gives, and so do the hypothesis
+    answers of each labeling and of each peel level, each lemma's outcome,
+    and the exact count of every row of the two suites, which share one
+    count per region and dropped pair."""
+    from hamforge import corpus, tutte
     from hamforge.plane_graph import _blocks_and_cuts
     from hamforge.verification import SUITE_RUNNERS, graph_id, link_region
 
@@ -472,10 +457,6 @@ def test_shared_region_tables_match_fresh_regions(monkeypatch):
     for suite in ("lemma-uwpath", "lemma-uvpath"):
         for row in SUITE_RUNNERS[suite]():
             counts.setdefault(row.graph_id, []).append((row.operation, row.payload))
-    copies = []
-    real_copy = ham_enum.masks_without
-    monkeypatch.setattr(ham_enum, "masks_without", lambda *a: (
-        copies.append(a) or real_copy(*a)))
 
     def answer(check, *args):
         try:
@@ -494,7 +475,7 @@ def test_shared_region_tables_match_fresh_regions(monkeypatch):
     pairs = [p for n in range(5, 12)
              for p in corpus._square_region_level(n, separating=False)]
     assert len(pairs) == 97
-    rows = masks = kept_masks = checked_levels = 0
+    rows = masks = checked_levels = 0
     for g, v in pairs:
         shared = link_region(g, v)
         levels.clear()
@@ -511,11 +492,7 @@ def test_shared_region_tables_match_fresh_regions(monkeypatch):
             assert faces == restriction_faces(fresh, exclude)
         for exclude, blocks in tables.blocks.items():
             assert blocks == _blocks_and_cuts(fresh, exclude)
-        for exclude, nb in tables.masks.items():
-            assert nb == [0 if exclude >> z & 1 else m & ~exclude
-                          for z, m in enumerate(fresh.nbr_masks)]
         masks += len(tables.faces) + len(tables.blocks)
-        kept_masks += len(tables.masks)
         assert has_separating_triangle(shared.graph, tables.triangles) \
             == has_separating_triangle(fresh)
         assert tables.square_fault == ""
@@ -529,17 +506,15 @@ def test_shared_region_tables_match_fresh_regions(monkeypatch):
                 assert answer(tutte._require_square_region, lab) == \
                     answer(tutte._require_square_region, own)
                 alone.append(_outcome_repr(lemma, own))
-        assert outcomes == alone and copies == []
+        assert outcomes == alone
         for operation, payload in counts.pop(graph_id(shared.graph)):
             p, q, r, t = payload["outer"]
             drop, a, b = ({q, t}, p, r) if operation == "dichotomy_uw" else ({r, t}, p, q)
             assert payload["count"] == count_ham_paths(
-                link_region(g, v).graph, a, b, exclude=drop)
+                link_region(g, v).graph, a, b, exclude=vertex_mask(drop))
             rows += 1
-        copies.clear()     # the counts here copy; the lemmas' searches must not
     assert counts == {} and rows == 772 + 776
     assert (masks, checked_levels) == (916 + 640, 914)
-    assert kept_masks == 552
 
 
 def test_square_region_answered_once_per_region_graph(monkeypatch):
@@ -663,18 +638,21 @@ def test_is_ham_path_of_matches_reference(triangulations_by_n):
             for drop in drops:
                 rest = [z for z in range(n) if z not in drop]
                 for a, b in itertools.combinations(rest, 2):
-                    for p in enumerate_ham_paths(g, a, b, exclude=drop):
+                    for p in enumerate_ham_paths(g, a, b,
+                                                 exclude=vertex_mask(drop)):
                         for seq in _path_variants(g, p, drop):
-                            for exclude in (set(drop), set(drop) | {n, -1}):
-                                got = is_ham_path_of(g, seq, a, b, exclude)
+                            for exclude in (set(drop), set(drop) | {n}):
+                                got = is_ham_path_of(g, seq, a, b,
+                                                     vertex_mask(exclude))
                                 assert got == reference_is_ham_path_of(
                                     g, seq, a, b, exclude), (seq, exclude)
                                 checked[got] += 1
     assert checked == {True: 6766, False: 130148}
     g = k4()
-    for check in (is_ham_path_of, reference_is_ham_path_of):
-        with pytest.raises(IndexError):
-            check(g, (), 0, 1, exclude=range(4))
+    with pytest.raises(IndexError):
+        is_ham_path_of(g, (), 0, 1, exclude=0b1111)
+    with pytest.raises(IndexError):
+        reference_is_ham_path_of(g, (), 0, 1, exclude=range(4))
 
 def test_ham_cycle_through_triangles_octahedron():
     g = octahedron()
@@ -938,8 +916,11 @@ def _outcome(search, *args, **kwargs):
 
 def test_tutte_front_ends_match_separate_searches(triangulations_by_n):
     """Every valid argument tuple on wheels, cycles and the n <= 8 corpus,
-    Hamiltonian-only and with the lexicographic fallback: same path, same
-    Hamiltonicity, or the same SearchExhausted message."""
+    Hamiltonian-only and with the lexicographic fallback (the two-edge
+    search, which only the uv lemma runs, Hamiltonian-only as it does):
+    same path, same Hamiltonicity, or the same SearchExhausted message."""
+    from hamforge.tutte import _tutte_search
+
     seen = {"one": 0, "two": 0, "fallback": 0, "exhausted": 0}
     for g, c in _tutte_instances(triangulations_by_n):
         edges = sorted(c.edges())
@@ -955,17 +936,20 @@ def test_tutte_front_ends_match_separate_searches(triangulations_by_n):
                         seen["one"] += 1
                         seen["fallback"] += got[1] is False
                         seen["exhausted"] += got[0] == "exhausted"
+            if not hamiltonian:
+                continue
             for u in c.vertices:
                 for v in c.vertices:
                     for e in edges:
                         for f in edges:
                             if not clockwise_order_ok(c, u, e, f, v):
                                 continue
-                            got = _outcome(tutte_path_two_edges, g, c, u, v, e, f,
-                                           hamiltonian=hamiltonian)
+                            got = _outcome(_tutte_search, g, u, v, (e, f),
+                                           path_edges(c.subpath(u, v)), True,
+                                           None)
                             assert got == _outcome(reference_tutte_path_two_edges,
                                                    g, c, u, v, e, f,
-                                                   hamiltonian=hamiltonian), \
+                                                   hamiltonian=True), \
                                 (g, c, u, v, e, f)
                             seen["two"] += 1
                             seen["fallback"] += got[1] is False
@@ -973,8 +957,8 @@ def test_tutte_front_ends_match_separate_searches(triangulations_by_n):
     assert all(seen.values()), seen
 
 
-def test_tutte_path_two_edges_needs_outer_cycle():
+def test_tutte_path_needs_outer_cycle():
     g = wheel(6)
     vs = g.outer_face
     with pytest.raises(ValueError, match="outer cycle required"):
-        tutte_path_two_edges(g, None, vs[0], vs[4], (vs[1], vs[2]), (vs[2], vs[3]))
+        tutte_path(g, None, vs[0], vs[4], (vs[0], vs[1]))
