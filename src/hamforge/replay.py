@@ -7,6 +7,12 @@ The asymptotic thresholds of the original counting arguments are vacuous at
 this scale; branches run whenever their structural prerequisites hold (a run
 of seven two-vertex blocks for the contraction step, a connected interior
 for the region-splice step), and the per-step promises are asserted instead.
+
+The replays share their steps, each written once: ``_region_paths`` (a
+region's Hamiltonian paths between two outer vertices), ``_splice``,
+``_lift_contracted_cycles``, ``_run_square_graph`` (the exchange square's
+graph) and ``_direct_family`` (every direct-search fallback).
+``nested_chain`` contracts only the outermost pocket in the whole graph.
 """
 
 from __future__ import annotations
@@ -72,6 +78,10 @@ from .tutte import (
 )
 
 
+# a replay given no ``budget`` caps each family and path list at this size
+_DEFAULT_CAP = 10 ** 6
+
+
 # ---------------------------------------------------------------------------
 # shared machinery for the common-neighborhood branch
 # ---------------------------------------------------------------------------
@@ -133,6 +143,42 @@ def _path_edge_list(seq):
     return [edge_key(a, b) for a, b in zip(seq, seq[1:])]
 
 
+def _region_paths(graph: PlaneGraph, labels, outer, a, b, cap):
+    """Hamiltonian a-b paths of a region minus its other outer vertices.
+
+    ``labels[i]`` is the host label of region vertex i and ``outer`` holds
+    the host labels of the region's outer cycle; a, b and the paths, at
+    most ``cap`` of them, are in host labels."""
+    local = {lab: i for i, lab in enumerate(labels)}
+    drop = vertex_mask(local[z] for z in outer if z not in (a, b))
+    paths = enumerate_ham_paths(graph, local[a], local[b], cap=cap, exclude=drop)
+    return [tuple(labels[z] for z in p) for p in paths]
+
+
+def _splice(g, fam: HamFamily, trunk: set, paths, tag, cap, need=()) -> int:
+    """Close ``trunk`` with each path and add each Hamiltonian cycle of g
+    that holds every ``need`` edge, stopping once ``fam`` reaches ``cap``.
+    Returns how many cycles were new."""
+    added = 0
+    for seq in paths:
+        edges = trunk | set(_path_edge_list(seq))
+        if is_ham_cycle(g, edges) and all(e in edges for e in need) \
+                and fam.add(frozenset(edges), tag):
+            added += 1
+        if len(fam) >= cap:
+            break
+    return added
+
+
+def _direct_family(g, fam: HamFamily, tag, cap, need=(), **counts):
+    """Add up to ``cap`` Hamiltonian cycles of g through the ``need`` edges
+    straight from the search, tagged and logged as branch ``tag``."""
+    for cyc, _p in enumerate_ham_cycles_raw(g, required_edges=need, cap=cap):
+        fam.add(cyc, tag)
+    fam.log.append({"branch": tag, **counts, "distinct": len(fam)})
+    return fam
+
+
 # ---------------------------------------------------------------------------
 # Case 2: contract the middle edge of a run of degree-4 junctions
 # ---------------------------------------------------------------------------
@@ -170,8 +216,9 @@ def _find_run(g: PlaneGraph, v: int, x: int, c: Cycle, cl) -> _Run | None:
     return _Run(v=v, x=x, u=u)
 
 
-def _lift_contracted_cycles(g, sub_family, origin, star, run: _Run):
-    """Re-expand cycles of G/u3u4 into G, always through edge u3u4."""
+def _lift_contracted_cycles(fam, sub_family, origin, star, run: _Run) -> int:
+    """Re-expand cycles of G/u3u4 into G, always through edge u3u4, and add
+    them to ``fam`` as ``case2_lift``; returns how many were lifted."""
     u3, u4 = run.mid
     p, q = run.inner
     v, x = run.v, run.x
@@ -183,7 +230,6 @@ def _lift_contracted_cycles(g, sub_family, origin, star, run: _Run):
         frozenset((v, x)): (v, u3, u4, x),
         frozenset((p, q)): (p, u3, u4, q),
     }
-    out = []
     for cyc in sub_family:
         nbrs = _cycle_neighbors(cyc, star)
         if len(nbrs) != 2:
@@ -197,8 +243,10 @@ def _lift_contracted_cycles(g, sub_family, origin, star, run: _Run):
         for e in _drop_vertex(cyc, star):
             edges.add(edge_key(origin[e[0]], origin[e[1]]))
         edges.update(_path_edge_list(ins))
-        out.append(frozenset(edges))
-    return out
+        if edge_key(u3, u4) not in edges:
+            raise StructureViolation("lifted cycle misses the contracted edge")
+        fam.add(frozenset(edges), "case2_lift")
+    return len(sub_family)
 
 
 _SURGERY_SYMMETRIES = (
@@ -257,13 +305,19 @@ def _exchange_cycle(g, cprime_edges, run: _Run, lift_back):
     return None
 
 
-def _run_square_graph(g, gstar, star, origin, run: _Run):
-    """(G/u3u4 - star) + pq, a triangulation again, plus its label map."""
+def _run_square_graph(gstar, star, origin, run: _Run):
+    """(G/u3u4 - star) + pq with its label maps, or None when pq cannot be
+    drawn or the result is not a 4-connected triangulation."""
     sub, sub_origin = gstar.delete_vertices({star})
     lift_back = [origin[z] for z in sub_origin]
     fwd = {lab: i for i, lab in enumerate(lift_back)}
     p, q = run.inner
-    gprime = add_edge_in_face(sub, fwd[p], fwd[q])
+    try:
+        gprime = add_edge_in_face(sub, fwd[p], fwd[q])
+    except (MultiEdge, NotACycle):
+        return None
+    if not is_four_connected_triangulation(gprime):
+        return None
     return gprime, lift_back, fwd
 
 
@@ -300,7 +354,7 @@ def lemma_2edge_family(g: PlaneGraph, e, f, budget=None, t=None,
     if not is_four_connected_triangulation(g):
         raise HypothesisViolated("four_connected_triangulation")
     a, b, c = _triangle_of(g, e, f)
-    cap = budget if budget is not None else 10 ** 6
+    cap = budget if budget is not None else _DEFAULT_CAP
     fam = HamFamily(g)
     g = g.rooted_at_face((a, b, c))
 
@@ -323,11 +377,9 @@ def lemma_2edge_family(g: PlaneGraph, e, f, budget=None, t=None,
         if run is not None and _depth < 8:
             _case2_contract(g, run, fam, cap, e, f, t, _depth)
     if not fam:
-        found = enumerate_ham_cycles_raw(g, required_edges=[e, f], cap=1)
-        if not found:
+        _direct_family(g, fam, "base_direct", 1, need=[e, f])
+        if not fam:
             raise SearchExhausted(f"no Hamiltonian cycle through {e}, {f}")
-        fam.add(found[0][0], "base_direct")
-        fam.log.append({"branch": "base_direct", "distinct": len(fam)})
     return fam
 
 
@@ -342,24 +394,15 @@ def _case1_splice(g, cyc: Cycle, cl: NearTriangulation, fam: HamFamily, cap, e, 
         return
     fwd = {lab: i for i, lab in enumerate(origin) if lab is not None}
     req_local = [edge_key(fwd[p], fwd[q]) for p, q in (e, f)]
-    cl_fwd = {z: i for i, z in enumerate(cl.origin)}
     spliced = 0
     for cyc_edges, _p in enumerate_ham_cycles_raw(gstar, required_edges=req_local,
                                                   cap=cap):
         p_loc, q_loc = _cycle_neighbors(cyc_edges, star)
         p, q = origin[p_loc], origin[q_loc]
-        drop = vertex_mask(cl_fwd[z] for z in cyc.vertices if z not in (p, q))
         trunk = {edge_key(origin[p2], origin[q2])
                  for p2, q2 in _drop_vertex(cyc_edges, star)}
-        for pathseq in enumerate_ham_paths(cl.graph, cl_fwd[p], cl_fwd[q],
-                                           cap=cap, exclude=drop):
-            lifted = [cl.to_origin(z) for z in pathseq]
-            edges = trunk | set(_path_edge_list(lifted))
-            if is_ham_cycle(g, edges) and e in edges and f in edges:
-                if fam.add(frozenset(edges), "case1"):
-                    spliced += 1
-            if len(fam) >= cap:
-                break
+        paths = _region_paths(cl.graph, cl.origin, cyc.vertices, p, q, cap)
+        spliced += _splice(g, fam, trunk, paths, "case1", cap, need=(e, f))
         if len(fam) >= cap:
             break
     fam.log.append({"branch": "case1", "spliced": spliced, "distinct": len(fam)})
@@ -372,28 +415,22 @@ def _case2_contract(g, run: _Run, fam: HamFamily, cap, e, f, t, depth):
     sub_fam = lemma_2edge_family(gstar, edge_key(fwd[e[0]], fwd[e[1]]),
                                  edge_key(fwd[f[0]], fwd[f[1]]),
                                  budget=cap, t=t, _depth=depth + 1)
-    lifted = _lift_contracted_cycles(g, sub_fam.cycles, origin, star, run)
-    for cyc in lifted:
-        if edge_key(u3, u4) not in cyc:
-            raise StructureViolation("lifted cycle misses the contracted edge")
-        fam.add(cyc, "case2_lift")
+    lifted = _lift_contracted_cycles(fam, sub_fam.cycles, origin, star, run)
     extra = _case2_exchange(g, run, gstar, star, origin, e, f)
     if extra is not None:
         if edge_key(u3, u4) in extra:
             raise StructureViolation("exchange cycle uses the contracted edge")
         fam.add(extra, "case2_exchange")
-    fam.log.append({"branch": "case2", "lifted": len(lifted),
+    fam.log.append({"branch": "case2", "lifted": lifted,
                     "exchange": extra is not None, "distinct": len(fam)})
 
 
 def _case2_exchange(g, run: _Run, gstar, star, origin, e, f):
     """One cycle through e, f avoiding u3u4, via the square graph."""
-    try:
-        gprime, lift_back, fwd = _run_square_graph(g, gstar, star, origin, run)
-    except (MultiEdge, NotACycle):
+    square = _run_square_graph(gstar, star, origin, run)
+    if square is None:
         return None
-    if not is_four_connected_triangulation(gprime):
-        return None
+    gprime, lift_back, fwd = square
     p, q = run.inner
     v, x = run.v, run.x
     a, b, c = _triangle_of(g, e, f)
@@ -422,14 +459,10 @@ def theorem1_family(g: PlaneGraph, budget=None, t=None, _depth=0) -> HamFamily:
     the exchange square.  Bottoms out at n <= 8 by direct enumeration."""
     if not is_four_connected_triangulation(g):
         raise HypothesisViolated("four_connected_triangulation")
-    cap = budget if budget is not None else 10 ** 6
+    cap = budget if budget is not None else _DEFAULT_CAP
     fam = HamFamily(g)
     if g.n <= 8 or _depth >= 8:
-        for cyc, _p in enumerate_ham_cycles_raw(g, cap=cap):
-            fam.add(cyc, "base_enumeration")
-        fam.log.append({"branch": "base_enumeration", "n": g.n,
-                        "distinct": len(fam)})
-        return fam
+        return _direct_family(g, fam, "base_enumeration", cap, n=g.n)
 
     branch = special_set(g, t=t)
     if isinstance(branch, IndSetCert):
@@ -442,11 +475,7 @@ def theorem1_family(g: PlaneGraph, budget=None, t=None, _depth=0) -> HamFamily:
     v, x = branch.v, branch.x
     square = _enclosing_square(g, v, x)
     if square is None:
-        for cyc_edges, _p in enumerate_ham_cycles_raw(g, cap=2):
-            fam.add(cyc_edges, "fallback_no_enclosing_cycle")
-        fam.log.append({"branch": "fallback_no_enclosing_cycle",
-                        "distinct": len(fam)})
-        return fam
+        return _direct_family(g, fam, "fallback_no_enclosing_cycle", 2)
 
     cyc, cl = square[0], closure_of_disc(g, *square)
     _theorem1_trunk_splice(g, cyc, cl, fam, cap)
@@ -454,19 +483,17 @@ def theorem1_family(g: PlaneGraph, budget=None, t=None, _depth=0) -> HamFamily:
     if run is not None:
         _theorem1_case2(g, run, fam, cap, t, _depth)
     if not fam:
-        for cyc_edges, _p in enumerate_ham_cycles_raw(g, cap=2):
-            fam.add(cyc_edges, "tutte_base")
-        fam.log.append({"branch": "tutte_base", "distinct": len(fam)})
+        _direct_family(g, fam, "tutte_base", 2)
     return fam
 
 
-def _theorem1_trunk_splice(g, cyc: Cycle, cl, fam: HamFamily, cap) -> int:
+def _theorem1_trunk_splice(g, cyc: Cycle, cl, fam: HamFamily, cap):
     """One Hamiltonian trunk path of G minus the interior, times every
     Hamiltonian u-w path of the region between the pair."""
     u, v, w, x = cyc.vertices
     interior = set(cl.origin) - set(cyc.vertices)
     if not interior:
-        return 0
+        return
     sub, origin = g.delete_vertices(interior)
     fwd = {old: new for new, old in enumerate(origin)}
     try:
@@ -476,26 +503,17 @@ def _theorem1_trunk_splice(g, cyc: Cycle, cl, fam: HamFamily, cap) -> int:
                           edge_key(fwd[u], fwd[v]), hamiltonian=True)
     except (NotACycle, HypothesisViolated, SearchExhausted) as exc:
         fam.log.append({"branch": "trunk_splice", "skipped": str(exc)})
-        return 0
-    trunk = [edge_key(origin[a], origin[b])
-             for a, b in zip(cert.path, cert.path[1:])]
+        return
+    trunk = {edge_key(origin[a], origin[b])
+             for a, b in zip(cert.path, cert.path[1:])}
     cl_fwd = {z: i for i, z in enumerate(cl.origin)}
-    drop = 1 << cl_fwd[v] | 1 << cl_fwd[x]
-    if not _connected_after_removal(cl.graph, drop):
+    if not _connected_after_removal(cl.graph, 1 << cl_fwd[v] | 1 << cl_fwd[x]):
         fam.log.append({"branch": "trunk_splice", "skipped": "region disconnected"})
-        return 0
-    added = 0
-    for pathseq in enumerate_ham_paths(cl.graph, cl_fwd[u], cl_fwd[w],
-                                       cap=cap, exclude=drop):
-        lifted = [cl.to_origin(z) for z in pathseq]
-        edges = set(trunk) | set(_path_edge_list(lifted))
-        if is_ham_cycle(g, edges) and fam.add(frozenset(edges), "trunk_splice"):
-            added += 1
-        if len(fam) >= cap:
-            break
+        return
+    paths = _region_paths(cl.graph, cl.origin, cyc.vertices, u, w, cap)
+    added = _splice(g, fam, trunk, paths, "trunk_splice", cap)
     fam.log.append({"branch": "trunk_splice", "added": added,
                     "distinct": len(fam)})
-    return added
 
 
 def _theorem1_case2(g, run: _Run, fam: HamFamily, cap, t, depth):
@@ -504,16 +522,11 @@ def _theorem1_case2(g, run: _Run, fam: HamFamily, cap, t, depth):
     v, x = run.v, run.x
     gstar, star, origin = contract_edge(g, u3, u4)
     sub_fam = theorem1_family(gstar, budget=cap, t=t, _depth=depth + 1)
-    for cyc in _lift_contracted_cycles(g, sub_fam.cycles, origin, star, run):
-        if edge_key(u3, u4) not in cyc:
-            raise StructureViolation("lifted cycle misses the contracted edge")
-        fam.add(cyc, "case2_lift")
+    _lift_contracted_cycles(fam, sub_fam.cycles, origin, star, run)
     extras = 0
-    try:
-        gprime, lift_back, fwd = _run_square_graph(g, gstar, star, origin, run)
-    except (MultiEdge, NotACycle):
-        gprime = None
-    if gprime is not None and is_four_connected_triangulation(gprime):
+    square = _run_square_graph(gstar, star, origin, run)
+    if square is not None:
+        gprime, lift_back, fwd = square
         for apex, detour in ((v, (p, u3, v, u4, q)), (x, (p, u3, x, u4, q))):
             try:
                 sub = lemma_2edge_family(gprime,
@@ -554,7 +567,7 @@ def _diamond_pocket(g: PlaneGraph, cert: DiamondCert):
 def disjoint_diamond_family(g: PlaneGraph, diamonds, budget=None) -> HamFamily:
     """Contract every diamond pocket, take one Hamiltonian cycle of the
     result, and splice the >= 2 region paths per pocket: up to 2^k cycles."""
-    cap = budget if budget is not None else 10 ** 6
+    cap = budget if budget is not None else _DEFAULT_CAP
     fam = HamFamily(g)
     diamonds = list(diamonds)
     if not diamonds:
@@ -649,9 +662,8 @@ def _pocket_paths(g, cert, cl: NearTriangulation, a, b):
         if out[0][0] != a:
             out = [tuple(reversed(out[0]))]
     if not out:
-        drop = vertex_mask(q for q in vs if cl.to_origin(q) not in (a, b))
-        paths = enumerate_ham_paths(cl.graph, fwd[a], fwd[b], cap=2, exclude=drop)
-        out = [tuple(cl.to_origin(z) for z in p) for p in paths]
+        out = _region_paths(cl.graph, cl.origin, [cl.to_origin(q) for q in vs],
+                            a, b, 2)
     return out[:2]
 
 
@@ -669,17 +681,15 @@ class Ladder:
     graph: PlaneGraph
     labels: tuple
 
-    def local(self, label):
-        return self.labels.index(label)
-
 
 @dataclass
 class NestedChain:
     """The longest nesting chain of diamonds with its ladder graphs.
 
     ``cycles[j]`` is the center 4-cycle of diamond j; ``g_ladders[j]`` the
-    closure of cycles[j] with the next pocket contracted to ('z', j+1);
-    ``h_ladders[j]`` the whole graph with pocket j contracted to ('z', j).
+    closure of cycles[j] with the next pocket contracted to ('z', j+2);
+    ``h_ladder`` the whole graph with the outermost pocket contracted to
+    ('z', 1).
     ``pair_cases`` records the pairwise intersection classification over all
     diamonds grown from the seed set.
     """
@@ -689,7 +699,7 @@ class NestedChain:
     cycles: list[Cycle]
     closures: list[frozenset[int]]
     g_ladders: list[Ladder]
-    h_ladders: list[Ladder]
+    h_ladder: Ladder
     all_diamonds: list[DiamondCert]
     disjoint_roots: list[int]
     pair_cases: list[tuple[int, int, str]]
@@ -746,7 +756,7 @@ def _classify_pair(g, c1: DiamondCert, c2: DiamondCert) -> str:
 def nested_chain(g: PlaneGraph, s_star) -> NestedChain:
     """Grow one diamond per seed vertex, verify the pairwise intersection
     claim, split the laminar family into chains, and materialize the longest
-    chain's ladder graphs."""
+    chain's ladder graphs and its outermost contraction."""
     s_star = sorted(set(s_star))
     if not s_star:
         raise EmptyStar("empty seed set")
@@ -801,17 +811,14 @@ def nested_chain(g: PlaneGraph, s_star) -> NestedChain:
             raise StructureViolation("chain closures fail strict containment")
 
     t = len(diamonds)
+    # H_1: the outermost pocket contracted in the whole graph
+    hgraph, _star, origin = contract_interior_containing(
+        g, cycles[0], min(pockets[chain_idx[0]][2]))
+    h_ladder = Ladder(hgraph, tuple(z if z is not None else ("z", 1)
+                                    for z in origin))
     g_ladders = []
-    h_ladders = []
     for j in range(t):
-        cert = diamonds[j]
-        interior_j = pockets[chain_idx[j]][2]
-        marker = min(interior_j)
-        # H_{j+1}: contract this pocket in the whole graph
-        hgraph, star, origin = contract_interior_containing(
-            g, cycles[j], marker)
-        h_labels = tuple(z if z is not None else ("z", j + 1) for z in origin)
-        h_ladders.append(Ladder(hgraph, h_labels))
+        marker = min(pockets[chain_idx[j]][2])
         # G_{j+1}: the closure of this cycle, next pocket contracted
         cl = closure_containing(g, cycles[j], marker)
         to_g = cl.origin
@@ -829,7 +836,7 @@ def nested_chain(g: PlaneGraph, s_star) -> NestedChain:
 
     return NestedChain(graph=g, diamonds=diamonds, cycles=cycles,
                        closures=closures, g_ladders=g_ladders,
-                       h_ladders=h_ladders, all_diamonds=all_certs,
+                       h_ladder=h_ladder, all_diamonds=all_certs,
                        disjoint_roots=roots, pair_cases=pair_cases)
 
 
@@ -866,10 +873,9 @@ def theorem2_tree(g: PlaneGraph, chain: NestedChain, budget=None) -> CycleTree:
     Every cycle is an int over one index of labeled edges, grown as edges
     are met: bit i stands for ``edges[i]``, and ``zmask[s]`` holds the
     edges at pocket vertex ("z", s)."""
-    cap = budget if budget is not None else 10 ** 6
+    cap = budget if budget is not None else _DEFAULT_CAP
     t = chain.t
-    h1 = chain.h_ladders[0]
-    base = first_ham_cycle(h1.graph)
+    base = first_ham_cycle(chain.h_ladder.graph)
     if base is None:
         raise ChainBroken(0, "outermost contraction has no Hamiltonian cycle")
     index = {}
@@ -890,14 +896,14 @@ def theorem2_tree(g: PlaneGraph, chain: NestedChain, budget=None) -> CycleTree:
             mask |= 1 << i
         return mask
 
-    lab = h1.labels
+    lab = chain.h_ladder.labels
     frontier = [path_mask((lab[a], lab[b]) for a, b in base)]
     branching: list[list[int]] = []
     partial = False
     log = []
     for level in range(1, t + 1):
         ladder = chain.g_ladders[level - 1]
-        cvs = set(chain.cycles[level - 1].vertices)
+        outer = chain.cycles[level - 1].vertices
         z = ("z", level)
         nxt = []
         level_branching = []
@@ -908,7 +914,8 @@ def theorem2_tree(g: PlaneGraph, chain: NestedChain, budget=None) -> CycleTree:
                 raise ChainBroken(level, "pocket vertex not on the cycle")
             a, b = sorted(q for i in mask_bits(zbits) for q in edges[i] if q != z)
             rest = cyc ^ zbits
-            paths = _ladder_paths(ladder, cvs, a, b, cap - len(nxt))
+            paths = _region_paths(ladder.graph, ladder.labels, outer, a, b,
+                                  cap - len(nxt))
             if not paths:
                 raise ChainBroken(level, f"no completion between {a} and {b}")
             level_branching.append(len(paths))
@@ -945,13 +952,3 @@ def _label_sort_key(lab):
 
 def _labeled_edge(a, b):
     return (a, b) if _label_sort_key(a) <= _label_sort_key(b) else (b, a)
-
-
-def _ladder_paths(ladder: Ladder, cycle_vertices, a, b, cap):
-    """Hamiltonian a-b paths of the ladder minus the other two outer
-    vertices, as label sequences, at most ``cap`` of them."""
-    drop = vertex_mask(i for i, lab in enumerate(ladder.labels)
-                       if lab in cycle_vertices and lab not in (a, b))
-    paths = enumerate_ham_paths(ladder.graph, ladder.local(a), ladder.local(b),
-                                cap=cap, exclude=drop)
-    return [tuple(ladder.labels[z] for z in p) for p in paths]

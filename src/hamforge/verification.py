@@ -67,10 +67,6 @@ from .tutte import (
     verify_tutte,
 )
 
-SUITES = ("euler", "connectivity", "tutte", "lemma-edgesetF", "lemma-uwpath",
-          "lemma-uvpath", "lemma-diamond4", "lemma-4edges", "lemma-2edge",
-          "conjecture", "theorem1", "theorem2")
-
 
 @dataclass
 class RunReport:
@@ -543,3 +539,4 @@ SUITE_RUNNERS = {
     "theorem1": suite_theorem1,
     "theorem2": suite_theorem2,
 }
+SUITES = tuple(SUITE_RUNNERS)

@@ -1049,7 +1049,7 @@ def reference_theorem2_tree(g, chain, budget=None) -> FrozensetCycleTree:
 
     cap = budget if budget is not None else 10 ** 6
     t = chain.t
-    h1 = chain.h_ladders[0]
+    h1 = chain.h_ladder
     base = first_ham_cycle(h1.graph)
     if base is None:
         raise ChainBroken(0, "outermost contraction has no Hamiltonian cycle")
@@ -1134,7 +1134,8 @@ def _ladder_paths(ladder, cycle_vertices, a, b, cap):
 
     drop = vertex_mask(i for i, lab in enumerate(ladder.labels)
                        if lab in cycle_vertices and lab not in (a, b))
-    paths = enumerate_ham_paths(ladder.graph, ladder.local(a), ladder.local(b),
+    local = ladder.labels.index
+    paths = enumerate_ham_paths(ladder.graph, local(a), local(b),
                                 cap=cap, exclude=drop)
     return [tuple(ladder.labels[z] for z in p) for p in paths]
 

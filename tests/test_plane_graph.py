@@ -452,7 +452,7 @@ def test_suite_edits_match_face_rebuild(monkeypatch):
         assert _check_edit(getattr(plane_graph, name), rebuilt[name], *args) == name
     assert Counter(name for name, _args in calls) == {
         "contract_interior": 18, "contract_edge": 9, "add_edge_in_face": 9,
-        "contract_interior_containing": 8}
+        "contract_interior_containing": 6}
 
 
 def test_replay_suites_build_from_faces_only_what_is_given_as_faces(monkeypatch):
@@ -477,7 +477,7 @@ def test_replay_suites_build_from_faces_only_what_is_given_as_faces(monkeypatch)
             monkeypatch.setattr(module, "plane_graph_from_faces", spy)
     calls = _spy_on_edits(monkeypatch)
     _run_replay_suites()
-    assert len(calls) == 44
+    assert len(calls) == 42
     assert callers and set(callers) <= FACE_INPUTS, Counter(callers)
 
 

@@ -127,6 +127,32 @@ def test_disjoint_diamond_family_worm():
     assert all(is_ham_cycle(g, c) for c in fam.cycles)
 
 
+def test_disjoint_diamond_family_direct_pocket_paths(monkeypatch):
+    """With both two-path lemmas refused, each worm pocket falls back to the
+    direct search of its region: two paths per pocket and four cycles, of
+    which only the first is one the lemmas give."""
+    from hamforge import replay
+
+    def refuse(nt):
+        raise HypothesisViolated("square_region", "refused")
+
+    g, star, _squares = two_pocket_worm()
+    chain = nested_chain(g, star)
+    lemma_cycles = set(disjoint_diamond_family(g, chain.all_diamonds).cycles)
+    monkeypatch.setattr(replay, "two_ham_paths_uw", refuse)
+    monkeypatch.setattr(replay, "two_ham_paths_uv", refuse)
+    fam = disjoint_diamond_family(g, chain.all_diamonds)
+    assert fam.log == [
+        {"branch": "pocket", "index": 0, "pair": (3, 8), "paths": 2},
+        {"branch": "pocket", "index": 1, "pair": (6, 21), "paths": 2},
+        {"branch": "disjoint_diamonds", "pockets": 2, "distinct": 4}]
+    assert fam.provenance == ["disjoint_diamonds"] * 4
+    assert all(is_ham_cycle(g, c) for c in fam.cycles)
+    assert [c in lemma_cycles for c in fam.cycles] == [True, False, False, False]
+    digest = hashlib.sha256(repr([sorted(c) for c in fam.cycles]).encode())
+    assert digest.hexdigest().startswith("7f24ff50a78483df")
+
+
 def test_disjoint_diamond_family_empty():
     o = octahedron()
     fam = disjoint_diamond_family(o, [])
@@ -324,8 +350,8 @@ def test_replay_suites_build_closures_only_where_searched(monkeypatch):
     """The replay suites at their defaults build 34 closures: one per square
     ``_enclosing_square`` returns (28), the nested-chain ladders (4) and the
     worm's pocket regions (2).  The square search itself builds no graph.
-    Each of the 314 side questions runs the face search once: 270 candidate
-    squares, 26 contractions, 6 closures on a vertex's side and 12 vertex
+    Each of the 312 side questions runs the face search once: 270 candidate
+    squares, 24 contractions, 6 closures on a vertex's side and 12 vertex
     sets (diamond sizes and pockets)."""
     from hamforge import plane_graph, replay
     from hamforge.verification import SUITE_RUNNERS
@@ -368,7 +394,7 @@ def test_replay_suites_build_closures_only_where_searched(monkeypatch):
     assert counts["_enclosing_square"] == 28
     assert counts["closure_of_disc"] == 34
     assert counts["graphs built in the square search"] == 0
-    assert counts["_side_faces"] == counts["disc_faces"] == 314
+    assert counts["_side_faces"] == counts["disc_faces"] == 312
 
 
 def test_lemma_2edge_edge_branch_matches_its_own_loop():

@@ -33,3 +33,24 @@ def test_every_exclude_parameter_is_an_int_bitmask():
             if not (isinstance(ann, ast.Name) and ann.id == "int"):
                 wrong.append(f"{path.name}:{line} {name}")
     assert len(found) >= 15 and not wrong, wrong
+
+
+def test_replay_searches_region_paths_in_one_function():
+    """Every replay step that lists a region's Hamiltonian paths goes
+    through one function, so ``enumerate_ham_paths`` is named inside one
+    function of ``replay.py`` only."""
+    path = Path(hamforge.__file__).parent / "replay.py"
+    callers = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if "enumerate_ham_paths" in (getattr(child, "id", None),
+                                         getattr(child, "attr", None)):
+                callers.add(owner)
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text(), str(path)), None)
+    assert len(callers) == 1 and None not in callers, sorted(map(str, callers))
